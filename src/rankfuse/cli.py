@@ -6,8 +6,8 @@ Verbs:
   gradcheck  finite-difference verification of every analytic gradient
   gen-data   write synthetic corpora in the on-disk format
 
-Exit codes: 0 success; 2 invalid config or usage; 3 training abort;
-4 snapshot/config digest mismatch; 5 gradient check failure.
+Exit codes: 0 success; 2 invalid config, usage or corpus input; 3 training
+abort; 4 snapshot/config digest mismatch; 5 gradient check failure.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .config import (
     load_config,
     parse_toggle_args,
 )
-from .continual import run_protocol
-from .data import DomainSpec, PairPolicy, generate_domain, load_corpus, save_corpus
+from .continual import build_protocol_data, run_protocol
+from .data import PairPolicy, load_corpus, save_corpus
 from .encoder import (
     backward,
     encode,
@@ -38,12 +38,12 @@ from .encoder import (
     load_snapshot,
     unflatten_params,
 )
-from .errors import ConfigurationError, TrainingError, UsageError
+from .errors import ConfigurationError, IngestionError, TrainingError, UsageError
 from .evaluation import (
     RECALL_CSV,
     RESULTS_FILE,
-    build_index,
     dump_results,
+    embed,
     evaluate_protocol,
     recall_at_n,
     results_dict,
@@ -51,6 +51,8 @@ from .evaluation import (
 )
 from .gradcheck import GradCheckSuite, check_gradient
 from .losses import (
+    DIVERGENCES,
+    LAMBDA_VARIANTS,
     LossToggles,
     batch_hard_triplet,
     combined_loss,
@@ -84,8 +86,8 @@ def _parser() -> argparse.ArgumentParser:
         metavar="NAME=on|off",
         help="flip terms: pr, rkd, dkd, buffer, fusion (repeatable, space-separable)",
     )
-    run.add_argument("--lambda-variant", choices=["literal", "incloud"], default=None)
-    run.add_argument("--divergence", choices=["skl", "kl", "js"], default=None)
+    run.add_argument("--lambda-variant", choices=LAMBDA_VARIANTS, default=None)
+    run.add_argument("--divergence", choices=DIVERGENCES, default=None)
     run.add_argument("--fusion", choices=["on", "off"], default=None)
 
     ev = sub.add_parser("eval", parents=[common], help="evaluate saved snapshots on a corpus")
@@ -213,16 +215,24 @@ def cmd_eval(args) -> int:
             return EXIT_DIGEST
 
     policy = PairPolicy(pos_test=args.pos_test)
-    database = load_corpus(args.corpus, policy)
-    queries = load_corpus(args.queries, policy)
-    index = build_index(snaps if fusion else snaps[0], database, fusion)
-    outcome = recall_at_n(index, queries, args.pos_test, args.at)
+    database = load_corpus(args.corpus)
+    queries = load_corpus(args.queries)
+    db_emb = embed(snaps, database)
+    outcome = recall_at_n(
+        db_emb,
+        np.stack([s.pose for s in database]),
+        np.array([s.sample_id for s in database]),
+        embed(snaps, queries),
+        np.stack([s.pose for s in queries]),
+        policy.pos_test,
+        args.at,
+    )
     report = {
         "recall_at_n": outcome.percent,
         "n": args.at,
         "evaluated": outcome.evaluated,
         "excluded": outcome.excluded,
-        "embedding_dim": int(index.embeddings.shape[1]),
+        "embedding_dim": int(db_emb.shape[1]),
         "fusion": fusion,
         "snapshots": [str(p) for p in args.snapshot],
     }
@@ -269,7 +279,7 @@ def gradcheck_suite(seed: int, batch: int, dim: int, points: int, corrupt: float
         suite.reports.append(
             check_gradient(
                 lambda v: float(
-                    np.sum(probe * encode(unflatten_params(v, hidden, dim), scans, normalize).vectors)
+                    np.sum(probe * encode(unflatten_params(v, hidden, dim), scans, normalize))
                 ),
                 flatten_params(g),
                 flatten_params(params),
@@ -320,7 +330,7 @@ def gradcheck_suite(seed: int, batch: int, dim: int, points: int, corrupt: float
     )
 
     # Distribution distillation, all three divergences.
-    for div in ("skl", "kl", "js"):
+    for div in DIVERGENCES:
         dkd = distribution_distill_loss(e_old, e_new, temp=1.0, divergence=div)
         suite.reports.append(
             check_gradient(
@@ -371,22 +381,10 @@ def cmd_gradcheck(args) -> int:
 def cmd_gen_data(args) -> int:
     cfg = _effective_config(args)
     out_root = Path(cfg.out_dir) / "corpora"
+    train, db, query = build_protocol_data(cfg)
     for i, dom in enumerate(cfg.domains):
-        style = dom.style_params()
-        for split, session, n in (
-            ("train", 0, dom.train_places),
-            ("db", 1, dom.test_places),
-            ("query", 2, dom.test_places),
-        ):
-            spec = DomainSpec(
-                seed=dom.seed,
-                n_places=n,
-                trajectory_length=dom.trajectory_length,
-                style=style,
-                session=session,
-            )
-            samples = generate_domain(spec, points_per_scan=cfg.encoder.points_per_scan)
-            save_corpus(samples, out_root / dom.name / split)
+        for name, split in (("train", train), ("db", db), ("query", query)):
+            save_corpus(split[i], out_root / dom.name / name)
         print(f"domain {dom.name}: wrote train/db/query under {out_root / dom.name}")
     return EXIT_OK
 
@@ -408,6 +406,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except IngestionError as exc:
+        print(f"ingestion error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TrainingError as exc:
         print(f"training aborted: {exc}", file=sys.stderr)

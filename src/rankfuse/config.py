@@ -15,14 +15,25 @@ import yaml
 
 from .data import STYLE_PRESETS, PairPolicy, StyleParams
 from .errors import ConfigurationError
+from .evaluation import FORGETTING_MODES
+from .losses import DIVERGENCES, LAMBDA_VARIANTS, RKD_NORMS
 
 SCHEMA_ID = "rankfuse/v1"
 
-_DIVERGENCES = ("skl", "kl", "js")
-_LAMBDA_VARIANTS = ("literal", "incloud")
-_RKD_NORMS = ("cubic", "quadratic")
-_FORGETTING_MODES = ("printed", "from_t")
 _TOGGLE_NAMES = ("pr", "rkd", "dkd", "buffer", "fusion")
+
+
+def _require(cond: bool, path: str, msg: str):
+    if not cond:
+        raise ConfigurationError(f"{path}: {msg}")
+
+
+def _require_choice(value, choices: tuple, path: str):
+    _require(value in choices, path, f"must be one of {choices}, got {value!r}")
+
+
+# Each section validates its own fields on construction, so a config built by
+# from_dict, by apply_overrides (via replace) or directly is checked alike.
 
 
 @dataclass(frozen=True)
@@ -31,6 +42,15 @@ class EncoderConfig:
     dim: int = 32
     normalize: bool = True
     points_per_scan: int = 48
+
+    def __post_init__(self):
+        _require(self.hidden >= 1, "encoder.hidden", f"must be >= 1, got {self.hidden}")
+        _require(self.dim >= 2, "encoder.dim", f"must be >= 2, got {self.dim}")
+        _require(
+            self.points_per_scan >= 1,
+            "encoder.points_per_scan",
+            f"must be >= 1, got {self.points_per_scan}",
+        )
 
 
 @dataclass(frozen=True)
@@ -45,6 +65,15 @@ class LossConfig:
     rkd: bool = True
     dkd: bool = True
 
+    def __post_init__(self):
+        _require(self.margin >= 0, "loss.margin", f"must be >= 0, got {self.margin}")
+        _require(self.rank_temp > 0, "loss.rank_temp", f"must be > 0, got {self.rank_temp}")
+        _require(self.dist_temp > 0, "loss.dist_temp", f"must be > 0, got {self.dist_temp}")
+        _require_choice(self.divergence, DIVERGENCES, "loss.divergence")
+        _require_choice(self.rkd_norm, RKD_NORMS, "loss.rkd_norm")
+        _require_choice(self.lambda_variant, LAMBDA_VARIANTS, "loss.lambda_variant")
+        _require(self.pr or self.rkd or self.dkd, "loss", "all loss terms toggled off")
+
 
 @dataclass(frozen=True)
 class PlanConfig:
@@ -58,12 +87,41 @@ class PlanConfig:
     lr_drop_factor: float = 0.1
     weight_decay: float = 1e-3
 
+    def __post_init__(self):
+        _require(self.epochs >= 1, "plan.epochs", f"must be >= 1, got {self.epochs}")
+        _require(
+            self.batch_start <= self.batch_cap,
+            "plan.batch_start",
+            f"start {self.batch_start} exceeds cap {self.batch_cap}",
+        )
+        _require(self.batch_start >= 2, "plan.batch_start", f"must be >= 2, got {self.batch_start}")
+        _require(
+            self.expansion_rate > 1,
+            "plan.expansion_rate",
+            f"must be > 1, got {self.expansion_rate}",
+        )
+        _require(self.lr > 0, "plan.lr", f"must be > 0, got {self.lr}")
+        _require(self.weight_decay >= 0, "plan.weight_decay", f"must be >= 0, got {self.weight_decay}")
+        _require(
+            0.0 <= self.active_threshold <= 1.0,
+            "plan.active_threshold",
+            f"must be in [0, 1], got {self.active_threshold}",
+        )
+
 
 @dataclass(frozen=True)
 class BufferConfig:
     capacity: int = 256
     fraction: float = 0.25
     enabled: bool = True
+
+    def __post_init__(self):
+        _require(self.capacity >= 1, "buffer.capacity", f"must be >= 1, got {self.capacity}")
+        _require(
+            0.0 < self.fraction < 1.0,
+            "buffer.fraction",
+            f"must be in (0, 1), got {self.fraction}",
+        )
 
 
 @dataclass(frozen=True)
@@ -100,11 +158,6 @@ class ExperimentConfig:
     domains: tuple = ()
 
 
-def _require(cond: bool, path: str, msg: str):
-    if not cond:
-        raise ConfigurationError(f"{path}: {msg}")
-
-
 def _build(cls, raw: dict, path: str):
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: expected a mapping, got {type(raw).__name__}")
@@ -135,66 +188,10 @@ def from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigurationError(f"{key}: unknown field")
 
     enc = _build(EncoderConfig, raw.get("encoder", {}), "encoder")
-    _require(enc.hidden >= 1, "encoder.hidden", f"must be >= 1, got {enc.hidden}")
-    _require(enc.dim >= 2, "encoder.dim", f"must be >= 2, got {enc.dim}")
-    _require(
-        enc.points_per_scan >= 1,
-        "encoder.points_per_scan",
-        f"must be >= 1, got {enc.points_per_scan}",
-    )
-
-    pairs_raw = raw.get("pairs", {})
-    pairs = _build(PairPolicy, pairs_raw, "pairs")
-
+    pairs = _build(PairPolicy, raw.get("pairs", {}), "pairs")
     loss = _build(LossConfig, raw.get("loss", {}), "loss")
-    _require(loss.margin >= 0, "loss.margin", f"must be >= 0, got {loss.margin}")
-    _require(loss.rank_temp > 0, "loss.rank_temp", f"must be > 0, got {loss.rank_temp}")
-    _require(loss.dist_temp > 0, "loss.dist_temp", f"must be > 0, got {loss.dist_temp}")
-    _require(
-        loss.divergence in _DIVERGENCES,
-        "loss.divergence",
-        f"must be one of {_DIVERGENCES}, got {loss.divergence!r}",
-    )
-    _require(
-        loss.rkd_norm in _RKD_NORMS,
-        "loss.rkd_norm",
-        f"must be one of {_RKD_NORMS}, got {loss.rkd_norm!r}",
-    )
-    _require(
-        loss.lambda_variant in _LAMBDA_VARIANTS,
-        "loss.lambda_variant",
-        f"must be one of {_LAMBDA_VARIANTS}, got {loss.lambda_variant!r}",
-    )
-    _require(loss.pr or loss.rkd or loss.dkd, "loss", "all loss terms toggled off")
-
     plan = _build(PlanConfig, raw.get("plan", {}), "plan")
-    _require(plan.epochs >= 1, "plan.epochs", f"must be >= 1, got {plan.epochs}")
-    _require(
-        plan.batch_start <= plan.batch_cap,
-        "plan.batch_start",
-        f"start {plan.batch_start} exceeds cap {plan.batch_cap}",
-    )
-    _require(plan.batch_start >= 2, "plan.batch_start", f"must be >= 2, got {plan.batch_start}")
-    _require(
-        plan.expansion_rate > 1,
-        "plan.expansion_rate",
-        f"must be > 1, got {plan.expansion_rate}",
-    )
-    _require(plan.lr > 0, "plan.lr", f"must be > 0, got {plan.lr}")
-    _require(plan.weight_decay >= 0, "plan.weight_decay", f"must be >= 0, got {plan.weight_decay}")
-    _require(
-        0.0 <= plan.active_threshold <= 1.0,
-        "plan.active_threshold",
-        f"must be in [0, 1], got {plan.active_threshold}",
-    )
-
     buf = _build(BufferConfig, raw.get("buffer", {}), "buffer")
-    _require(buf.capacity >= 1, "buffer.capacity", f"must be >= 1, got {buf.capacity}")
-    _require(
-        0.0 < buf.fraction < 1.0,
-        "buffer.fraction",
-        f"must be in (0, 1), got {buf.fraction}",
-    )
 
     seeds = raw.get("seeds", [0])
     _require(
@@ -208,11 +205,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
     fusion = raw.get("fusion", True)
     _require(isinstance(fusion, bool), "fusion", f"must be a boolean, got {fusion!r}")
     fmode = raw.get("forgetting_max", "printed")
-    _require(
-        fmode in _FORGETTING_MODES,
-        "forgetting_max",
-        f"must be one of {_FORGETTING_MODES}, got {fmode!r}",
-    )
+    _require_choice(fmode, FORGETTING_MODES, "forgetting_max")
 
     domains_raw = raw.get("domains", [])
     _require(isinstance(domains_raw, list), "domains", "must be a list")
@@ -265,8 +258,8 @@ def apply_overrides(
     divergence: str | None = None,
     fusion: bool | None = None,
 ) -> ExperimentConfig:
-    """Apply command-line overrides, re-validating the result."""
-    loss = cfg.loss
+    """Apply command-line overrides; replace() re-validates each section."""
+    loss_changes = {}
     buf = cfg.buffer
     fus = cfg.fusion
     for name, value in (toggles or {}).items():
@@ -277,28 +270,21 @@ def apply_overrides(
         elif name == "fusion":
             fus = value
         else:
-            loss = replace(loss, **{name: value})
+            loss_changes[name] = value
     if lambda_variant is not None:
-        if lambda_variant not in _LAMBDA_VARIANTS:
-            raise ConfigurationError(f"--lambda-variant: must be one of {_LAMBDA_VARIANTS}")
-        loss = replace(loss, lambda_variant=lambda_variant)
+        loss_changes["lambda_variant"] = lambda_variant
     if divergence is not None:
-        if divergence not in _DIVERGENCES:
-            raise ConfigurationError(f"--divergence: must be one of {_DIVERGENCES}")
-        loss = replace(loss, divergence=divergence)
+        loss_changes["divergence"] = divergence
     if fusion is not None:
         fus = fusion
-    if not (loss.pr or loss.rkd or loss.dkd):
-        raise ConfigurationError("loss: all loss terms toggled off")
-    out_cfg = replace(
+    return replace(
         cfg,
-        loss=loss,
+        loss=replace(cfg.loss, **loss_changes),
         buffer=buf,
         fusion=fus,
         seeds=(seed,) if seed is not None else cfg.seeds,
         out_dir=out if out is not None else cfg.out_dir,
     )
-    return out_cfg
 
 
 def canonical_dict(cfg: ExperimentConfig) -> dict:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ExperimentConfig, PlanConfig
 from .data import (
     DomainSpec,
     PairPolicy,
@@ -40,7 +41,6 @@ from .encoder import (
 )
 from .errors import ConfigurationError, TrainingError, UsageError
 from .losses import (
-    EmbeddingBatch,
     LossToggles,
     RelaxationSchedule,
     combined_loss,
@@ -72,58 +72,15 @@ class MemoryBuffer:
                 f"buffer holds {len(self.entries)} entries over capacity {self.capacity}"
             )
 
-    def domain_ids(self) -> list:
-        return sorted({s.domain_id for s in self.entries})
 
-
-@dataclass(frozen=True)
-class StepPlan:
-    """Everything one training step needs besides the data itself."""
-
-    step_index: int
-    epochs: int = 60
-    lr: float = 1e-4
-    lr_drop_epoch: int = 30
-    lr_drop_factor: float = 0.1
-    weight_decay: float = 1e-3
-    batch_start: int = 16
-    batch_cap: int = 256
-    expansion_rate: float = 1.4
-    active_threshold: float = 0.7
-    margin: float = 0.2
-    rank_temp: float = 0.1
-    dist_temp: float = 1.0
-    divergence: str = "skl"
-    rkd_norm: str = "cubic"
-    lambda_variant: str = "literal"
-    toggles: LossToggles = field(default_factory=LossToggles)
-    buffer_fraction: float = 0.25
-
-    def __post_init__(self):
-        if self.step_index < 0:
-            raise ConfigurationError(f"step_index must be >= 0, got {self.step_index}")
-        if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_start > self.batch_cap:
-            raise ConfigurationError(
-                f"batch start {self.batch_start} exceeds cap {self.batch_cap}"
-            )
-        if self.expansion_rate <= 1:
-            raise ConfigurationError(f"expansion rate must be > 1, got {self.expansion_rate}")
-        if not 0.0 < self.buffer_fraction < 1.0:
-            raise ConfigurationError(
-                f"buffer_fraction must be in (0, 1), got {self.buffer_fraction}"
-            )
-
-
-def lr_at(plan: StepPlan, epoch: int) -> float:
+def lr_at(plan: PlanConfig, epoch: int) -> float:
     """Learning rate for a 0-based epoch; drops once at lr_drop_epoch."""
     if epoch < plan.lr_drop_epoch:
         return plan.lr
     return plan.lr * plan.lr_drop_factor
 
 
-def maybe_expand_batch(size: int, active_fraction: float, plan: StepPlan) -> int:
+def maybe_expand_batch(size: int, active_fraction: float, plan: PlanConfig) -> int:
     """Grow the batch when too few triplets are still active."""
     if active_fraction < plan.active_threshold:
         return min(math.ceil(size * plan.expansion_rate), plan.batch_cap)
@@ -143,12 +100,7 @@ def batch_relation(samples: list, policy: PairPolicy) -> PairRelation:
     negative = (~same) | (same & (dist > policy.neg_train))
     np.fill_diagonal(positive, False)
     np.fill_diagonal(negative, False)
-    return PairRelation(
-        positive=positive,
-        negative=negative,
-        sample_ids=tuple(s.sample_id for s in samples),
-        mode="train",
-    )
+    return PairRelation(positive=positive, negative=negative)
 
 
 @dataclass
@@ -188,14 +140,18 @@ class StepResult:
 
 
 def _epoch_batches(rng, n_new: int, buffer_entries: list, batch_size: int, fraction: float):
-    """Yield lists of (is_buffer, index) covering the new data once per epoch."""
+    """Yield lists of ("new" | "buffer", index) over one shuffled pass of the new data.
+
+    A tail chunk of fewer than 4 new samples is dropped: those samples sit
+    out this epoch rather than form a batch too small to mine.
+    """
     order = rng.permutation(n_new)
     buf_quota = int(round(batch_size * fraction)) if buffer_entries else 0
     new_quota = max(batch_size - buf_quota, 2)
     for start in range(0, n_new, new_quota):
         chunk = order[start : start + new_quota]
         if len(chunk) < 4 and start > 0:
-            break  # fold a tiny tail batch rather than train on it
+            break
         picks = []
         if buf_quota:
             replace_draw = len(buffer_entries) < buf_quota
@@ -212,22 +168,24 @@ def _train(
     old: ModelSnapshot | None,
     new_samples: list,
     buffer_entries: list,
-    plan: StepPlan,
-    policy: PairPolicy,
+    cfg: ExperimentConfig,
+    step_index: int,
     seed: int,
     config_digest: str,
-    normalize: bool,
 ) -> StepResult:
+    plan, loss = cfg.plan, cfg.loss
+    normalize = cfg.encoder.normalize
+    toggles = LossToggles(pr=loss.pr, rkd=loss.rkd, dkd=loss.dkd)
     rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, _STEP_TAG, plan.step_index]))
+        np.random.PCG64(np.random.SeedSequence([seed, _STEP_TAG, step_index]))
     )
     params = start_params.astype(np.float64)
     state = AdamState.zeros_like(params)
-    distill = old is not None and (plan.toggles.rkd or plan.toggles.dkd)
+    distill = old is not None and (toggles.rkd or toggles.dkd)
     old_params = old.params if old is not None else None
     old_digest = params_digest(old_params) if old_params is not None else None
     schedule = (
-        RelaxationSchedule(total_epochs=plan.epochs, variant=plan.lambda_variant)
+        RelaxationSchedule(total_epochs=plan.epochs, variant=loss.lambda_variant)
         if distill
         else None
     )
@@ -245,36 +203,31 @@ def _train(
         sums = {"pr": 0.0, "rkd": 0.0, "dkd": 0.0, "frac": 0.0}
         n_batches = 0
         for batch_spec in _epoch_batches(
-            rng, len(new_samples), buffer_entries, batch_size, plan.buffer_fraction
+            rng, len(new_samples), buffer_entries, batch_size, cfg.buffer.fraction
         ):
             batch = [
                 new_samples[i] if kind == "new" else buffer_entries[i]
                 for kind, i in batch_spec
             ]
             scans = _scan_stack(batch)
-            e_new_vec, cache = encode_with_cache(params, scans, normalize)
-            e_new = EmbeddingBatch(vectors=e_new_vec, producer="new", normalized=False)
-            e_old = (
-                encode(old_params, scans, normalize=normalize, producer="old")
-                if distill
-                else None
-            )
-            relation = batch_relation(batch, policy)
+            e_new, cache = encode_with_cache(params, scans, normalize)
+            e_old = encode(old_params, scans, normalize) if distill else None
+            relation = batch_relation(batch, cfg.pairs)
             out = combined_loss(
                 e_old,
                 e_new,
                 relation,
-                margin=plan.margin,
-                rank_temp=plan.rank_temp,
-                dist_temp=plan.dist_temp,
+                margin=loss.margin,
+                rank_temp=loss.rank_temp,
+                dist_temp=loss.dist_temp,
                 lam=lam,
-                toggles=plan.toggles,
-                divergence=plan.divergence,
-                rkd_norm=plan.rkd_norm,
+                toggles=toggles,
+                divergence=loss.divergence,
+                rkd_norm=loss.rkd_norm,
             )
             if not np.isfinite(out.loss.value):
                 raise TrainingError(
-                    f"non-finite loss at step {plan.step_index} epoch {epoch} "
+                    f"non-finite loss at step {step_index} epoch {epoch} "
                     f"batch {n_batches}"
                 )
             grads = backward(params, scans, out.loss.grad_new, normalize, cache=cache)
@@ -285,11 +238,11 @@ def _train(
             sums["frac"] += out.active_fraction
             n_batches += 1
         if n_batches == 0:
-            raise TrainingError(f"step {plan.step_index} epoch {epoch}: no batches formed")
+            raise TrainingError(f"step {step_index} epoch {epoch}: no batches formed")
         mean_fraction = sums["frac"] / n_batches
         records.append(
             EpochRecord(
-                step=plan.step_index,
+                step=step_index,
                 epoch=epoch,
                 lr=lr,
                 lam=lam,
@@ -300,76 +253,56 @@ def _train(
                 active_fraction=mean_fraction,
             )
         )
-        if plan.toggles.pr:
+        if toggles.pr:
             batch_size = maybe_expand_batch(batch_size, mean_fraction, plan)
 
     if old_params is not None and params_digest(old_params) != old_digest:
         raise TrainingError("frozen old-model parameters changed during training")
-    snapshot = make_snapshot(params, plan.step_index, config_digest, normalize)
+    snapshot = make_snapshot(params, step_index, config_digest, normalize)
     return StepResult(snapshot=snapshot, records=records, lambda_calls=lambda_calls)
 
 
 def train_first_step(
-    samples: list,
-    plan: StepPlan,
-    seed: int,
-    policy: PairPolicy,
-    hidden: int,
-    dim: int,
-    normalize: bool = True,
-    config_digest: str = "",
+    samples: list, cfg: ExperimentConfig, seed: int, config_digest: str = ""
 ) -> StepResult:
-    """Initial-environment training: metric learning only."""
-    if plan.step_index != 0:
-        raise UsageError(f"first step requires step_index 0, got {plan.step_index}")
+    """Initial-environment training (step 0): metric learning only."""
     init_seed = int(
         np.random.SeedSequence([seed, _INIT_TAG]).generate_state(1, np.uint64)[0]
     )
-    params = init_params(init_seed, hidden, dim)
-    first_plan = replace(plan, toggles=replace(plan.toggles, rkd=False, dkd=False, pr=True))
-    return _train(
-        params,
-        old=None,
-        new_samples=samples,
-        buffer_entries=[],
-        plan=first_plan,
-        policy=policy,
-        seed=seed,
-        config_digest=config_digest,
-        normalize=normalize,
-    )
+    params = init_params(init_seed, cfg.encoder.hidden, cfg.encoder.dim)
+    metric_only = replace(cfg, loss=replace(cfg.loss, pr=True, rkd=False, dkd=False))
+    return _train(params, None, samples, [], metric_only, 0, seed, config_digest)
 
 
 def train_continual_step(
     old: ModelSnapshot,
     samples: list,
     buffer: MemoryBuffer | None,
-    plan: StepPlan,
+    cfg: ExperimentConfig,
+    step_index: int,
     seed: int,
-    policy: PairPolicy,
     config_digest: str = "",
 ) -> StepResult:
     """One incremental step: new model warm-started from old, old frozen."""
-    if plan.step_index < 1:
-        raise UsageError(f"continual step requires step_index >= 1, got {plan.step_index}")
+    if step_index < 1:
+        raise UsageError(f"continual step requires step_index >= 1, got {step_index}")
     if buffer is not None and not buffer.entries:
-        raise ConfigurationError(f"empty replay buffer at step {plan.step_index}")
+        raise ConfigurationError(f"empty replay buffer at step {step_index}")
     if buffer is not None:
-        current = {s.domain_id for s in buffer.entries if s.domain_id >= plan.step_index}
+        current = {s.domain_id for s in buffer.entries if s.domain_id >= step_index}
         if current:
             raise ConfigurationError(
                 f"buffer holds samples from current/future domains {sorted(current)}"
             )
     return _train(
-        old.params.astype(np.float64),
-        old=old,
-        new_samples=samples,
-        buffer_entries=list(buffer.entries) if buffer is not None else [],
-        plan=plan,
-        policy=policy,
-        seed=seed,
-        config_digest=config_digest,
-        normalize=old.normalize,
+        old.params,
+        old,
+        samples,
+        list(buffer.entries) if buffer is not None else [],
+        cfg,
+        step_index,
+        seed,
+        config_digest,
     )
 
 
@@ -433,12 +366,10 @@ class ProtocolRun:
     """A completed sequential run: snapshots plus the splits to evaluate them."""
 
     domain_names: tuple
-    plans: list
     snapshots: list
     db_splits: list
     query_splits: list
     policy: PairPolicy
-    normalize: bool
     records: list = field(default_factory=list)
     lambda_calls_per_step: list = field(default_factory=list)
     step_seconds: list = field(default_factory=list)
@@ -448,34 +379,12 @@ class ProtocolRun:
             raise UsageError("more snapshots than domains")
 
 
-def _plan_from_config(cfg, step_index: int) -> StepPlan:
-    return StepPlan(
-        step_index=step_index,
-        epochs=cfg.plan.epochs,
-        lr=cfg.plan.lr,
-        lr_drop_epoch=cfg.plan.lr_drop_epoch,
-        lr_drop_factor=cfg.plan.lr_drop_factor,
-        weight_decay=cfg.plan.weight_decay,
-        batch_start=cfg.plan.batch_start,
-        batch_cap=cfg.plan.batch_cap,
-        expansion_rate=cfg.plan.expansion_rate,
-        active_threshold=cfg.plan.active_threshold,
-        margin=cfg.loss.margin,
-        rank_temp=cfg.loss.rank_temp,
-        dist_temp=cfg.loss.dist_temp,
-        divergence=cfg.loss.divergence,
-        rkd_norm=cfg.loss.rkd_norm,
-        lambda_variant=cfg.loss.lambda_variant,
-        toggles=LossToggles(pr=cfg.loss.pr, rkd=cfg.loss.rkd, dkd=cfg.loss.dkd),
-        buffer_fraction=cfg.buffer.fraction,
-    )
-
-
-def build_protocol_data(cfg, seed: int):
+def build_protocol_data(cfg: ExperimentConfig):
     """Generate train/database/query splits for every configured domain.
 
     Train scans come from session 0; database and query splits revisit the
     same world on sessions 1 and 2 so retrieval never sees its own scans.
+    The splits depend only on each domain's config, never on a protocol seed.
     """
     if not cfg.domains:
         raise ConfigurationError("domains: protocol needs at least one domain")
@@ -494,12 +403,10 @@ def build_protocol_data(cfg, seed: int):
     return train, db, query
 
 
-def run_protocol(cfg, seed: int, out_dir=None, digest: str = "") -> ProtocolRun:
+def run_protocol(cfg: ExperimentConfig, seed: int, out_dir=None, digest: str = "") -> ProtocolRun:
     """Train sequentially over the configured domains and save artifacts."""
-    train, db, query = build_protocol_data(cfg, seed)
+    train, db, query = build_protocol_data(cfg)
     names = tuple(d.name for d in cfg.domains)
-    plans = [_plan_from_config(cfg, t) for t in range(len(cfg.domains))]
-    policy = cfg.pairs
 
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -515,19 +422,10 @@ def run_protocol(cfg, seed: int, out_dir=None, digest: str = "") -> ProtocolRun:
     for t, samples in enumerate(train):
         t0 = time.perf_counter()
         if t == 0:
-            result = train_first_step(
-                samples,
-                plans[0],
-                seed,
-                policy,
-                hidden=cfg.encoder.hidden,
-                dim=cfg.encoder.dim,
-                normalize=cfg.encoder.normalize,
-                config_digest=digest,
-            )
+            result = train_first_step(samples, cfg, seed, config_digest=digest)
         else:
             result = train_continual_step(
-                snapshots[-1], samples, buffer, plans[t], seed, policy, config_digest=digest
+                snapshots[-1], samples, buffer, cfg, t, seed, config_digest=digest
             )
         snapshots.append(result.snapshot)
         all_records.extend(result.records)
@@ -540,12 +438,10 @@ def run_protocol(cfg, seed: int, out_dir=None, digest: str = "") -> ProtocolRun:
             write_run_log(result.records, out / RUN_LOG_NAME)
     return ProtocolRun(
         domain_names=names,
-        plans=plans,
         snapshots=snapshots,
         db_splits=db,
         query_splits=query,
-        policy=policy,
-        normalize=cfg.encoder.normalize,
+        policy=cfg.pairs,
         records=all_records,
         lambda_calls_per_step=lambda_calls,
         step_seconds=step_seconds,

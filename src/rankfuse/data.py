@@ -43,10 +43,6 @@ class PointScan:
             raise UsageError(f"scan points must be (N, 3), got {pts.shape}")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
 
 @dataclass(frozen=True)
 class PlaceSample:
@@ -218,8 +214,6 @@ class PairRelation:
 
     positive: np.ndarray  # (N, N) bool
     negative: np.ndarray  # (N, N) bool
-    sample_ids: tuple[int, ...]
-    mode: str
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +350,10 @@ def _build_world(spec: DomainSpec) -> _World:
 # Generation
 
 
-def generate_domain_with_landmarks(
+def generate_domain(
     spec: DomainSpec, points_per_scan: int = DEFAULT_POINTS_PER_SCAN
-):
-    """Generate a domain corpus plus, per sample, the set of visible landmark ids.
-
-    The landmark-id side channel exists so overlap of positive/negative pairs
-    can be audited without reverse-engineering the scans.
-    """
+) -> list[PlaceSample]:
+    """Deterministically generate ``spec.n_places`` samples along one trajectory."""
     if points_per_scan < 1:
         raise ConfigurationError(f"points_per_scan must be >= 1, got {points_per_scan}")
 
@@ -380,12 +370,10 @@ def generate_domain_with_landmarks(
         poses = poses + rng.normal(0.0, 1.5, poses.shape)
 
     samples = []
-    visible_sets = []
     for i in range(spec.n_places):
         pose = poses[i]
         dists = np.linalg.norm(world.landmark_centers - pose[None, :], axis=1)
         vis = np.flatnonzero(dists <= style.visibility_radius)
-        visible_sets.append(frozenset(int(v) for v in vis))
 
         if len(vis) > 0:
             pts = np.concatenate([world.landmark_points[j] for j in vis], axis=0)
@@ -419,14 +407,6 @@ def generate_domain_with_landmarks(
         samples.append(
             PlaceSample(scan=PointScan(rel), pose=pose, domain_id=0, sample_id=i)
         )
-    return samples, visible_sets
-
-
-def generate_domain(
-    spec: DomainSpec, points_per_scan: int = DEFAULT_POINTS_PER_SCAN
-) -> list[PlaceSample]:
-    """Deterministically generate ``spec.n_places`` samples along one trajectory."""
-    samples, _ = generate_domain_with_landmarks(spec, points_per_scan)
     return samples
 
 
@@ -442,34 +422,6 @@ def pairwise_pose_distances(samples: list[PlaceSample]) -> np.ndarray:
     poses = np.stack([s.pose for s in samples])
     diff = poses[:, None, :] - poses[None, :, :]
     return np.sqrt(np.sum(diff * diff, axis=2))
-
-
-def label_pairs(samples: list[PlaceSample], policy: PairPolicy, mode: str) -> PairRelation:
-    """Label sample pairs of a single domain by pose distance.
-
-    Train mode: positive under ``pos_train``, negative beyond ``neg_train``,
-    unlabeled in between. Test mode: positive under ``pos_test`` only.
-    """
-    if mode not in ("train", "test"):
-        raise UsageError(f"mode must be 'train' or 'test', got {mode!r}")
-    domains = {s.domain_id for s in samples}
-    if len(domains) > 1:
-        raise UsageError(f"label_pairs requires a single domain, got domain_ids {sorted(domains)}")
-    dist = pairwise_pose_distances(samples)
-    if mode == "train":
-        positive = dist < policy.pos_train
-        negative = dist > policy.neg_train
-    else:
-        positive = dist < policy.pos_test
-        negative = np.zeros_like(positive)
-    np.fill_diagonal(positive, False)
-    np.fill_diagonal(negative, False)
-    return PairRelation(
-        positive=positive,
-        negative=negative,
-        sample_ids=tuple(s.sample_id for s in samples),
-        mode=mode,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +447,12 @@ def save_corpus(samples: list[PlaceSample], path: str | Path) -> Path:
     return out
 
 
-def load_corpus(path: str | Path, policy: PairPolicy, domain_id: int = 0) -> list[PlaceSample]:
+def load_corpus(path: str | Path, domain_id: int = 0) -> list[PlaceSample]:
     """Load a corpus directory, renormalizing out-of-range scans to [-1, 1].
 
-    The point count of the first scan fixes the corpus point count; any
-    mismatch is an ingestion error naming the file and poses.csv line.
+    The point count of the first scan fixes the corpus point count. A count
+    mismatch, a non-finite pose or scan value, or an empty corpus is an
+    ingestion error naming poses.csv, the line and the scan file.
     """
     root = Path(path)
     poses_path = root / POSES_FILE
@@ -514,50 +467,50 @@ def load_corpus(path: str | Path, policy: PairPolicy, domain_id: int = 0) -> lis
         try:
             header = next(reader)
         except StopIteration:
-            raise IngestionError(f"{POSES_FILE}: empty file") from None
+            raise IngestionError(f"{poses_path}: empty file") from None
         if [h.strip() for h in header] != _CSV_HEADER:
-            raise IngestionError(f"{POSES_FILE} line 1: expected header {','.join(_CSV_HEADER)}")
+            raise IngestionError(f"{poses_path} line 1: expected header {','.join(_CSV_HEADER)}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            where = f"{poses_path} line {lineno}"
             if len(row) != 4:
-                raise IngestionError(f"{POSES_FILE} line {lineno}: expected 4 fields, got {len(row)}")
+                raise IngestionError(f"{where}: expected 4 fields, got {len(row)}")
             try:
                 sample_id = int(row[0])
                 x = float(row[1])
                 y = float(row[2])
             except ValueError as exc:
-                raise IngestionError(f"{POSES_FILE} line {lineno}: {exc}") from None
+                raise IngestionError(f"{where}: {exc}") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise IngestionError(f"{where}: non-finite pose ({row[1]}, {row[2]})")
             if sample_id in seen_ids:
-                raise IngestionError(f"{POSES_FILE} line {lineno}: duplicate sample_id {sample_id}")
+                raise IngestionError(f"{where}: duplicate sample_id {sample_id}")
             seen_ids.add(sample_id)
             scan_file = row[3].strip()
             scan_path = root / scan_file
             if not scan_path.is_file():
-                raise IngestionError(f"{POSES_FILE} line {lineno}: missing scan file {scan_file}")
+                raise IngestionError(f"{where}: missing scan file {scan_file}")
             raw = np.frombuffer(scan_path.read_bytes(), dtype="<f4")
             if raw.size == 0 or raw.size % 3 != 0:
                 raise IngestionError(
-                    f"{POSES_FILE} line {lineno}: scan file {scan_file} has {raw.size} floats, not a multiple of 3"
+                    f"{where}: scan file {scan_file} has {raw.size} floats, not a multiple of 3"
                 )
             pts = raw.astype(np.float64).reshape(-1, 3)
             if expected_count is None:
                 expected_count = pts.shape[0]
             elif pts.shape[0] != expected_count:
                 raise IngestionError(
-                    f"{POSES_FILE} line {lineno}: scan file {scan_file} has {pts.shape[0]} points, expected {expected_count}"
+                    f"{where}: scan file {scan_file} has {pts.shape[0]} points, expected {expected_count}"
                 )
-            peak = np.max(np.abs(pts)) if pts.size else 0.0
+            peak = np.max(np.abs(pts))
+            if not np.isfinite(peak):
+                raise IngestionError(f"{where}: scan file {scan_file} has non-finite values")
             if peak > 1.0:
                 pts = pts / peak
             samples.append(
                 PlaceSample(scan=PointScan(pts), pose=np.array([x, y]), domain_id=domain_id, sample_id=sample_id)
             )
+    if not samples:
+        raise IngestionError(f"{poses_path}: no samples after the header")
     return samples
-
-
-def landmark_overlap(a: frozenset, b: frozenset) -> float:
-    """Jaccard overlap of two visible-landmark id sets."""
-    if not a and not b:
-        return 0.0
-    return len(a & b) / len(a | b)

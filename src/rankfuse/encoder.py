@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import PointScan
 from .errors import ConfigurationError, TrainingError, UsageError
 
 _SNAP_MAGIC = b"RFSN"
@@ -61,35 +60,6 @@ GradientBundle = EncoderParams  # same shapes, per-parameter gradients
 
 
 @dataclass(frozen=True)
-class EmbeddingBatch:
-    """Row-per-sample descriptor matrix tagged with its producing model."""
-
-    vectors: np.ndarray  # (N, D)
-    producer: str = "new"  # "old" | "new"
-    normalized: bool = False
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=np.float64)
-        if v.ndim != 2:
-            raise UsageError(f"embedding batch must be 2-D, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise UsageError("embedding batch contains non-finite values")
-        if self.normalized:
-            norms = np.linalg.norm(v, axis=1)
-            if v.shape[1] > 0 and not np.all(np.abs(norms - 1.0) < 1e-6):
-                raise UsageError("normalized embedding batch has rows with L2 norm != 1")
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def batch_size(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-
-@dataclass(frozen=True)
 class ModelSnapshot:
     """Frozen encoder state after a completed training step (float32)."""
 
@@ -124,15 +94,10 @@ def init_params(seed: int, hidden: int, dim: int) -> EncoderParams:
 
 
 def _stack_scans(scans) -> np.ndarray:
-    if isinstance(scans, np.ndarray):
-        x = np.asarray(scans, dtype=np.float64)
-        if x.ndim != 3 or x.shape[2] != 3:
-            raise UsageError(f"scan batch array must be (B, P, 3), got {x.shape}")
-        return x
-    counts = {s.count for s in scans}
-    if len(counts) != 1:
-        raise UsageError(f"ragged scan batch: point counts {sorted(counts)}")
-    return np.stack([np.asarray(s.points, dtype=np.float64) for s in scans])
+    x = np.asarray(scans, dtype=np.float64)
+    if x.ndim != 3 or x.shape[2] != 3:
+        raise UsageError(f"scan batch array must be (B, P, 3), got {x.shape}")
+    return x
 
 
 def _forward(params: EncoderParams, x: np.ndarray, normalize: bool):
@@ -155,13 +120,10 @@ def _forward(params: EncoderParams, x: np.ndarray, normalize: bool):
     return e, cache
 
 
-def encode(params: EncoderParams, scans, normalize: bool = True, producer: str = "new") -> EmbeddingBatch:
-    """Embed a batch of scans; permutation of points within a scan is a no-op."""
-    x = _stack_scans(scans)
-    e, _ = _forward(params, x, normalize)
-    # A pre-normalization zero row stays zero; do not claim unit norm for it.
-    normed = bool(normalize) and bool(np.all(np.abs(np.linalg.norm(e, axis=1) - 1.0) < 1e-6))
-    return EmbeddingBatch(vectors=e, producer=producer, normalized=normed)
+def encode(params: EncoderParams, scans, normalize: bool = True) -> np.ndarray:
+    """Embed a batch of scans into (B, D) rows; permuting a scan's points is a no-op."""
+    e, _ = _forward(params, _stack_scans(scans), normalize)
+    return e
 
 
 def encode_with_cache(params: EncoderParams, scans, normalize: bool = True):

@@ -22,30 +22,6 @@ RECALL_CSV = "recall_matrix.csv"
 
 
 @dataclass
-class RetrievalIndex:
-    """Embedded database plus everything needed to embed queries the same way."""
-
-    embeddings: np.ndarray  # (M, D) or (M, 2D) when fused
-    poses: np.ndarray  # (M, 2)
-    sample_ids: np.ndarray  # (M,)
-    snapshots: tuple  # the 1 or 2 snapshots that produced the embeddings
-    fused: bool
-
-    def __post_init__(self):
-        if self.embeddings.ndim != 2 or len(self.embeddings) == 0:
-            raise UsageError("index needs a non-empty 2-D embedding matrix")
-        if not np.all(np.isfinite(self.embeddings)):
-            raise UsageError("index embeddings must be finite")
-
-
-@dataclass
-class RetrievalResult:
-    sample_ids: np.ndarray
-    distances: np.ndarray
-    truncated: bool  # k exceeded the database size; full ranking returned
-
-
-@dataclass
 class RecallOutcome:
     percent: float
     evaluated: int
@@ -58,56 +34,30 @@ class ForgettingReport:
     per_task_drops: list
 
 
-def _embed(snapshots, samples, fused: bool) -> np.ndarray:
+FORGETTING_MODES = ("printed", "from_t")
+
+
+def embed(snapshots, samples: list) -> np.ndarray:
+    """Embed samples with each snapshot; two snapshots concatenate (fusion)."""
     scans = np.stack([s.scan.points for s in samples])
-    parts = [
-        encode(s.params, scans, normalize=s.normalize, producer="old").vectors
-        for s in snapshots
-    ]
-    return np.concatenate(parts, axis=1) if fused else parts[0]
+    return np.concatenate([encode(s.params, scans, normalize=s.normalize) for s in snapshots], axis=1)
 
 
-def build_index(snapshots, database_samples: list, fusion: bool) -> RetrievalIndex:
-    """Embed a database with one snapshot, or two concatenated when fused."""
-    snaps = tuple(snapshots) if isinstance(snapshots, (list, tuple)) else (snapshots,)
-    if fusion and len(snaps) != 2:
-        raise UsageError(f"fusion needs exactly two snapshots, got {len(snaps)}")
-    if not fusion and len(snaps) != 1:
-        raise UsageError(f"single-model index needs one snapshot, got {len(snaps)}")
-    if not database_samples:
-        raise UsageError("database is empty")
-    emb = _embed(snaps, database_samples, fusion)
-    return RetrievalIndex(
-        embeddings=emb,
-        poses=np.stack([s.pose for s in database_samples]),
-        sample_ids=np.array([s.sample_id for s in database_samples]),
-        snapshots=snaps,
-        fused=fusion,
-    )
-
-
-def _rank_row(distances: np.ndarray, sample_ids: np.ndarray) -> np.ndarray:
-    # lexsort: primary key distance, secondary lowest sample_id on exact ties
-    return np.lexsort((sample_ids, distances))
-
-
-def retrieve(index: RetrievalIndex, query_sample, k: int) -> RetrievalResult:
-    """Top-k database entries nearest to one query scan, exact search."""
-    if k < 1:
-        raise UsageError(f"k must be >= 1, got {k}")
-    q = _embed(index.snapshots, [query_sample], index.fused)
-    d = cdist(q, index.embeddings)[0]
-    order = _rank_row(d, index.sample_ids)
-    truncated = k > len(order)
-    take = order[: min(k, len(order))]
-    return RetrievalResult(
-        sample_ids=index.sample_ids[take], distances=d[take], truncated=truncated
-    )
-
-
-def _recall_from_embeddings(
+def recall_at_n(
     db_emb, db_poses, db_ids, q_emb, q_poses, pos_test: float, n: int
 ) -> RecallOutcome:
+    """Percent of queries whose top-n contains a sample within pos_test meters.
+
+    Database rows rank by embedding distance, exact ties by lowest sample id.
+    Queries with no true positive anywhere in the database are excluded from
+    the denominator and reported in ``excluded``.
+    """
+    if n < 1:
+        raise UsageError(f"n must be >= 1, got {n}")
+    if len(q_emb) == 0:
+        raise UsageError("empty query split")
+    if not (np.all(np.isfinite(db_emb)) and np.all(np.isfinite(q_emb))):
+        raise UsageError("embeddings must be finite")
     dists = cdist(q_emb, db_emb)
     is_pos = cdist(q_poses, db_poses) < pos_test
     hits = 0
@@ -119,30 +69,14 @@ def _recall_from_embeddings(
             excluded += 1
             continue
         evaluated += 1
-        order = _rank_row(dists[i], db_ids)[:top]
+        # lexsort: primary key distance, secondary lowest sample_id on exact ties
+        order = np.lexsort((db_ids, dists[i]))[:top]
         if is_pos[i, order].any():
             hits += 1
     if evaluated == 0:
         raise UsageError("every query lacked a true positive in the database")
     return RecallOutcome(
         percent=100.0 * hits / evaluated, evaluated=evaluated, excluded=excluded
-    )
-
-
-def recall_at_n(index: RetrievalIndex, queries: list, pos_test: float, n: int) -> RecallOutcome:
-    """Percent of queries whose top-n contains a sample within pos_test meters.
-
-    Queries with no true positive anywhere in the database are excluded from
-    the denominator and reported in ``excluded``.
-    """
-    if not queries:
-        raise UsageError("empty query split")
-    if n < 1:
-        raise UsageError(f"n must be >= 1, got {n}")
-    q_emb = _embed(index.snapshots, queries, index.fused)
-    q_poses = np.stack([s.pose for s in queries])
-    return _recall_from_embeddings(
-        index.embeddings, index.poses, index.sample_ids, q_emb, q_poses, pos_test, n
     )
 
 
@@ -158,8 +92,8 @@ def forgetting_score(recall_matrix: np.ndarray, mode: str = "printed") -> Forget
     t_total = r.shape[0]
     if t_total < 2:
         raise UsageError("forgetting needs at least 2 tasks")
-    if mode not in ("printed", "from_t"):
-        raise ConfigurationError(f"forgetting_max must be printed|from_t, got {mode!r}")
+    if mode not in FORGETTING_MODES:
+        raise ConfigurationError(f"forgetting_max must be one of {FORGETTING_MODES}, got {mode!r}")
     drops = []
     for t in range(t_total - 1):
         if mode == "printed":
@@ -202,8 +136,8 @@ def evaluate_protocol(run, fusion: bool, forgetting_max: str = "printed") -> Pro
     emb = {}
     for l, snap in enumerate(run.snapshots):
         for t in range(t_total):
-            emb[(l, t, "db")] = _embed((snap,), run.db_splits[t], fused=False)
-            emb[(l, t, "q")] = _embed((snap,), run.query_splits[t], fused=False)
+            emb[(l, t, "db")] = embed((snap,), run.db_splits[t])
+            emb[(l, t, "q")] = embed((snap,), run.query_splits[t])
     db_poses = [np.stack([s.pose for s in split]) for split in run.db_splits]
     db_ids = [np.array([s.sample_id for s in split]) for split in run.db_splits]
     q_poses = [np.stack([s.pose for s in split]) for split in run.query_splits]
@@ -215,7 +149,7 @@ def evaluate_protocol(run, fusion: bool, forgetting_max: str = "printed") -> Pro
         for t in range(t_total):
             db_e = np.concatenate([emb[(i, t, "db")] for i in rows], axis=1)
             q_e = np.concatenate([emb[(i, t, "q")] for i in rows], axis=1)
-            outcome = _recall_from_embeddings(
+            outcome = recall_at_n(
                 db_e, db_poses[t], db_ids[t], q_e, q_poses[t], run.policy.pos_test, 1
             )
             r[l, t] = outcome.percent

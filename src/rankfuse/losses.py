@@ -16,13 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .encoder import EmbeddingBatch
 from .errors import ConfigurationError, UsageError
 
 _PROB_FLOOR = 1e-12
 _DIST_FLOOR = 1e-12
 # Chunk size bound for the O(N^3) soft-rank sweeps (floats per chunk).
 _CHUNK_BUDGET = 2_000_000
+
+# The one definition of each loss choice; config and cli import these.
+DIVERGENCES = ("skl", "kl", "js")
+LAMBDA_VARIANTS = ("literal", "incloud")
+RKD_NORMS = ("cubic", "quadratic")
 
 
 @dataclass
@@ -60,7 +64,7 @@ class RelaxationSchedule:
     variant: str = "literal"
 
     def __post_init__(self):
-        if self.variant not in ("literal", "incloud"):
+        if self.variant not in LAMBDA_VARIANTS:
             raise ConfigurationError(f"unknown relaxation variant {self.variant!r}")
         if self.variant == "literal" and self.total_epochs <= 0.5:
             raise ConfigurationError(
@@ -92,7 +96,7 @@ def sigmoid(x, tau: float):
 
 
 def _vectors(e) -> np.ndarray:
-    return e.vectors if isinstance(e, EmbeddingBatch) else np.asarray(e, dtype=np.float64)
+    return np.asarray(e, dtype=np.float64)
 
 
 def pairwise_distances(vectors: np.ndarray) -> np.ndarray:
@@ -125,34 +129,16 @@ def similarity_backward(vectors: np.ndarray, upstream: np.ndarray) -> np.ndarray
     return -(a.sum(axis=1)[:, None] * v) + a @ v
 
 
-def soft_rank_row(similarities: np.ndarray, tau: float) -> np.ndarray:
-    """Soft rank of each candidate given its similarity to one query.
-
-    R_i = 1 + sum_{j != i} sigmoid(s_j - s_i; tau). Row sums satisfy
-    n + n(n-1)/2 exactly because paired sigmoids sum to one.
-    """
-    s = np.asarray(similarities, dtype=np.float64)
-    if s.ndim != 1:
-        raise UsageError(f"expected a 1-D similarity row, got shape {s.shape}")
-    g = sigmoid(s[None, :] - s[:, None], tau)
-    np.fill_diagonal(g, 0.0)
-    return 1.0 + g.sum(axis=1)
-
-
-def soft_rank(S: np.ndarray, q: int, tau: float) -> np.ndarray:
-    """Soft ranks of every batch sample against query row q of S."""
-    S = np.asarray(S, dtype=np.float64)
-    if not 0 <= q < S.shape[0]:
-        raise UsageError(f"query index {q} outside batch of {S.shape[0]}")
-    return soft_rank_row(S[q], tau)
-
-
 def _row_chunks(n: int) -> int:
     return max(1, _CHUNK_BUDGET // max(n * n, 1))
 
 
 def soft_ranks(S: np.ndarray, tau: float) -> np.ndarray:
-    """Soft rank matrix R[q, i] over every query row of a similarity matrix."""
+    """Soft rank matrix over every query row of a similarity matrix.
+
+    R[q, i] = 1 + sum_{j != i} sigmoid(S[q, j] - S[q, i]; tau). Each row sums
+    to n + n(n-1)/2 because paired sigmoids sum to one.
+    """
     S = np.asarray(S, dtype=np.float64)
     n = S.shape[0]
     if tau <= 0:
@@ -177,8 +163,8 @@ def ranking_distill_loss(e_old, e_new, tau: float, norm: str = "cubic") -> LossV
     vo, vn = _vectors(e_old), _vectors(e_new)
     if vo.shape != vn.shape:
         raise UsageError(f"batch shape mismatch: old {vo.shape} vs new {vn.shape}")
-    if norm not in ("cubic", "quadratic"):
-        raise ConfigurationError(f"rkd norm must be cubic|quadratic, got {norm!r}")
+    if norm not in RKD_NORMS:
+        raise ConfigurationError(f"rkd norm must be one of {RKD_NORMS}, got {norm!r}")
     n = vo.shape[0]
     s_old = similarity_matrix(vo)
     s_new = similarity_matrix(vn)
@@ -242,17 +228,14 @@ def js_divergence(p, q) -> float:
     return 0.5 * kl_divergence(pc, m) + 0.5 * kl_divergence(qc, m)
 
 
-_DIVERGENCES = ("skl", "kl", "js")
-
-
 def distribution_distill_loss(e_old, e_new, temp: float, divergence: str = "skl") -> LossValue:
     """Row-wise divergence between old and new embedding distributions.
 
     Sums divergence(softmax(old_i), softmax(new_i)) over the batch. ``kl``
     is KL(old || new); ``js`` and ``skl`` are symmetric in their arguments.
     """
-    if divergence not in _DIVERGENCES:
-        raise ConfigurationError(f"divergence must be one of {_DIVERGENCES}, got {divergence!r}")
+    if divergence not in DIVERGENCES:
+        raise ConfigurationError(f"divergence must be one of {DIVERGENCES}, got {divergence!r}")
     vo, vn = _vectors(e_old), _vectors(e_new)
     if vo.shape != vn.shape:
         raise UsageError(f"batch shape mismatch: old {vo.shape} vs new {vn.shape}")

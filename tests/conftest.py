@@ -1,11 +1,10 @@
-"""Shared fixtures: tiny domains and plans sized for sub-second tests."""
+"""Shared fixtures: tiny domains and configs sized for sub-second tests."""
 
 import numpy as np
 import pytest
 
-from rankfuse.continual import StepPlan
+from rankfuse.config import EncoderConfig, ExperimentConfig, LossConfig, PlanConfig
 from rankfuse.data import DomainSpec, PairPolicy, StyleParams, generate_domain, with_domain_id
-from rankfuse.losses import LossToggles
 
 TINY_STYLE = StyleParams(
     plane_weight=0.5,
@@ -29,21 +28,18 @@ def tiny_domain(seed=7, n_places=40, session=0, points=32, style=TINY_STYLE, dom
     return with_domain_id(generate_domain(spec, points_per_scan=points), domain_id)
 
 
-def tiny_plan(step_index=0, **overrides):
-    defaults = dict(
-        step_index=step_index,
-        epochs=2,
-        lr=1e-3,
-        lr_drop_epoch=1,
-        batch_start=8,
-        batch_cap=16,
-        margin=0.2,
-        rank_temp=0.1,
-        dist_temp=1.0,
-        toggles=LossToggles(pr=True, rkd=step_index > 0, dkd=step_index > 0),
+def tiny_config(pairs=None, loss=None, **plan):
+    """An ExperimentConfig whose training steps take well under a second.
+
+    ``loss`` holds LossConfig overrides; keyword arguments override the plan.
+    """
+    plan = {**dict(epochs=2, lr=1e-3, lr_drop_epoch=1, batch_start=8, batch_cap=16), **plan}
+    return ExperimentConfig(
+        encoder=EncoderConfig(hidden=8, dim=8),
+        pairs=pairs or PairPolicy(),
+        loss=LossConfig(**(loss or {})),
+        plan=PlanConfig(**plan),
     )
-    defaults.update(overrides)
-    return StepPlan(**defaults)
 
 
 @pytest.fixture

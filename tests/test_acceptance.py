@@ -28,7 +28,7 @@ from rankfuse.continual import (
 )
 from rankfuse.encoder import init_params, make_snapshot, params_digest
 from rankfuse.evaluation import (
-    build_index,
+    embed,
     evaluate_protocol,
     forgetting_score,
     recall_at_n,
@@ -43,7 +43,7 @@ from rankfuse.losses import (
     symmetric_kl,
 )
 
-from conftest import tiny_domain, tiny_plan
+from conftest import tiny_config, tiny_domain
 from test_config import REFERENCE
 
 REPO = Path(__file__).resolve().parent.parent
@@ -178,21 +178,20 @@ def test_criterion_6_protocol_invariants(policy):
     batch_ok = True
 
     domains = [tiny_domain(n_places=40, seed=7 + i, domain_id=i) for i in range(3)]
-    plan = tiny_plan(step_index=0, epochs=4, lr_drop_epoch=2, batch_start=8, batch_cap=32)
-    first = train_first_step(domains[0], plan, 0, policy, hidden=8, dim=8)
+    cfg = tiny_config(policy, epochs=4, lr_drop_epoch=2, batch_start=8, batch_cap=32)
+    first = train_first_step(domains[0], cfg, 0)
     buffer = update_buffer(MemoryBuffer(capacity=32, seed=0), domains[0], step_index=0)
     old = first.snapshot
     for t in (1, 2):
-        plan = tiny_plan(step_index=t, epochs=4, lr_drop_epoch=2, batch_start=8, batch_cap=32)
         before = params_digest(old.params)
-        result = train_continual_step(old, domains[t], buffer, plan, 0, policy)
+        result = train_continual_step(old, domains[t], buffer, cfg, t, 0)
         freeze_ok &= params_digest(old.params) == before
         recs = result.records
-        lr_ok &= all(r.lr == lr_at(plan, e) for e, r in enumerate(recs))
-        batch_ok &= recs[0].batch_size == plan.batch_start
+        lr_ok &= all(r.lr == lr_at(cfg.plan, e) for e, r in enumerate(recs))
+        batch_ok &= recs[0].batch_size == cfg.plan.batch_start
         batch_ok &= all(
             recs[e + 1].batch_size
-            == maybe_expand_batch(recs[e].batch_size, recs[e].active_fraction, plan)
+            == maybe_expand_batch(recs[e].batch_size, recs[e].active_fraction, cfg.plan)
             for e in range(len(recs) - 1)
         )
         buffer = update_buffer(buffer, domains[t], step_index=t)
@@ -287,7 +286,6 @@ def comparative():
         json.dumps(
             {
                 "seeds": list(cfg.seeds),
-                "wall_seconds": wall,
                 "variants": stats,
                 "ablation_note": note,
             },
@@ -325,8 +323,13 @@ def test_criterion_8_fusion_sanity(comparative):
     db = tiny_domain(n_places=30, seed=11, points=24)
     queries = tiny_domain(n_places=30, seed=11, session=1, points=24)
     snap = make_snapshot(init_params(5, 8, 8), 0, "cfg", normalize=True)
-    single = recall_at_n(build_index(snap, db, fusion=False), queries, 25.0, 1)
-    twin = recall_at_n(build_index([snap, snap], db, fusion=True), queries, 25.0, 1)
+    db_poses = np.stack([s.pose for s in db])
+    db_ids = np.array([s.sample_id for s in db])
+    q_poses = np.stack([s.pose for s in queries])
+    single = recall_at_n(embed([snap], db), db_poses, db_ids,
+                         embed([snap], queries), q_poses, 25.0, 1)
+    twin = recall_at_n(embed([snap, snap], db), db_poses, db_ids,
+                       embed([snap, snap], queries), q_poses, 25.0, 1)
     exact_ok = twin.percent == single.percent
 
     margin = stats["full"]["r1_mean"] - stats["full_single"]["r1_mean"]

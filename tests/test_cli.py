@@ -1,12 +1,15 @@
 """End-to-end CLI runs through subprocesses: exit codes and on-disk artifacts."""
 
 import json
+import os
+import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from rankfuse.data import PairPolicy, load_corpus
+from rankfuse.data import load_corpus
 
 from test_config import REFERENCE, SMOKE
 from test_continual import RUN_LOG_KEYS
@@ -14,11 +17,12 @@ from test_continual import RUN_LOG_KEYS
 RESULT_KEYS = {"recall_matrix", "mean_recall_at_1", "forgetting", "per_step_details"}
 
 
-def cli(*argv):
+def cli(*argv, env=None):
     return subprocess.run(
         [sys.executable, "-m", "rankfuse.cli", *map(str, argv)],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -103,6 +107,17 @@ def test_rerun_results_are_byte_identical(smoke_out, tmp_path):
     assert first == second
 
 
+def test_results_are_identical_across_blas_thread_counts(tmp_path):
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out = tmp_path / f"threads_{threads}"
+        proc = cli("run", "--config", SMOKE, "--seed", 0, "--out", out, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append((out / "seed_0" / "results.json").read_bytes())
+    assert digests[0] == digests[1]
+
+
 def test_toggles_disable_distillation_and_buffer(tmp_path):
     proc = cli("run", "--config", SMOKE, "--out", tmp_path,
                "--toggle", "rkd=off", "dkd=off", "buffer=off")
@@ -161,9 +176,8 @@ def test_gradcheck_corrupt_control_exits_5():
 def test_gen_data_writes_loadable_corpora(corpora):
     root, proc = corpora
     assert "plains" in proc.stdout and "depot" in proc.stdout
-    policy = PairPolicy()
     for split, expect in (("train", 60), ("db", 30), ("query", 30)):
-        samples = load_corpus(root / "plains" / split, policy)
+        samples = load_corpus(root / "plains" / split)
         assert len(samples) == expect
         assert samples[0].scan.points.shape == (48, 3)
 
@@ -207,6 +221,19 @@ def test_eval_three_snapshots_is_usage_error(smoke_out, corpora):
     assert "two snapshots" in proc.stderr
 
 
+def test_eval_snapshot_count_must_match_fusion(smoke_out, corpora):
+    out, _ = smoke_out
+    root, _ = corpora
+    snap = out / "seed_0" / "step_0.snap"
+    splits = ("--corpus", root / "plains" / "db", "--queries", root / "plains" / "query")
+    proc = cli("eval", "--fusion", "on", "--snapshot", snap, *splits)
+    assert proc.returncode == 2
+    assert "two snapshots" in proc.stderr
+    proc = cli("eval", "--snapshot", snap, "--snapshot", snap, *splits)
+    assert proc.returncode == 2
+    assert "one snapshot" in proc.stderr
+
+
 def test_eval_digest_mismatch_exits_4(smoke_out, corpora):
     out, _ = smoke_out
     root, _ = corpora
@@ -225,3 +252,57 @@ def test_eval_missing_snapshot_exits_2(corpora, tmp_path):
                "--queries", root / "plains" / "query")
     assert proc.returncode == 2
     assert "not found" in proc.stderr
+
+
+def _eval_on(smoke_out, database, queries):
+    out, _ = smoke_out
+    return cli("eval", "--snapshot", out / "seed_0" / "step_1.snap",
+               "--corpus", database, "--queries", queries)
+
+
+def test_eval_missing_corpus_exits_2(smoke_out, corpora, tmp_path):
+    root, _ = corpora
+    proc = _eval_on(smoke_out, tmp_path / "nope", root / "plains" / "query")
+    assert proc.returncode == 2
+    assert "ingestion error" in proc.stderr
+    assert str(tmp_path / "nope") in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.fixture
+def db_copy(corpora, tmp_path):
+    root, _ = corpora
+    return shutil.copytree(root / "plains" / "db", tmp_path / "db")
+
+
+def test_eval_nan_scan_exits_2(smoke_out, corpora, db_copy):
+    root, _ = corpora
+    scan = db_copy / "scan_000002.f32"
+    pts = np.frombuffer(scan.read_bytes(), dtype="<f4").copy()
+    pts[0] = np.nan
+    scan.write_bytes(pts.tobytes())
+    proc = _eval_on(smoke_out, db_copy, root / "plains" / "query")
+    assert proc.returncode == 2
+    assert "line 4: scan file scan_000002.f32 has non-finite values" in proc.stderr
+    assert str(db_copy / "poses.csv") in proc.stderr
+
+
+def test_eval_nan_pose_exits_2(smoke_out, corpora, db_copy):
+    root, _ = corpora
+    lines = (db_copy / "poses.csv").read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[2] = "nan"
+    lines[1] = ",".join(fields)
+    (db_copy / "poses.csv").write_text("\n".join(lines) + "\n")
+    proc = _eval_on(smoke_out, root / "plains" / "db", db_copy)
+    assert proc.returncode == 2
+    assert f"{db_copy / 'poses.csv'} line 2: non-finite pose" in proc.stderr
+
+
+def test_eval_header_only_corpus_exits_2(smoke_out, corpora, db_copy):
+    root, _ = corpora
+    header = (db_copy / "poses.csv").read_text().splitlines()[0]
+    (db_copy / "poses.csv").write_text(header + "\n")
+    proc = _eval_on(smoke_out, db_copy, root / "plains" / "query")
+    assert proc.returncode == 2
+    assert f"{db_copy / 'poses.csv'}: no samples" in proc.stderr

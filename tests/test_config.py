@@ -65,8 +65,14 @@ def test_field_validation_messages():
         from_dict(_minimal(encoder={"dim": 1}))
     with pytest.raises(ConfigurationError, match="plan.expansion_rate"):
         from_dict(_minimal(plan={"expansion_rate": 1.0}))
+    with pytest.raises(ConfigurationError, match="plan.epochs: must be >= 1"):
+        from_dict(_minimal(plan={"epochs": 0}))
+    with pytest.raises(ConfigurationError, match="plan.batch_start: start 32 exceeds cap 16"):
+        from_dict(_minimal(plan={"batch_start": 32, "batch_cap": 16}))
     with pytest.raises(ConfigurationError, match="buffer.fraction"):
         from_dict(_minimal(buffer={"fraction": 1.0}))
+    with pytest.raises(ConfigurationError, match="buffer.fraction"):
+        from_dict(_minimal(buffer={"fraction": 0.0}))
     with pytest.raises(ConfigurationError, match="loss"):
         from_dict(_minimal(loss={"pr": False, "rkd": False, "dkd": False}))
     with pytest.raises(ConfigurationError, match="seeds"):
@@ -175,6 +181,10 @@ def test_apply_overrides_routes_toggles():
     assert out.loss.lambda_variant == "literal"
     # Original untouched.
     assert cfg.buffer.enabled is True
+    # Toggles apply together: turning the only active term off and another on is valid.
+    only_rkd = apply_overrides(cfg, toggles={"pr": False, "dkd": False})
+    swapped = apply_overrides(only_rkd, toggles={"rkd": False, "pr": True})
+    assert (swapped.loss.pr, swapped.loss.rkd, swapped.loss.dkd) == (True, False, False)
 
 
 def test_apply_overrides_rejects_unknown_toggle():
@@ -183,7 +193,7 @@ def test_apply_overrides_rejects_unknown_toggle():
         apply_overrides(cfg, toggles={"bogus": True})
     with pytest.raises(ConfigurationError):
         apply_overrides(cfg, toggles={"pr": False, "rkd": False, "dkd": False})
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="loss.divergence"):
         apply_overrides(cfg, divergence="hellinger")
 
 

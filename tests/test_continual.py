@@ -1,15 +1,15 @@
-"""Replay buffer, step plans, freeze guarantees, and the training protocol."""
+"""Replay buffer, plan schedules, freeze guarantees, and the training protocol."""
 
 import json
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from rankfuse.config import load_config
+from rankfuse.config import BufferConfig, load_config
 from rankfuse.continual import (
     MemoryBuffer,
-    StepPlan,
     batch_relation,
     build_protocol_data,
     lr_at,
@@ -20,12 +20,11 @@ from rankfuse.continual import (
     update_buffer,
     write_run_log,
 )
-from rankfuse.data import PairPolicy
+from rankfuse.data import pairwise_pose_distances
 from rankfuse.encoder import params_digest
 from rankfuse.errors import ConfigurationError, UsageError
-from rankfuse.losses import LossToggles
 
-from conftest import tiny_domain, tiny_plan
+from conftest import tiny_config, tiny_domain
 from test_config import SMOKE
 
 RUN_LOG_KEYS = {
@@ -47,25 +46,23 @@ RUN_LOG_KEYS = {
 
 def test_step_plan_validation():
     with pytest.raises(ConfigurationError):
-        tiny_plan(step_index=-1)
+        tiny_config(epochs=0)
     with pytest.raises(ConfigurationError):
-        tiny_plan(epochs=0)
+        tiny_config(batch_start=32, batch_cap=16)
     with pytest.raises(ConfigurationError):
-        tiny_plan(batch_start=32, batch_cap=16)
+        tiny_config(expansion_rate=1.0)
     with pytest.raises(ConfigurationError):
-        tiny_plan(expansion_rate=1.0)
-    with pytest.raises(ConfigurationError):
-        tiny_plan(buffer_fraction=0.0)
+        BufferConfig(fraction=0.0)
 
 
 def test_lr_drops_once_at_the_scheduled_epoch():
-    plan = tiny_plan(epochs=6, lr=1e-3, lr_drop_epoch=4, lr_drop_factor=0.1)
+    plan = tiny_config(epochs=6, lr=1e-3, lr_drop_epoch=4, lr_drop_factor=0.1).plan
     rates = [lr_at(plan, e) for e in range(6)]
     assert rates == [1e-3, 1e-3, 1e-3, 1e-3, 1e-4, 1e-4]
 
 
 def test_batch_expansion_rule():
-    plan = tiny_plan(batch_start=16, batch_cap=64, expansion_rate=1.4, active_threshold=0.7)
+    plan = tiny_config(batch_start=16, batch_cap=64, expansion_rate=1.4, active_threshold=0.7).plan
     assert maybe_expand_batch(16, 0.9, plan) == 16
     assert maybe_expand_batch(16, 0.5, plan) == 23  # ceil(16 * 1.4)
     assert maybe_expand_batch(60, 0.1, plan) == 64  # capped
@@ -91,8 +88,6 @@ def test_batch_relation_cross_domain_is_negative(policy):
 def test_batch_relation_same_domain_uses_thresholds(policy):
     samples = tiny_domain(n_places=30)
     rel = batch_relation(samples, policy)
-    from rankfuse.data import pairwise_pose_distances
-
     dist = pairwise_pose_distances(samples)
     expected_pos = dist < policy.pos_train
     np.fill_diagonal(expected_pos, False)
@@ -119,7 +114,7 @@ def test_buffer_split_two_domains_128_128():
     buf = update_buffer(buf, _fake_samples(400, 0), step_index=0)
     assert len(buf.entries) == 256
     buf = update_buffer(buf, _fake_samples(400, 1), step_index=1)
-    counts = {d: sum(1 for s in buf.entries if s.domain_id == d) for d in buf.domain_ids()}
+    counts = Counter(s.domain_id for s in buf.entries)
     assert counts == {0: 128, 1: 128}
 
 
@@ -127,7 +122,7 @@ def test_buffer_split_three_domains_86_85_85():
     buf = MemoryBuffer(capacity=256, seed=0)
     for d in range(3):
         buf = update_buffer(buf, _fake_samples(400, d), step_index=d)
-    counts = {d: sum(1 for s in buf.entries if s.domain_id == d) for d in buf.domain_ids()}
+    counts = Counter(s.domain_id for s in buf.entries)
     assert counts == {0: 86, 1: 85, 2: 85}
     assert len(buf.entries) == 256
 
@@ -161,14 +156,13 @@ def test_buffer_rejects_duplicate_domain():
 # Training steps
 
 
-def _first_step(policy, seed=0, n=40, epochs=2):
+def _first_step(seed=0, n=40, epochs=2):
     samples = tiny_domain(n_places=n, domain_id=0)
-    plan = tiny_plan(step_index=0, epochs=epochs)
-    return samples, train_first_step(samples, plan, seed, policy, hidden=8, dim=8)
+    return samples, train_first_step(samples, tiny_config(epochs=epochs), seed)
 
 
-def test_first_step_trains_without_distillation(policy):
-    samples, result = _first_step(policy)
+def test_first_step_trains_without_distillation():
+    samples, result = _first_step()
     assert result.snapshot.step_index == 0
     assert result.lambda_calls == 0  # schedule never consulted on step 0
     assert len(result.records) == 2
@@ -178,81 +172,81 @@ def test_first_step_trains_without_distillation(policy):
         assert np.isfinite(rec.loss_pr)
 
 
-def test_first_step_is_deterministic(policy):
-    _, a = _first_step(policy)
-    _, b = _first_step(policy)
+def test_first_step_is_deterministic():
+    _, a = _first_step()
+    _, b = _first_step()
     assert params_digest(a.snapshot.params) == params_digest(b.snapshot.params)
 
 
-def test_continual_step_freezes_old_model(policy):
-    samples, first = _first_step(policy)
+def test_continual_step_freezes_old_model():
+    samples, first = _first_step()
     old = first.snapshot
     before = params_digest(old.params)
     new_samples = tiny_domain(n_places=40, seed=9, domain_id=1)
     buf = update_buffer(MemoryBuffer(capacity=32, seed=0), samples, step_index=0)
-    plan = tiny_plan(step_index=1)
-    result = train_continual_step(old, new_samples, buf, plan, 0, policy)
+    result = train_continual_step(old, new_samples, buf, tiny_config(), 1, 0)
     assert params_digest(old.params) == before
     assert result.snapshot.step_index == 1
     assert result.lambda_calls > 0
     assert params_digest(result.snapshot.params) != before
 
 
-def test_continual_step_epoch_lambdas_follow_schedule(policy):
-    samples, first = _first_step(policy)
+def test_continual_step_epoch_lambdas_follow_schedule():
+    samples, first = _first_step()
     buf = update_buffer(MemoryBuffer(capacity=32, seed=0), samples, step_index=0)
     new_samples = tiny_domain(n_places=40, seed=9, domain_id=1)
-    plan = tiny_plan(step_index=1, epochs=3, lambda_variant="incloud")
-    result = train_continual_step(first.snapshot, new_samples, buf, plan, 0, policy)
+    cfg = tiny_config(loss={"lambda_variant": "incloud"}, epochs=3)
+    result = train_continual_step(first.snapshot, new_samples, buf, cfg, 1, 0)
     from rankfuse.losses import RelaxationSchedule, relaxation_weight
 
     sched = RelaxationSchedule(total_epochs=3, variant="incloud")
     expected = [relaxation_weight(sched, g) for g in range(3)]
     assert [r.lam for r in result.records] == pytest.approx(expected, abs=0)
-    assert [r.lr for r in result.records] == [lr_at(plan, e) for e in range(3)]
-    assert result.records[0].batch_size == plan.batch_start
+    assert [r.lr for r in result.records] == [lr_at(cfg.plan, e) for e in range(3)]
+    assert result.records[0].batch_size == cfg.plan.batch_start
 
 
-def test_continual_step_without_buffer_is_fine_tuning(policy):
-    _, first = _first_step(policy)
+def test_continual_step_without_buffer_is_fine_tuning():
+    _, first = _first_step()
     new_samples = tiny_domain(n_places=40, seed=9, domain_id=1)
-    plan = tiny_plan(step_index=1, toggles=LossToggles(pr=True, rkd=False, dkd=False))
-    result = train_continual_step(first.snapshot, new_samples, None, plan, 0, policy)
+    cfg = tiny_config(loss={"rkd": False, "dkd": False})
+    result = train_continual_step(first.snapshot, new_samples, None, cfg, 1, 0)
     assert result.lambda_calls == 0
     assert all(r.loss_rkd == 0.0 for r in result.records)
 
 
-def test_continual_step_rejects_bad_buffers(policy):
-    samples, first = _first_step(policy)
+def test_continual_step_rejects_bad_buffers():
+    samples, first = _first_step()
     new_samples = tiny_domain(n_places=40, seed=9, domain_id=1)
-    plan = tiny_plan(step_index=1)
+    cfg = tiny_config()
     with pytest.raises(ConfigurationError, match="empty"):
         train_continual_step(first.snapshot, new_samples, MemoryBuffer(capacity=8, seed=0),
-                             plan, 0, policy)
+                             cfg, 1, 0)
     # Buffer holding the domain currently being learned is a protocol bug.
     bad = update_buffer(MemoryBuffer(capacity=8, seed=0), new_samples, step_index=1)
     with pytest.raises(ConfigurationError, match="domain"):
-        train_continual_step(first.snapshot, new_samples, bad, plan, 0, policy)
+        train_continual_step(first.snapshot, new_samples, bad, cfg, 1, 0)
 
 
-def test_step_zero_must_use_first_step_api(policy):
+def test_step_zero_must_use_first_step_api():
+    _, first = _first_step()
     samples = tiny_domain(n_places=20)
-    with pytest.raises(UsageError):
-        train_first_step(samples, tiny_plan(step_index=1), 0, policy, hidden=8, dim=8)
+    with pytest.raises(UsageError, match="step_index"):
+        train_continual_step(first.snapshot, samples, None, tiny_config(), 0, 0)
 
 
 # ---------------------------------------------------------------------------
 # Run log
 
 
-def test_epoch_record_wire_keys(policy):
-    _, result = _first_step(policy)
+def test_epoch_record_wire_keys():
+    _, result = _first_step()
     payload = json.loads(result.records[0].as_json())
     assert set(payload) == RUN_LOG_KEYS
 
 
-def test_write_run_log_appends_jsonl(tmp_path, policy):
-    _, result = _first_step(policy)
+def test_write_run_log_appends_jsonl(tmp_path):
+    _, result = _first_step()
     path = tmp_path / "run_log.jsonl"
     write_run_log(result.records, path)
     write_run_log(result.records, path)
@@ -293,7 +287,7 @@ def test_run_protocol_rerun_is_identical(tmp_path):
 
 def test_build_protocol_data_sessions_are_disjoint():
     cfg = load_config(SMOKE)
-    train, db, query = build_protocol_data(cfg, seed=0)
+    train, db, query = build_protocol_data(cfg)
     assert len(train) == len(db) == len(query) == 2
     assert len(train[0]) == 60 and len(db[0]) == 30 and len(query[0]) == 30
     # Database and query revisit the world on different sessions.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from rankfuse.continual import batch_relation
 from rankfuse.data import (
     STYLE_PRESETS,
     DomainSpec,
@@ -14,15 +15,13 @@ from rankfuse.data import (
     PointScan,
     StyleParams,
     generate_domain,
-    generate_domain_with_landmarks,
-    label_pairs,
-    landmark_overlap,
     load_corpus,
     pairwise_pose_distances,
     save_corpus,
     with_domain_id,
 )
-from rankfuse.errors import ConfigurationError, IngestionError, UsageError
+from rankfuse.errors import ConfigurationError, IngestionError
+from rankfuse.evaluation import recall_at_n
 
 from conftest import TINY_STYLE, tiny_domain
 
@@ -83,23 +82,6 @@ def test_different_seeds_give_different_worlds():
     assert not np.array_equal(a[0].scan.points, b[0].scan.points)
 
 
-def test_visible_landmark_sets_follow_pose_distance():
-    samples, visible = generate_domain_with_landmarks(_spec(), points_per_scan=32)
-    assert len(visible) == len(samples)
-    # Nearby places see overlapping structure far more often than distant ones.
-    near = landmark_overlap(visible[0], visible[1])
-    far = landmark_overlap(visible[0], visible[len(visible) // 2])
-    assert near >= far
-
-
-def test_landmark_overlap_bounds():
-    a = frozenset({1, 2, 3})
-    b = frozenset({2, 3, 4})
-    assert landmark_overlap(a, b) == pytest.approx(2.0 / 4.0)
-    assert landmark_overlap(a, a) == 1.0
-    assert landmark_overlap(a, frozenset()) == 0.0
-
-
 def test_with_domain_id_tags_copies():
     samples = generate_domain(_spec(), points_per_scan=16)
     tagged = with_domain_id(samples, 5)
@@ -156,7 +138,7 @@ def test_pairwise_pose_distances_match_cdist():
 
 def test_label_pairs_train_band_is_unlabeled(policy):
     samples = tiny_domain(n_places=50)
-    rel = label_pairs(samples, policy, mode="train")
+    rel = batch_relation(samples, policy)
     dist = pairwise_pose_distances(samples)
     band = (dist >= policy.pos_train) & (dist <= policy.neg_train)
     np.fill_diagonal(band, False)
@@ -165,32 +147,27 @@ def test_label_pairs_train_band_is_unlabeled(policy):
     assert not (rel.positive & rel.negative).any()
     assert not rel.positive.diagonal().any()
     assert not rel.negative.diagonal().any()
-    assert rel.mode == "train"
 
 
 def test_label_pairs_test_mode_uses_single_radius(policy):
-    samples = tiny_domain(n_places=30)
-    rel = label_pairs(samples, policy, mode="test")
-    dist = pairwise_pose_distances(samples)
-    expected = dist < policy.pos_test
-    np.fill_diagonal(expected, False)
-    np.testing.assert_array_equal(rel.positive, expected)
-    assert not rel.negative.any()
+    # At test time one radius labels pairs: a database row closer than
+    # pos_test to the query is a true positive, one at pos_test is not.
+    db_emb = np.array([[0.0, 0.0], [1.0, 0.0]])  # row 0 is the query's nearest
 
+    def at_one(offset):
+        db_poses = np.array([[offset, 0.0], [0.0, 0.0]])
+        return recall_at_n(db_emb, db_poses, np.arange(2), np.zeros((1, 2)),
+                           np.zeros((1, 2)), policy.pos_test, 1).percent
 
-def test_label_pairs_rejects_mixed_domains(policy):
-    samples = tiny_domain(n_places=10) + tiny_domain(n_places=10, domain_id=1)
-    with pytest.raises(UsageError):
-        label_pairs(samples, policy, mode="train")
-    with pytest.raises(UsageError):
-        label_pairs(tiny_domain(n_places=5), policy, mode="validate")
+    assert at_one(policy.pos_test - 0.01) == 100.0
+    assert at_one(policy.pos_test) == 0.0
 
 
 def test_training_pairs_exist_at_reference_density(policy):
     # The protocol needs every anchor to have positives and negatives in-domain.
     spec = DomainSpec(seed=11, n_places=200, trajectory_length=900.0, style=TINY_STYLE)
     samples = generate_domain(spec, points_per_scan=16)
-    rel = label_pairs(samples, policy, mode="train")
+    rel = batch_relation(samples, policy)
     assert rel.positive.any(axis=1).all()
     assert rel.negative.any(axis=1).all()
 
@@ -199,10 +176,10 @@ def test_training_pairs_exist_at_reference_density(policy):
 # Corpus round trip
 
 
-def test_save_load_roundtrip(tmp_path, policy):
+def test_save_load_roundtrip(tmp_path):
     samples = tiny_domain(n_places=12, points=24)
     out = save_corpus(samples, tmp_path / "corpus")
-    loaded = load_corpus(out, policy, domain_id=2)
+    loaded = load_corpus(out, domain_id=2)
     assert len(loaded) == 12
     for orig, back in zip(samples, loaded):
         # Scans are stored as little-endian float32.
@@ -214,18 +191,18 @@ def test_save_load_roundtrip(tmp_path, policy):
         assert back.domain_id == 2
 
 
-def test_load_corpus_renormalizes_out_of_range(tmp_path, policy):
+def test_load_corpus_renormalizes_out_of_range(tmp_path):
     pts = np.array([[2.0, 0.0, 0.0], [0.0, -4.0, 0.0]])
     sample = PlaceSample(scan=PointScan(pts), pose=np.array([0.0, 0.0]), domain_id=0, sample_id=0)
     other = dataclasses.replace(sample, sample_id=1)
     out = save_corpus([sample, other], tmp_path / "c")
-    loaded = load_corpus(out, policy)
+    loaded = load_corpus(out)
     assert np.max(np.abs(loaded[0].scan.points)) <= 1.0
 
 
-def test_load_corpus_errors(tmp_path, policy):
+def test_load_corpus_errors(tmp_path):
     with pytest.raises(IngestionError, match="poses.csv"):
-        load_corpus(tmp_path, policy)
+        load_corpus(tmp_path)
 
     samples = tiny_domain(n_places=4, points=8)
     out = save_corpus(samples, tmp_path / "broken")
@@ -233,21 +210,48 @@ def test_load_corpus_errors(tmp_path, policy):
     raw = scan0.read_bytes()
     scan0.write_bytes(raw[:-4])  # drop one float: no longer a multiple of 3
     with pytest.raises(IngestionError, match="multiple of 3"):
-        load_corpus(out, policy)
+        load_corpus(out)
 
     scan0.write_bytes(raw[: 3 * 4])  # one point: count mismatch vs later scans
     with pytest.raises(IngestionError, match="expected"):
-        load_corpus(out, policy)
+        load_corpus(out)
 
 
-def test_load_corpus_rejects_duplicate_ids(tmp_path, policy):
+def test_load_corpus_rejects_duplicate_ids(tmp_path):
     samples = tiny_domain(n_places=3, points=8)
     out = save_corpus(samples, tmp_path / "dup")
     poses = (out / "poses.csv").read_text().splitlines()
     poses.append(poses[1])
     (out / "poses.csv").write_text("\n".join(poses) + "\n")
     with pytest.raises(IngestionError, match="duplicate"):
-        load_corpus(out, policy)
+        load_corpus(out)
+
+
+def test_load_corpus_rejects_nan_scan(tmp_path):
+    out = save_corpus(tiny_domain(n_places=3, points=8), tmp_path / "nan")
+    scan1 = out / "scan_000001.f32"
+    pts = np.frombuffer(scan1.read_bytes(), dtype="<f4").copy()
+    pts[4] = np.nan
+    scan1.write_bytes(pts.tobytes())
+    with pytest.raises(IngestionError, match=r"poses\.csv line 3: scan file scan_000001\.f32 has non-finite"):
+        load_corpus(out)
+
+
+def test_load_corpus_rejects_nan_pose(tmp_path):
+    out = save_corpus(tiny_domain(n_places=3, points=8), tmp_path / "nanpose")
+    lines = (out / "poses.csv").read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[1] = "nan"
+    lines[2] = ",".join(fields)
+    (out / "poses.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(IngestionError, match=r"poses\.csv line 3: non-finite pose"):
+        load_corpus(out)
+
+
+def test_load_corpus_rejects_header_only_corpus(tmp_path):
+    out = save_corpus([], tmp_path / "empty")
+    with pytest.raises(IngestionError, match=r"poses\.csv: no samples"):
+        load_corpus(out)
 
 
 def test_pair_policy_validation():

@@ -43,10 +43,10 @@ def test_init_params_deterministic_shapes():
 def test_encode_normalized_rows_are_unit():
     params = init_params(seed=1, hidden=8, dim=10)
     out = encode(params, _scans(6, 20))
-    assert out.vectors.shape == (6, 10)
-    np.testing.assert_allclose(np.linalg.norm(out.vectors, axis=1), 1.0, atol=1e-12)
+    assert out.shape == (6, 10)
+    np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
     raw = encode(params, _scans(6, 20), normalize=False)
-    norms = np.linalg.norm(raw.vectors, axis=1)
+    norms = np.linalg.norm(raw, axis=1)
     assert not np.allclose(norms, 1.0)
 
 
@@ -56,21 +56,15 @@ def test_encode_is_permutation_invariant():
     scans = _scans(3, 30)
     shuffled = scans[:, ::-1, :].copy()
     np.testing.assert_array_equal(
-        encode(params, scans).vectors, encode(params, shuffled).vectors
+        encode(params, scans), encode(params, shuffled)
     )
-
-
-def test_encode_producer_tag():
-    params = init_params(seed=2, hidden=4, dim=4)
-    assert encode(params, _scans(2, 8), producer="old").producer == "old"
-    assert encode(params, _scans(2, 8)).producer == "new"
 
 
 def test_encode_batch_matches_single_rows():
     params = init_params(seed=3, hidden=8, dim=6)
     scans = _scans(5, 12)
-    full = encode(params, scans).vectors
-    rows = np.concatenate([encode(params, scans[i : i + 1]).vectors for i in range(5)])
+    full = encode(params, scans)
+    rows = np.concatenate([encode(params, scans[i : i + 1]) for i in range(5)])
     np.testing.assert_allclose(full, rows, atol=1e-12)
 
 
@@ -78,7 +72,7 @@ def test_encode_with_cache_matches_encode():
     params = init_params(seed=4, hidden=8, dim=6)
     scans = _scans(4, 10)
     vectors, cache = encode_with_cache(params, scans)
-    np.testing.assert_array_equal(vectors, encode(params, scans).vectors)
+    np.testing.assert_array_equal(vectors, encode(params, scans))
     assert cache is not None
 
 
@@ -94,7 +88,7 @@ def test_backward_matches_finite_differences():
 
     def objective(vec):
         p = unflatten_params(vec, hidden=6, dim=5)
-        return float(np.sum(probe * encode(p, scans).vectors))
+        return float(np.sum(probe * encode(p, scans)))
 
     grads = backward(params, scans, upstream=probe)
     analytic = np.concatenate(

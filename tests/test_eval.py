@@ -6,19 +6,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from rankfuse.config import load_config
 from rankfuse.continual import run_protocol
 from rankfuse.encoder import init_params, make_snapshot
 from rankfuse.errors import ConfigurationError, UsageError
 from rankfuse.evaluation import (
-    build_index,
     dump_results,
+    embed,
     evaluate_protocol,
     forgetting_score,
     recall_at_n,
     results_dict,
-    retrieve,
     write_recall_csv,
 )
 
@@ -28,6 +28,18 @@ from test_config import SMOKE
 
 def _snapshot(seed=0, hidden=8, dim=8, step=0):
     return make_snapshot(init_params(seed, hidden, dim), step, "cfg", normalize=True)
+
+
+def _arrays(snapshots, samples):
+    """Embeddings, poses and sample ids: the per-split inputs of recall_at_n."""
+    poses = np.stack([s.pose for s in samples])
+    return embed(snapshots, samples), poses, np.array([s.sample_id for s in samples])
+
+
+def _recall(snapshots, db, queries, n=1, pos_test=25.0):
+    db_emb, db_poses, db_ids = _arrays(snapshots, db)
+    q_emb, q_poses, _ = _arrays(snapshots, queries)
+    return recall_at_n(db_emb, db_poses, db_ids, q_emb, q_poses, pos_test, n)
 
 
 @pytest.fixture(scope="module")
@@ -41,63 +53,57 @@ def query_samples():
 
 
 # ---------------------------------------------------------------------------
-# Index construction
+# Database embedding (the index that queries rank against)
 
 
 def test_build_index_shapes(db_samples):
-    idx = build_index(_snapshot(), db_samples, fusion=False)
-    assert idx.embeddings.shape == (25, 8)
-    assert not idx.fused
-    fused = build_index([_snapshot(0), _snapshot(1, step=1)], db_samples, fusion=True)
-    assert fused.embeddings.shape == (25, 16)
-    assert fused.fused
-
-
-def test_build_index_arity_checks(db_samples):
-    with pytest.raises(UsageError):
-        build_index([_snapshot()], db_samples, fusion=True)
-    with pytest.raises(UsageError):
-        build_index([_snapshot(i) for i in range(3)], db_samples, fusion=True)
-    with pytest.raises(UsageError):
-        build_index([_snapshot(0), _snapshot(1)], db_samples, fusion=False)
-    with pytest.raises(UsageError):
-        build_index(_snapshot(), [], fusion=False)
+    assert embed([_snapshot()], db_samples).shape == (25, 8)
+    assert embed([_snapshot(0), _snapshot(1, step=1)], db_samples).shape == (25, 16)
 
 
 # ---------------------------------------------------------------------------
-# Retrieval
+# Retrieval: how recall_at_n ranks database rows for each query
 
 
-def test_retrieve_orders_by_distance(db_samples, query_samples):
-    idx = build_index(_snapshot(), db_samples, fusion=False)
-    result = retrieve(idx, query_samples[0], k=5)
-    assert len(result.sample_ids) == 5
-    assert not result.truncated
-    assert np.all(np.diff(result.distances) >= 0)
+def test_retrieve_orders_by_distance():
+    # Rows at embedding distance 3, 1, 2 from the query; only the farthest
+    # lies within the positive radius, so it ranks third.
+    db_emb = np.array([[3.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    db_poses = np.array([[0.0, 0.0], [9e4, 9e4], [9e4, 9e4]])
+
+    def at(n):
+        return recall_at_n(db_emb, db_poses, np.arange(3), np.zeros((1, 2)),
+                           np.zeros((1, 2)), 25.0, n).percent
+
+    assert [at(n) for n in (1, 2, 3)] == [0.0, 0.0, 100.0]
 
 
-def test_retrieve_breaks_ties_by_lowest_sample_id(db_samples):
-    # Duplicate every scan so each query has at least one exact tie.
-    doubled = list(db_samples) + [
-        dataclasses.replace(s, sample_id=s.sample_id + 1000) for s in db_samples
-    ]
-    idx = build_index(_snapshot(), doubled, fusion=False)
-    result = retrieve(idx, db_samples[7], k=2)
-    assert result.distances[0] == result.distances[1]
-    assert result.sample_ids[0] == db_samples[7].sample_id  # not the +1000 twin
+def test_retrieve_breaks_ties_by_lowest_sample_id():
+    # Both database rows tie at distance 0 from the query; only the first
+    # lies within the positive radius, so Recall@1 shows which row won.
+    db_emb = np.zeros((2, 4))
+    db_poses = np.array([[0.0, 0.0], [9e4, 9e4]])
+
+    def at_one(ids):
+        return recall_at_n(db_emb, db_poses, np.array(ids), np.zeros((1, 4)),
+                           np.zeros((1, 2)), 25.0, 1).percent
+
+    assert at_one([3, 7]) == 100.0
+    assert at_one([7, 3]) == 0.0  # lowest id wins, not the first row
 
 
 def test_retrieve_truncates_when_k_exceeds_database(db_samples):
-    idx = build_index(_snapshot(), db_samples[:4], fusion=False)
-    result = retrieve(idx, db_samples[0], k=10)
-    assert result.truncated
-    assert len(result.sample_ids) == 4
+    # n beyond the database size ranks the whole database.
+    outcome = _recall([_snapshot()], db_samples[:4], db_samples[:4], n=10)
+    assert outcome.percent == 100.0
+    assert outcome.evaluated == 4
 
 
 def test_retrieve_rejects_bad_k(db_samples):
-    idx = build_index(_snapshot(), db_samples, fusion=False)
-    with pytest.raises(UsageError):
-        retrieve(idx, db_samples[0], k=0)
+    db_emb, poses, ids = _arrays([_snapshot()], db_samples)
+    for n in (0, -3):
+        with pytest.raises(UsageError, match="n must be >= 1"):
+            recall_at_n(db_emb, poses, ids, db_emb, poses, 25.0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -106,38 +112,34 @@ def test_retrieve_rejects_bad_k(db_samples):
 
 def test_recall_at_one_identical_sessions_is_perfect(db_samples):
     # Query the database with itself: nearest neighbor is the sample itself.
-    idx = build_index(_snapshot(), db_samples, fusion=False)
-    outcome = recall_at_n(idx, list(db_samples), pos_test=25.0, n=1)
+    outcome = _recall([_snapshot()], db_samples, db_samples)
     assert outcome.percent == 100.0
     assert outcome.evaluated == 25
     assert outcome.excluded == 0
 
 
 def test_recall_excludes_queries_without_true_positive(db_samples, query_samples):
-    idx = build_index(_snapshot(), db_samples, fusion=False)
     # Teleport two queries far outside the trajectory loop.
     far = [
         dataclasses.replace(query_samples[i], pose=np.array([9e4, 9e4]))
         for i in (0, 1)
     ]
-    outcome = recall_at_n(idx, far + list(query_samples[2:]), pos_test=25.0, n=1)
+    outcome = _recall([_snapshot()], db_samples, far + list(query_samples[2:]))
     assert outcome.excluded == 2
     assert outcome.evaluated == 23
 
 
 def test_recall_all_excluded_is_an_error(db_samples, query_samples):
-    idx = build_index(_snapshot(), db_samples, fusion=False)
     far = [
         dataclasses.replace(s, pose=np.array([9e4, 9e4])) for s in query_samples
     ]
     with pytest.raises(UsageError):
-        recall_at_n(idx, far, pos_test=25.0, n=1)
+        _recall([_snapshot()], db_samples, far)
 
 
 def test_recall_monotonic_in_n(db_samples, query_samples):
-    idx = build_index(_snapshot(), db_samples, fusion=False)
     values = [
-        recall_at_n(idx, list(query_samples), pos_test=25.0, n=n).percent
+        _recall([_snapshot()], db_samples, query_samples, n=n).percent
         for n in (1, 3, 5, 25)
     ]
     assert values == sorted(values)
@@ -146,19 +148,27 @@ def test_recall_monotonic_in_n(db_samples, query_samples):
 def test_recall_invariant_to_database_order(db_samples, query_samples):
     rng = np.random.default_rng(0)
     shuffled = [db_samples[i] for i in rng.permutation(len(db_samples))]
-    a = recall_at_n(build_index(_snapshot(), db_samples, fusion=False),
-                    list(query_samples), pos_test=25.0, n=1)
-    b = recall_at_n(build_index(_snapshot(), shuffled, fusion=False),
-                    list(query_samples), pos_test=25.0, n=1)
+    a = _recall([_snapshot()], db_samples, query_samples)
+    b = _recall([_snapshot()], shuffled, query_samples)
     assert a.percent == b.percent
 
 
 def test_recall_rejects_empty_or_bad_n(db_samples, query_samples):
-    idx = build_index(_snapshot(), db_samples, fusion=False)
-    with pytest.raises(UsageError):
-        recall_at_n(idx, [], pos_test=25.0, n=1)
-    with pytest.raises(UsageError):
-        recall_at_n(idx, list(query_samples), pos_test=25.0, n=0)
+    db_emb, poses, ids = _arrays([_snapshot()], db_samples)
+    with pytest.raises(UsageError, match="empty"):
+        recall_at_n(db_emb, poses, ids, np.empty((0, 8)), np.empty((0, 2)), 25.0, 1)
+    with pytest.raises(UsageError, match="n must be"):
+        recall_at_n(db_emb, poses, ids, db_emb, poses, 25.0, 0)
+
+
+def test_recall_rejects_non_finite_embeddings(db_samples):
+    db_emb, poses, ids = _arrays([_snapshot()], db_samples)
+    bad = db_emb.copy()
+    bad[3, 0] = np.nan
+    with pytest.raises(UsageError, match="finite"):
+        recall_at_n(bad, poses, ids, db_emb, poses, 25.0, 1)
+    with pytest.raises(UsageError, match="finite"):
+        recall_at_n(db_emb, poses, ids, bad, poses, 25.0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -213,22 +223,22 @@ def test_forgetting_input_validation():
 
 def test_fusing_identical_snapshots_preserves_ranking(db_samples, query_samples):
     snap = _snapshot()
-    single = build_index(snap, db_samples, fusion=False)
-    fused = build_index([snap, snap], db_samples, fusion=True)
-    for q in query_samples[:5]:
-        a = retrieve(single, q, k=4)
-        b = retrieve(fused, q, k=4)
-        np.testing.assert_array_equal(a.sample_ids, b.sample_ids)
-        # Concatenating a vector with itself doubles squared distances.
-        np.testing.assert_allclose(b.distances, math.sqrt(2.0) * a.distances, rtol=1e-6)
-    one = recall_at_n(single, list(query_samples), pos_test=25.0, n=1)
-    two = recall_at_n(fused, list(query_samples), pos_test=25.0, n=1)
+    single = embed([snap], db_samples)
+    fused = embed([snap, snap], db_samples)
+    q_single = embed([snap], query_samples[:5])
+    q_fused = embed([snap, snap], query_samples[:5])
+    # Concatenating a vector with itself doubles squared distances.
+    np.testing.assert_allclose(
+        cdist(q_fused, fused), math.sqrt(2.0) * cdist(q_single, single), rtol=1e-6
+    )
+    one = _recall([snap], db_samples, query_samples)
+    two = _recall([snap, snap], db_samples, query_samples)
     assert one.percent == two.percent
 
 
 def test_fusing_distinct_snapshots_changes_embedding_dim(db_samples):
-    fused = build_index([_snapshot(0), _snapshot(1, step=1)], db_samples, fusion=True)
-    assert fused.embeddings.shape[1] == 16
+    fused = embed([_snapshot(0), _snapshot(1, step=1)], db_samples)
+    assert fused.shape[1] == 16
 
 
 # ---------------------------------------------------------------------------

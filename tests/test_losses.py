@@ -25,8 +25,6 @@ from rankfuse.losses import (
     sigmoid,
     similarity_backward,
     similarity_matrix,
-    soft_rank,
-    soft_rank_row,
     soft_ranks,
     symmetric_kl,
     to_distribution,
@@ -47,7 +45,19 @@ def _relation(positive_pairs, negative_pairs, n):
         pos[i, j] = pos[j, i] = True
     for i, j in negative_pairs:
         neg[i, j] = neg[j, i] = True
-    return PairRelation(positive=pos, negative=neg, sample_ids=tuple(range(n)), mode="train")
+    return PairRelation(positive=pos, negative=neg)
+
+
+def soft_rank_row(similarities: np.ndarray, tau: float) -> np.ndarray:
+    """Oracle: soft rank of each candidate given its similarity to one query.
+
+    R_i = 1 + sum_{j != i} sigmoid(s_j - s_i; tau), one row at a time, as a
+    plain reference for the chunked all-rows ``soft_ranks``.
+    """
+    s = np.asarray(similarities, dtype=np.float64)
+    g = sigmoid(s[None, :] - s[:, None], tau)
+    np.fill_diagonal(g, 0.0)
+    return 1.0 + g.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +133,7 @@ def test_soft_ranks_matches_per_row(unit_rows):
     s = similarity_matrix(e)
     full = soft_ranks(s, tau=0.3)
     for q in range(6):
-        np.testing.assert_allclose(full[q], soft_rank(s, q, 0.3), atol=0)
-    with pytest.raises(UsageError):
-        soft_rank(s, 6, 0.3)
+        np.testing.assert_allclose(full[q], soft_rank_row(s[q], 0.3), atol=0)
     with pytest.raises(UsageError):
         soft_ranks(s, 0.0)
 
@@ -342,8 +350,6 @@ def test_batch_hard_order_independent(unit_rows):
     rel_p = PairRelation(
         positive=rel.positive[np.ix_(perm, perm)],
         negative=rel.negative[np.ix_(perm, perm)],
-        sample_ids=tuple(int(perm[i]) for i in range(8)),
-        mode="train",
     )
     out = batch_hard_triplet(e[perm], rel_p, margin=0.5)
     assert out.loss.value == pytest.approx(base.loss.value, abs=1e-12)
