@@ -44,6 +44,7 @@ from .evaluation import (
     RESULTS_FILE,
     dump_results,
     embed,
+    embed_protocol,
     evaluate_protocol,
     recall_at_n,
     results_dict,
@@ -148,9 +149,10 @@ def cmd_run(args) -> int:
         t0 = time.perf_counter()
         run = run_protocol(cfg, seed, out_dir=seed_dir, digest=digest)
         t1 = time.perf_counter()
-        single = evaluate_protocol(run, fusion=False, forgetting_max=cfg.forgetting_max)
+        emb = embed_protocol(run)
+        single = evaluate_protocol(run, emb, fusion=False, forgetting_max=cfg.forgetting_max)
         fused = (
-            evaluate_protocol(run, fusion=True, forgetting_max=cfg.forgetting_max)
+            evaluate_protocol(run, emb, fusion=True, forgetting_max=cfg.forgetting_max)
             if cfg.fusion
             else None
         )
@@ -161,7 +163,8 @@ def cmd_run(args) -> int:
         write_recall_csv(headline.recall_matrix, run.domain_names, seed_dir / RECALL_CSV)
         manifest["results"][str(seed)] = str(seed_dir / RESULTS_FILE)
         manifest["wall_clock"][str(seed)] = {
-            "train_seconds": t1 - t0,
+            "data_seconds": run.data_seconds,
+            "train_seconds": t1 - t0 - run.data_seconds,
             "eval_seconds": t2 - t1,
             "per_step_seconds": run.step_seconds,
         }

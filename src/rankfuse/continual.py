@@ -139,28 +139,24 @@ class StepResult:
     lambda_calls: int  # instrumentation: schedule consultations during the step
 
 
-def _epoch_batches(rng, n_new: int, buffer_entries: list, batch_size: int, fraction: float):
-    """Yield lists of ("new" | "buffer", index) over one shuffled pass of the new data.
+def _epoch_batches(rng, n_new: int, n_buffer: int, batch_size: int, fraction: float):
+    """Yield index arrays into new + buffer samples, one shuffled pass of the new data.
 
+    Indices below ``n_new`` are new-domain samples, the rest buffer entries.
     A tail chunk of fewer than 4 new samples is dropped: those samples sit
     out this epoch rather than form a batch too small to mine.
     """
     order = rng.permutation(n_new)
-    buf_quota = int(round(batch_size * fraction)) if buffer_entries else 0
+    buf_quota = int(round(batch_size * fraction)) if n_buffer else 0
     new_quota = max(batch_size - buf_quota, 2)
     for start in range(0, n_new, new_quota):
         chunk = order[start : start + new_quota]
         if len(chunk) < 4 and start > 0:
             break
-        picks = []
         if buf_quota:
-            replace_draw = len(buffer_entries) < buf_quota
-            picks = rng.choice(len(buffer_entries), size=buf_quota, replace=replace_draw)
-        yield [("new", int(i)) for i in chunk] + [("buffer", int(i)) for i in picks]
-
-
-def _scan_stack(samples: list) -> np.ndarray:
-    return np.stack([s.scan.points for s in samples])
+            picks = rng.choice(n_buffer, size=buf_quota, replace=n_buffer < buf_quota)
+            chunk = np.concatenate([chunk, n_new + picks])
+        yield chunk
 
 
 def _train(
@@ -190,6 +186,15 @@ def _train(
         else None
     )
 
+    # With at least one new-domain sample, every epoch forms a batch.
+    if not new_samples:
+        raise TrainingError(f"step {step_index}: no new-domain samples, no batches formed")
+    # The frozen teacher's embeddings are constants of the step: encode each
+    # new-domain sample and buffer entry once, then gather rows per batch.
+    pool = new_samples + buffer_entries
+    pool_scans = np.stack([s.scan.points for s in pool])
+    teacher = encode(old_params, pool_scans, normalize) if distill else None
+
     records = []
     lambda_calls = 0
     batch_size = plan.batch_start
@@ -202,16 +207,13 @@ def _train(
             lam = 0.0
         sums = {"pr": 0.0, "rkd": 0.0, "dkd": 0.0, "frac": 0.0}
         n_batches = 0
-        for batch_spec in _epoch_batches(
-            rng, len(new_samples), buffer_entries, batch_size, cfg.buffer.fraction
+        for rows in _epoch_batches(
+            rng, len(new_samples), len(buffer_entries), batch_size, cfg.buffer.fraction
         ):
-            batch = [
-                new_samples[i] if kind == "new" else buffer_entries[i]
-                for kind, i in batch_spec
-            ]
-            scans = _scan_stack(batch)
+            batch = [pool[i] for i in rows]
+            scans = pool_scans[rows]
             e_new, cache = encode_with_cache(params, scans, normalize)
-            e_old = encode(old_params, scans, normalize) if distill else None
+            e_old = teacher[rows] if distill else None
             relation = batch_relation(batch, cfg.pairs)
             out = combined_loss(
                 e_old,
@@ -237,8 +239,6 @@ def _train(
             sums["dkd"] += out.dkd_value
             sums["frac"] += out.active_fraction
             n_batches += 1
-        if n_batches == 0:
-            raise TrainingError(f"step {step_index} epoch {epoch}: no batches formed")
         mean_fraction = sums["frac"] / n_batches
         records.append(
             EpochRecord(
@@ -373,6 +373,7 @@ class ProtocolRun:
     records: list = field(default_factory=list)
     lambda_calls_per_step: list = field(default_factory=list)
     step_seconds: list = field(default_factory=list)
+    data_seconds: float = 0.0  # corpus generation
 
     def __post_init__(self):
         if len(self.snapshots) > len(self.domain_names):
@@ -405,7 +406,9 @@ def build_protocol_data(cfg: ExperimentConfig):
 
 def run_protocol(cfg: ExperimentConfig, seed: int, out_dir=None, digest: str = "") -> ProtocolRun:
     """Train sequentially over the configured domains and save artifacts."""
+    t0 = time.perf_counter()
     train, db, query = build_protocol_data(cfg)
+    data_seconds = time.perf_counter() - t0
     names = tuple(d.name for d in cfg.domains)
 
     out = Path(out_dir) if out_dir is not None else None
@@ -445,4 +448,5 @@ def run_protocol(cfg: ExperimentConfig, seed: int, out_dir=None, digest: str = "
         records=all_records,
         lambda_calls_per_step=lambda_calls,
         step_seconds=step_seconds,
+        data_seconds=data_seconds,
     )

@@ -11,6 +11,7 @@ world and nearby poses genuinely overlap.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -305,15 +306,16 @@ class _World:
     curve: np.ndarray
     arc: np.ndarray
     landmark_centers: np.ndarray  # (M, 2)
-    landmark_points: list  # list of (n_i, 3) world-frame arrays
+    landmark_points: tuple  # (n_i, 3) world-frame arrays
 
 
-def _build_world(spec: DomainSpec) -> _World:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed, _WORLD_TAG])))
-    curve, arc = _trajectory_curve(rng, spec.trajectory_length)
-    style = spec.style
+# A domain's sessions share one world: generating them in turn builds it once.
+@functools.lru_cache(maxsize=1)
+def _build_world(seed: int, trajectory_length: float, style: StyleParams) -> _World:
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _WORLD_TAG])))
+    curve, arc = _trajectory_curve(rng, trajectory_length)
 
-    n_landmarks = max(8, int(round(style.landmark_density * spec.trajectory_length)))
+    n_landmarks = max(8, int(round(style.landmark_density * trajectory_length)))
     weights = np.array([style.plane_weight, style.box_weight, style.clutter_weight])
     weights = weights / weights.sum()
 
@@ -343,7 +345,9 @@ def _build_world(spec: DomainSpec) -> _World:
             pts = _clutter_points(rng, c)
         pts[:, 2] *= style.height_scale
         points.append(pts)
-    return _World(curve=curve, arc=arc, landmark_centers=centers, landmark_points=points)
+    for a in (curve, arc, centers, *points):
+        a.flags.writeable = False  # the cached world is shared by every session
+    return _World(curve=curve, arc=arc, landmark_centers=centers, landmark_points=tuple(points))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +361,7 @@ def generate_domain(
     if points_per_scan < 1:
         raise ConfigurationError(f"points_per_scan must be >= 1, got {points_per_scan}")
 
-    world = _build_world(spec)
+    world = _build_world(spec.seed, spec.trajectory_length, spec.style)
     style = spec.style
     anchors, _tangents = _anchor_poses(world.curve, world.arc, spec.n_places)
 

@@ -117,11 +117,11 @@ class ProtocolEvaluation:
     fused: bool
 
 
-def evaluate_protocol(run, fusion: bool, forgetting_max: str = "printed") -> ProtocolEvaluation:
-    """Fill R[l][t] for every training step l and task t, zero-shot included.
+def embed_protocol(run) -> dict:
+    """Embed every database and query split once per snapshot.
 
-    With fusion on, row 0 uses snapshot 0 alone and row l >= 1 concatenates
-    the step l-1 and step l embeddings.
+    Returns ``{(l, t, "db" | "q"): rows}`` for snapshot l and task t. Single
+    and fused evaluation both read these; fused rows concatenate them.
     """
     t_total = len(run.snapshots)
     if t_total == 0:
@@ -131,13 +131,23 @@ def evaluate_protocol(run, fusion: bool, forgetting_max: str = "printed") -> Pro
             raise ConfigurationError(f"missing database split for domain {run.domain_names[i]}")
         if i >= len(run.query_splits) or not run.query_splits[i]:
             raise ConfigurationError(f"missing query split for domain {run.domain_names[i]}")
-
-    # Encode every corpus once per snapshot; fused rows concatenate from cache.
     emb = {}
     for l, snap in enumerate(run.snapshots):
         for t in range(t_total):
             emb[(l, t, "db")] = embed((snap,), run.db_splits[t])
             emb[(l, t, "q")] = embed((snap,), run.query_splits[t])
+    return emb
+
+
+def evaluate_protocol(
+    run, emb: dict, fusion: bool, forgetting_max: str = "printed"
+) -> ProtocolEvaluation:
+    """Fill R[l][t] for every training step l and task t, zero-shot included.
+
+    ``emb`` is ``embed_protocol(run)``. With fusion on, row 0 uses snapshot 0
+    alone and row l >= 1 concatenates the step l-1 and step l embeddings.
+    """
+    t_total = len(run.snapshots)
     db_poses = [np.stack([s.pose for s in split]) for split in run.db_splits]
     db_ids = [np.array([s.sample_id for s in split]) for split in run.db_splits]
     q_poses = [np.stack([s.pose for s in split]) for split in run.query_splits]

@@ -29,6 +29,7 @@ from rankfuse.continual import (
 from rankfuse.encoder import init_params, make_snapshot, params_digest
 from rankfuse.evaluation import (
     embed,
+    embed_protocol,
     evaluate_protocol,
     forgetting_score,
     recall_at_n,
@@ -248,12 +249,13 @@ def comparative():
         per_seed, fusion_evals = [], []
         for seed in cfg.seeds:
             run = run_protocol(vcfg, seed)
+            emb = embed_protocol(run)
             per_seed.append(
-                evaluate_protocol(run, fusion=False, forgetting_max=cfg.forgetting_max)
+                evaluate_protocol(run, emb, fusion=False, forgetting_max=cfg.forgetting_max)
             )
             if name in ("base", "full"):
                 fusion_evals.append(
-                    evaluate_protocol(run, fusion=True, forgetting_max=cfg.forgetting_max)
+                    evaluate_protocol(run, emb, fusion=True, forgetting_max=cfg.forgetting_max)
                 )
         singles[name] = per_seed
         if fusion_evals:

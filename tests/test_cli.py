@@ -1,5 +1,6 @@
 """End-to-end CLI runs through subprocesses: exit codes and on-disk artifacts."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -9,12 +10,16 @@ import sys
 import numpy as np
 import pytest
 
+import rankfuse.evaluation
+from rankfuse.cli import main
 from rankfuse.data import load_corpus
 
 from test_config import REFERENCE, SMOKE
 from test_continual import RUN_LOG_KEYS
 
 RESULT_KEYS = {"recall_matrix", "mean_recall_at_1", "forgetting", "per_step_details"}
+# sha256 of the smoke seed-0 results.json; a change here changes the program's output.
+SMOKE_RESULTS_SHA256 = "038707a87bf7021e482bebfc8c2da1ceedd1071a993683cd90fdcbd519a05a5b"
 
 
 def cli(*argv, env=None):
@@ -87,7 +92,9 @@ def test_manifest_and_aggregate(smoke_out):
     assert set(manifest) == {"tool_version", "config_digest", "seeds", "results", "wall_clock"}
     assert manifest["seeds"] == [0]
     clock = manifest["wall_clock"]["0"]
+    assert set(clock) == {"data_seconds", "train_seconds", "eval_seconds", "per_step_seconds"}
     assert len(clock["per_step_seconds"]) == 2
+    assert clock["data_seconds"] > 0
     assert clock["train_seconds"] > 0
 
     aggregate = json.loads((out / "aggregate.json").read_text())
@@ -116,6 +123,24 @@ def test_results_are_identical_across_blas_thread_counts(tmp_path):
         assert proc.returncode == 0, proc.stderr
         digests.append((out / "seed_0" / "results.json").read_bytes())
     assert digests[0] == digests[1]
+    assert hashlib.sha256(digests[0]).hexdigest() == SMOKE_RESULTS_SHA256
+
+
+def test_run_encodes_each_split_once_per_snapshot(monkeypatch, tmp_path):
+    # Single and fused evaluation share one embedding pass: T snapshots x T
+    # tasks x (db, query) encode calls, each on a whole split.
+    calls = []
+    real = rankfuse.evaluation.encode
+
+    def counting(params, scans, normalize=True):
+        calls.append(len(scans))
+        return real(params, scans, normalize)
+
+    monkeypatch.setattr(rankfuse.evaluation, "encode", counting)
+    assert main(["run", "--config", str(SMOKE), "--fusion", "on", "--out", str(tmp_path)]) == 0
+    t_total = 2
+    assert len(calls) == 2 * t_total**2
+    assert calls == [30] * len(calls)  # smoke test_places
 
 
 def test_toggles_disable_distillation_and_buffer(tmp_path):

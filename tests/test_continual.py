@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import rankfuse.continual
 from rankfuse.config import BufferConfig, load_config
 from rankfuse.continual import (
     MemoryBuffer,
@@ -20,9 +21,9 @@ from rankfuse.continual import (
     update_buffer,
     write_run_log,
 )
-from rankfuse.data import pairwise_pose_distances
+from rankfuse.data import _build_world, pairwise_pose_distances
 from rankfuse.encoder import params_digest
-from rankfuse.errors import ConfigurationError, UsageError
+from rankfuse.errors import ConfigurationError, TrainingError, UsageError
 
 from conftest import tiny_config, tiny_domain
 from test_config import SMOKE
@@ -191,6 +192,23 @@ def test_continual_step_freezes_old_model():
     assert params_digest(result.snapshot.params) != before
 
 
+def test_teacher_encodes_each_input_once_per_step(monkeypatch):
+    samples, first = _first_step()
+    buf = update_buffer(MemoryBuffer(capacity=32, seed=0), samples, step_index=0)
+    new_samples = tiny_domain(n_places=40, seed=9, domain_id=1)
+    rows = []
+    real = rankfuse.continual.encode
+
+    def counting(params, scans, normalize=True):
+        rows.append(len(scans))
+        return real(params, scans, normalize)
+
+    monkeypatch.setattr(rankfuse.continual, "encode", counting)
+    result = train_continual_step(first.snapshot, new_samples, buf, tiny_config(epochs=3), 1, 0)
+    assert len(result.records) == 3
+    assert sum(rows) == len(new_samples) + len(buf.entries)
+
+
 def test_continual_step_epoch_lambdas_follow_schedule():
     samples, first = _first_step()
     buf = update_buffer(MemoryBuffer(capacity=32, seed=0), samples, step_index=0)
@@ -226,6 +244,11 @@ def test_continual_step_rejects_bad_buffers():
     bad = update_buffer(MemoryBuffer(capacity=8, seed=0), new_samples, step_index=1)
     with pytest.raises(ConfigurationError, match="domain"):
         train_continual_step(first.snapshot, new_samples, bad, cfg, 1, 0)
+
+
+def test_step_without_new_samples_aborts():
+    with pytest.raises(TrainingError, match="no batches"):
+        train_first_step([], tiny_config(), 0)
 
 
 def test_step_zero_must_use_first_step_api():
@@ -293,3 +316,11 @@ def test_build_protocol_data_sessions_are_disjoint():
     # Database and query revisit the world on different sessions.
     assert not np.array_equal(db[0][0].scan.points, query[0][0].scan.points)
     assert all(s.domain_id == 1 for s in train[1])
+
+
+def test_build_protocol_data_builds_each_world_once():
+    # The three sessions of a domain share its world; it is built once.
+    _build_world.cache_clear()
+    build_protocol_data(load_config(SMOKE))
+    info = _build_world.cache_info()
+    assert (info.misses, info.hits) == (2, 4)

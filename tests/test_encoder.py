@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankfuse.encoder import (
+    _ENCODE_BUDGET,
+    _chunk_bounds,
     AdamState,
     EncoderParams,
     adam_step,
@@ -74,6 +78,76 @@ def test_encode_with_cache_matches_encode():
     vectors, cache = encode_with_cache(params, scans)
     np.testing.assert_array_equal(vectors, encode(params, scans))
     assert cache is not None
+
+
+# Reference shapes: encode's chunk holds CHUNK rows of (P, H) activations.
+P, H, D = 160, 48, 32
+CHUNK = _ENCODE_BUDGET // (P * H)
+
+
+def _tied_scans(n, p, seed=0):
+    # The second half of each scan repeats the first, so every maximum ties.
+    scans = _scans(n, p, seed)
+    scans[:, p // 2 :] = scans[:, : p // 2]
+    return scans
+
+
+@pytest.mark.parametrize("rows", [2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 200])
+@pytest.mark.parametrize("make", [_scans, _tied_scans], ids=["random", "tied"])
+def test_encode_matches_training_forward_bit_for_bit(rows, make):
+    # Snapshot (float32) weights, as the frozen teacher and evaluation use them.
+    params = make_snapshot(init_params(seed=12, hidden=H, dim=D), 0, "", True).params
+    scans = make(rows, P, seed=rows)
+    for normalize in (True, False):
+        expected, _ = encode_with_cache(params, scans, normalize)
+        np.testing.assert_array_equal(encode(params, scans, normalize), expected)
+
+
+def test_encode_chunks_are_bounded_and_never_single_rows():
+    for rows in range(0, 3 * CHUNK + 3):
+        bounds = _chunk_bounds(rows, P, H)
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == rows
+        assert sizes.max(initial=0) <= CHUNK + 1
+        if rows > 1:
+            assert sizes.min() >= 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(2, 12),
+    copies=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=6),
+    data=st.data(),
+)
+def test_encoder_is_permutation_invariant_including_ties(seed, n_points, copies, data):
+    rng = np.random.default_rng(seed)
+    scans = rng.uniform(-1.0, 1.0, (3, n_points, 3))
+    for src, dst in copies:  # duplicated points make pooled maxima tie
+        scans[:, dst % n_points] = scans[:, src % n_points]
+    perm = np.array(data.draw(st.permutations(range(n_points))))
+    shuffled = scans[:, perm]
+    params = init_params(seed % 1000, hidden=6, dim=5)
+    for normalize in (True, False):
+        np.testing.assert_array_equal(
+            encode(params, shuffled, normalize), encode(params, scans, normalize)
+        )
+
+    # Training forward: pooling routes to the lowest point index holding the
+    # maximum, so gradients agree under any permutation.
+    e, cache = encode_with_cache(params, shuffled)
+    np.testing.assert_array_equal(e, encode(params, scans))
+    h2 = np.maximum(cache[4], 0.0)
+    idx = cache[5]
+    for b in range(h2.shape[0]):
+        for c in range(h2.shape[2]):
+            col = h2[b, :, c]
+            assert idx[b, c] == np.flatnonzero(col == col.max()).min()
+    probe = rng.normal(size=e.shape)
+    a = backward(params, scans, probe)
+    g = backward(params, shuffled, probe, cache=cache)
+    for ta, tg in zip(a.tensors(), g.tensors()):
+        np.testing.assert_allclose(tg, ta, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from rankfuse.errors import ConfigurationError, UsageError
 from rankfuse.evaluation import (
     dump_results,
     embed,
+    embed_protocol,
     evaluate_protocol,
     forgetting_score,
     recall_at_n,
@@ -251,8 +252,13 @@ def smoke_run(tmp_path_factory):
     return run_protocol(cfg, seed=0, out_dir=tmp_path_factory.mktemp("run"), digest="d")
 
 
-def test_evaluate_protocol_matrix_layout(smoke_run):
-    ev = evaluate_protocol(smoke_run, fusion=False)
+@pytest.fixture(scope="module")
+def smoke_emb(smoke_run):
+    return embed_protocol(smoke_run)
+
+
+def test_evaluate_protocol_matrix_layout(smoke_run, smoke_emb):
+    ev = evaluate_protocol(smoke_run, smoke_emb, fusion=False)
     assert ev.recall_matrix.shape == (2, 2)
     # Zero-shot cell: task 1 scored by the step-0 model before training on it.
     assert np.isfinite(ev.recall_matrix[0, 1])
@@ -262,8 +268,8 @@ def test_evaluate_protocol_matrix_layout(smoke_run):
     assert ev.cells[0]["embedding_dim"] == 16
 
 
-def test_evaluate_protocol_fused_rows(smoke_run):
-    ev = evaluate_protocol(smoke_run, fusion=True)
+def test_evaluate_protocol_fused_rows(smoke_run, smoke_emb):
+    ev = evaluate_protocol(smoke_run, smoke_emb, fusion=True)
     dims = {(c["step"], c["task"]): c["embedding_dim"] for c in ev.cells}
     assert dims[(0, 0)] == 16  # row 0: first snapshot alone
     assert dims[(1, 0)] == 32  # row 1: steps 0 and 1 concatenated
@@ -273,7 +279,7 @@ def test_evaluate_protocol_fused_rows(smoke_run):
 def test_evaluate_protocol_missing_split_names_domain(smoke_run):
     broken = dataclasses.replace(smoke_run, query_splits=[smoke_run.query_splits[0], []])
     with pytest.raises(ConfigurationError, match=smoke_run.domain_names[1]):
-        evaluate_protocol(broken, fusion=False)
+        embed_protocol(broken)
 
 
 def test_evaluate_protocol_single_step_has_no_forgetting(smoke_run):
@@ -284,7 +290,7 @@ def test_evaluate_protocol_single_step_has_no_forgetting(smoke_run):
         query_splits=smoke_run.query_splits[:1],
         domain_names=smoke_run.domain_names[:1],
     )
-    ev = evaluate_protocol(one, fusion=False)
+    ev = evaluate_protocol(one, embed_protocol(one), fusion=False)
     assert ev.recall_matrix.shape == (1, 1)
     assert ev.forgetting is None
 
@@ -293,9 +299,9 @@ def test_evaluate_protocol_single_step_has_no_forgetting(smoke_run):
 # Result files
 
 
-def test_results_dict_layout(smoke_run):
-    single = evaluate_protocol(smoke_run, fusion=False)
-    fused = evaluate_protocol(smoke_run, fusion=True)
+def test_results_dict_layout(smoke_run, smoke_emb):
+    single = evaluate_protocol(smoke_run, smoke_emb, fusion=False)
+    fused = evaluate_protocol(smoke_run, smoke_emb, fusion=True)
     d = results_dict(fused, single, fused, seed=0, config_digest="abc")
     assert set(d) == {"recall_matrix", "mean_recall_at_1", "forgetting", "per_step_details"}
     assert d["recall_matrix"] == [[float(v) for v in row] for row in fused.recall_matrix]
@@ -307,16 +313,16 @@ def test_results_dict_layout(smoke_run):
     assert details["fused"]["forgetting"] == fused.forgetting.score
 
 
-def test_results_dict_single_mode(smoke_run):
-    single = evaluate_protocol(smoke_run, fusion=False)
+def test_results_dict_single_mode(smoke_run, smoke_emb):
+    single = evaluate_protocol(smoke_run, smoke_emb, fusion=False)
     d = results_dict(single, single, None, seed=3, config_digest="abc", notes="n")
     assert d["per_step_details"]["headline_mode"] == "single"
     assert d["per_step_details"]["fused"] is None
     assert d["per_step_details"]["notes"] == "n"
 
 
-def test_dump_results_is_canonical(smoke_run):
-    single = evaluate_protocol(smoke_run, fusion=False)
+def test_dump_results_is_canonical(smoke_run, smoke_emb):
+    single = evaluate_protocol(smoke_run, smoke_emb, fusion=False)
     d = results_dict(single, single, None, seed=0, config_digest="abc")
     text = dump_results(d)
     assert text == dump_results(json.loads(text))  # stable under roundtrip
