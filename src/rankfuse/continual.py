@@ -373,7 +373,6 @@ class ProtocolRun:
     records: list = field(default_factory=list)
     lambda_calls_per_step: list = field(default_factory=list)
     step_seconds: list = field(default_factory=list)
-    data_seconds: float = 0.0  # corpus generation
 
     def __post_init__(self):
         if len(self.snapshots) > len(self.domain_names):
@@ -404,11 +403,15 @@ def build_protocol_data(cfg: ExperimentConfig):
     return train, db, query
 
 
-def run_protocol(cfg: ExperimentConfig, seed: int, out_dir=None, digest: str = "") -> ProtocolRun:
-    """Train sequentially over the configured domains and save artifacts."""
-    t0 = time.perf_counter()
-    train, db, query = build_protocol_data(cfg)
-    data_seconds = time.perf_counter() - t0
+def run_protocol(
+    cfg: ExperimentConfig, seed: int, data, out_dir=None, digest: str = ""
+) -> ProtocolRun:
+    """Train sequentially over the configured domains and save artifacts.
+
+    ``data`` is the (train, db, query) triple of ``build_protocol_data(cfg)``.
+    It does not depend on the seed, so callers build it once per config.
+    """
+    train, db, query = data
     names = tuple(d.name for d in cfg.domains)
 
     out = Path(out_dir) if out_dir is not None else None
@@ -448,5 +451,4 @@ def run_protocol(cfg: ExperimentConfig, seed: int, out_dir=None, digest: str = "
         records=all_records,
         lambda_calls_per_step=lambda_calls,
         step_seconds=step_seconds,
-        data_seconds=data_seconds,
     )

@@ -20,8 +20,13 @@ from .errors import ConfigurationError, UsageError
 
 _PROB_FLOOR = 1e-12
 _DIST_FLOOR = 1e-12
-# Chunk size bound for the O(N^3) soft-rank sweeps (floats per chunk).
-_CHUNK_BUDGET = 2_000_000
+# Chunk size bound for the O(N^3) soft-rank sweeps (floats per chunk): 512 KB
+# per buffer, so both buffers fit in a 2 MB L2 cache. Measured on a Xeon at
+# one BLAS thread, per ranking_distill_loss call: whole 16-row batches take
+# 0.13 ms at any budget; at n=64, 16-row chunks 3.7 ms against 4.6 ms (1 row)
+# and 4.7 ms (64 rows); at n=256, 1-row chunks 213 ms against 231 ms (4 rows)
+# and 240 ms (30 rows).
+_CHUNK_BUDGET = 65_536
 
 # The one definition of each loss choice; config and cli import these.
 DIVERGENCES = ("skl", "kl", "js")
@@ -129,8 +134,44 @@ def similarity_backward(vectors: np.ndarray, upstream: np.ndarray) -> np.ndarray
     return -(a.sum(axis=1)[:, None] * v) + a @ v
 
 
-def _row_chunks(n: int) -> int:
-    return max(1, _CHUNK_BUDGET // max(n * n, 1))
+def _rank_sweep(S: np.ndarray, tau: float, r_ref=None, scale: float = 0.0):
+    """Soft ranks of S and, given ``r_ref``, dL/dS for L = scale * sum|R - r_ref|.
+
+    One pass over row chunks of the [q, i, j] sigmoid tensor, held in buffers
+    allocated once: each chunk gives its rows of R, and because dL/dR[q] =
+    scale * sign(R[q] - r_ref[q]) needs only row q, the same chunk then gives
+    its rows of dL/dS. Returns (R, dL/dS or None).
+    """
+    S = np.asarray(S, dtype=np.float64)
+    n = S.shape[0]
+    if tau <= 0:
+        raise UsageError(f"tau must be > 0, got {tau}")
+    r = np.empty_like(S)
+    ds = None if r_ref is None else np.empty_like(S)
+    diag = np.arange(n)
+    step = max(1, min(n, _CHUNK_BUDGET // max(n * n, 1)))
+    g_buf = np.empty((step, n, n))
+    p_buf = None if r_ref is None else np.empty_like(g_buf)
+    for start in range(0, n, step):
+        rows = S[start : start + step]
+        g = g_buf[: len(rows)]
+        np.subtract(rows[:, None, :], rows[:, :, None], out=g)  # [q, i, j]
+        np.divide(g, tau, out=g)
+        expit(g, out=g)
+        g[:, diag, diag] = 0.0
+        rc = r[start : start + step]
+        np.add(1.0, g.sum(axis=2), out=rc)
+        if r_ref is None:
+            continue
+        # dL/dR; sign(0) = 0 is the kink subgradient.
+        tc = scale * np.sign(rc - r_ref[start : start + step])
+        p = p_buf[: len(rows)]
+        np.subtract(1.0, g, out=p)
+        np.multiply(g, p, out=p)  # d sigmoid; 0 on the zeroed diagonal
+        ds[start : start + step] = (
+            np.einsum("qi,qik->qk", tc, p) - tc * p.sum(axis=2)
+        ) / tau
+    return r, ds
 
 
 def soft_ranks(S: np.ndarray, tau: float) -> np.ndarray:
@@ -139,19 +180,7 @@ def soft_ranks(S: np.ndarray, tau: float) -> np.ndarray:
     R[q, i] = 1 + sum_{j != i} sigmoid(S[q, j] - S[q, i]; tau). Each row sums
     to n + n(n-1)/2 because paired sigmoids sum to one.
     """
-    S = np.asarray(S, dtype=np.float64)
-    n = S.shape[0]
-    if tau <= 0:
-        raise UsageError(f"tau must be > 0, got {tau}")
-    r = np.empty_like(S)
-    diag = np.arange(n)
-    step = _row_chunks(n)
-    for start in range(0, n, step):
-        rows = S[start : start + step]
-        g = expit((rows[:, None, :] - rows[:, :, None]) / tau)  # [q, i, j]
-        g[:, diag, diag] = 0.0
-        r[start : start + step] = 1.0 + g.sum(axis=2)
-    return r
+    return _rank_sweep(S, tau)[0]
 
 
 def ranking_distill_loss(e_old, e_new, tau: float, norm: str = "cubic") -> LossValue:
@@ -168,25 +197,10 @@ def ranking_distill_loss(e_old, e_new, tau: float, norm: str = "cubic") -> LossV
     n = vo.shape[0]
     s_old = similarity_matrix(vo)
     s_new = similarity_matrix(vn)
-    r_old = soft_ranks(s_old, tau)
-    r_new = soft_ranks(s_new, tau)
     scale = 1.0 / (n**3 if norm == "cubic" else n**2)
-    delta = r_new - r_old
-    value = scale * np.abs(delta).sum()
-
-    t = scale * np.sign(delta)  # dL/dR_new; sign(0) = 0 is the kink subgradient
-    ds = np.empty_like(s_new)
-    diag = np.arange(n)
-    step = _row_chunks(n)
-    for start in range(0, n, step):
-        rows = s_new[start : start + step]
-        g = expit((rows[:, None, :] - rows[:, :, None]) / tau)
-        p = g * (1.0 - g)  # d sigmoid
-        p[:, diag, diag] = 0.0
-        tc = t[start : start + step]
-        ds[start : start + step] = (
-            np.einsum("qi,qik->qk", tc, p) - tc * p.sum(axis=2)
-        ) / tau
+    r_old = soft_ranks(s_old, tau)
+    r_new, ds = _rank_sweep(s_new, tau, r_old, scale)
+    value = scale * np.abs(r_new - r_old).sum()
     np.fill_diagonal(ds, 0.0)
     grad = similarity_backward(vn, ds)
     return LossValue(value=float(value), grad_new=grad)

@@ -19,6 +19,7 @@ from rankfuse.cli import gradcheck_suite
 from rankfuse.config import apply_overrides, load_config
 from rankfuse.continual import (
     MemoryBuffer,
+    build_protocol_data,
     lr_at,
     maybe_expand_batch,
     run_protocol,
@@ -242,13 +243,15 @@ def _stats(evals) -> dict:
 def comparative():
     cfg = load_config(REFERENCE)
     t0 = time.perf_counter()
+    data = build_protocol_data(cfg)  # the toggles below change neither input of it
     singles = {}
     fused = {}
     for name, toggles in TRAIN_VARIANTS.items():
         vcfg = apply_overrides(cfg, toggles=toggles)
+        assert (vcfg.domains, vcfg.encoder) == (cfg.domains, cfg.encoder)
         per_seed, fusion_evals = [], []
         for seed in cfg.seeds:
-            run = run_protocol(vcfg, seed)
+            run = run_protocol(vcfg, seed, data)
             emb = embed_protocol(run)
             per_seed.append(
                 evaluate_protocol(run, emb, fusion=False, forgetting_max=cfg.forgetting_max)
@@ -300,6 +303,7 @@ def comparative():
     return stats, wall, strict
 
 
+@pytest.mark.slow
 def test_criterion_7_comparative_experiment(comparative):
     stats, wall, strict = comparative
     ft, full = stats["fine_tune"], stats["full"]
@@ -320,6 +324,7 @@ def test_criterion_7_comparative_experiment(comparative):
     assert ok, json.dumps(stats, indent=2)
 
 
+@pytest.mark.slow
 def test_criterion_8_fusion_sanity(comparative):
     stats, _, _ = comparative
     db = tiny_domain(n_places=30, seed=11, points=24)

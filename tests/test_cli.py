@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import rankfuse.cli
 import rankfuse.evaluation
 from rankfuse.cli import main
 from rankfuse.data import load_corpus
@@ -114,6 +115,7 @@ def test_rerun_results_are_byte_identical(smoke_out, tmp_path):
     assert first == second
 
 
+@pytest.mark.slow
 def test_results_are_identical_across_blas_thread_counts(tmp_path):
     digests = []
     for threads in ("1", "2"):
@@ -141,6 +143,29 @@ def test_run_encodes_each_split_once_per_snapshot(monkeypatch, tmp_path):
     t_total = 2
     assert len(calls) == 2 * t_total**2
     assert calls == [30] * len(calls)  # smoke test_places
+
+
+def test_run_builds_corpora_once_for_all_seeds(monkeypatch, tmp_path):
+    # The splits depend only on the config: two seeds, one build, and the seed
+    # that paid for it records the time.
+    builds = []
+    real = rankfuse.cli.build_protocol_data
+
+    def counting(cfg):
+        builds.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(rankfuse.cli, "build_protocol_data", counting)
+    config = tmp_path / "two_seeds.yaml"
+    text = SMOKE.read_text()
+    assert "seeds: [0]\n" in text
+    config.write_text(text.replace("seeds: [0]\n", "seeds: [0, 1]\n"))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert len(builds) == 1
+    clock = json.loads((tmp_path / "out" / "manifest.json").read_text())["wall_clock"]
+    assert set(clock) == {"0", "1"}
+    assert set(clock["0"]) == set(clock["1"])
+    assert clock["0"]["data_seconds"] > 0 and clock["1"]["data_seconds"] == 0.0
 
 
 def test_toggles_disable_distillation_and_buffer(tmp_path):

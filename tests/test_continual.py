@@ -285,7 +285,7 @@ def test_write_run_log_appends_jsonl(tmp_path):
 
 def test_run_protocol_produces_artifacts(tmp_path):
     cfg = load_config(SMOKE)
-    run = run_protocol(cfg, seed=0, out_dir=tmp_path, digest="d")
+    run = run_protocol(cfg, 0, build_protocol_data(cfg), out_dir=tmp_path, digest="d")
     assert len(run.snapshots) == 2
     assert run.snapshots[0].step_index == 0 and run.snapshots[1].step_index == 1
     assert (tmp_path / "step_0.snap").is_file()
@@ -299,8 +299,9 @@ def test_run_protocol_produces_artifacts(tmp_path):
 
 def test_run_protocol_rerun_is_identical(tmp_path):
     cfg = load_config(SMOKE)
-    a = run_protocol(cfg, seed=0, out_dir=tmp_path / "a", digest="d")
-    b = run_protocol(cfg, seed=0, out_dir=tmp_path / "b", digest="d")
+    data = build_protocol_data(cfg)
+    a = run_protocol(cfg, 0, data, out_dir=tmp_path / "a", digest="d")
+    b = run_protocol(cfg, 0, data, out_dir=tmp_path / "b", digest="d")
     for sa, sb in zip(a.snapshots, b.snapshots):
         assert params_digest(sa.params) == params_digest(sb.params)
     assert (tmp_path / "a" / "run_log.jsonl").read_bytes() == (

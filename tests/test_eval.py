@@ -9,7 +9,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from rankfuse.config import load_config
-from rankfuse.continual import run_protocol
+from rankfuse.continual import build_protocol_data, run_protocol
 from rankfuse.encoder import init_params, make_snapshot
 from rankfuse.errors import ConfigurationError, UsageError
 from rankfuse.evaluation import (
@@ -249,7 +249,8 @@ def test_fusing_distinct_snapshots_changes_embedding_dim(db_samples):
 @pytest.fixture(scope="module")
 def smoke_run(tmp_path_factory):
     cfg = load_config(SMOKE)
-    return run_protocol(cfg, seed=0, out_dir=tmp_path_factory.mktemp("run"), digest="d")
+    out = tmp_path_factory.mktemp("run")
+    return run_protocol(cfg, 0, build_protocol_data(cfg), out_dir=out, digest="d")
 
 
 @pytest.fixture(scope="module")

@@ -60,6 +60,31 @@ def soft_rank_row(similarities: np.ndarray, tau: float) -> np.ndarray:
     return 1.0 + g.sum(axis=1)
 
 
+def rkd_three_sweeps(e_old, e_new, tau: float, norm: str = "cubic"):
+    """Oracle: ranking distillation as three separate, unchunked sigmoid sweeps.
+
+    Old soft ranks, new soft ranks, then the whole [q, i, j] tensor again for
+    dL/dS: the plain reference for the one-pass ``ranking_distill_loss``.
+    Returns (value, grad_new).
+    """
+    vn = np.asarray(e_new, dtype=np.float64)
+    n = vn.shape[0]
+    s_old, s_new = similarity_matrix(e_old), similarity_matrix(vn)
+    r_old = np.stack([soft_rank_row(row, tau) for row in s_old])
+    r_new = np.stack([soft_rank_row(row, tau) for row in s_new])
+    scale = 1.0 / (n**3 if norm == "cubic" else n**2)
+    delta = r_new - r_old
+    value = scale * np.abs(delta).sum()
+    t = scale * np.sign(delta)
+    g = sigmoid(s_new[:, None, :] - s_new[:, :, None], tau)
+    p = g * (1.0 - g)
+    diag = np.arange(n)
+    p[:, diag, diag] = 0.0
+    ds = (np.einsum("qi,qik->qk", t, p) - t * p.sum(axis=2)) / tau
+    np.fill_diagonal(ds, 0.0)
+    return float(value), similarity_backward(vn, ds)
+
+
 # ---------------------------------------------------------------------------
 # Similarity and sigmoid
 
@@ -165,6 +190,49 @@ def test_hard_rank_oracle_at_small_tau():
 
 # ---------------------------------------------------------------------------
 # Ranking distillation
+
+
+def _tied_pair(n, seed):
+    """Unit rows for (old, new); from n = 4 on, rows repeat so ranks tie exactly."""
+    old, new = _unit_rows(n, 8, seed), _unit_rows(n, 8, seed + 1)
+    if n >= 4:
+        new[n // 2 :] = new[: n - n // 2]
+        old[-1] = old[0]
+    return old, new
+
+
+@pytest.mark.parametrize("n", [2, 7, 64])
+def test_rkd_one_pass_matches_three_sweep_oracle_bit_for_bit(n, monkeypatch):
+    # Chunks of base-1, base and base+1 rows; base = (n-1)//3 leaves a 1-row tail.
+    base = max(1, (n - 1) // 3)
+    for norm in ("cubic", "quadratic"):
+        for tau in (0.3, 0.05, 0.01):  # 0.01 saturates some sigmoids to 0 and 1
+            old, new = _tied_pair(n, seed=n)
+            value, grad = rkd_three_sweeps(old, new, tau, norm)
+            for rows in sorted({max(1, base - 1), base, base + 1}):
+                monkeypatch.setattr(losses_mod, "_CHUNK_BUDGET", rows * n * n)
+                out = ranking_distill_loss(old, new, tau, norm=norm)
+                assert out.value == value, (norm, tau, rows)
+                assert np.array_equal(out.grad_new, grad), (norm, tau, rows)
+
+
+def test_rkd_evaluates_two_sigmoid_sweeps(monkeypatch):
+    # One n^3 sweep per side: soft ranks and dL/dS of the new side share it.
+    evaluated = []
+    real = losses_mod.expit
+
+    def counting(x, *args, **kwargs):
+        evaluated.append(np.size(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(losses_mod, "expit", counting)
+    n = 50  # two chunks at the default budget, the second one shorter
+    old, new = _unit_rows(n, 8, 1), _unit_rows(n, 8, 2)
+    ranking_distill_loss(old, new, tau=0.1)
+    assert sum(evaluated) == 2 * n**3
+    evaluated.clear()
+    soft_ranks(similarity_matrix(new), tau=0.1)
+    assert sum(evaluated) == n**3
 
 
 def test_rkd_zero_for_identical_embeddings(unit_rows):
