@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import time
 from pathlib import Path
@@ -67,6 +68,17 @@ EXIT_CONFIG = 2
 EXIT_TRAINING = 3
 EXIT_DIGEST = 4
 EXIT_GRADCHECK = 5
+
+
+class _StderrHandler(logging.Handler):
+    """Writes each record to the ``sys.stderr`` of the moment it is logged."""
+
+    def emit(self, record):
+        print(self.format(record), file=sys.stderr)
+
+
+_WARNINGS = _StderrHandler()
+_WARNINGS.setFormatter(logging.Formatter("warning: %(message)s"))
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -398,6 +410,8 @@ def cmd_gen_data(args) -> int:
 
 
 def main(argv=None) -> int:
+    # addHandler skips a handler already attached, so repeated calls add one.
+    logging.getLogger("rankfuse").addHandler(_WARNINGS)
     args = _parser().parse_args(argv)
     try:
         if args.verb == "run":

@@ -3,6 +3,14 @@ recall matrix, the forgetting score, and fused old+new retrieval.
 
 Retrieval is brute force (desk-scale databases make exactness cheap) with
 distance ties broken by lowest sample_id so every result is reproducible.
+Distances, for embeddings and for the positive-radius pose test alike, sum
+the squared column differences in column order from zero and then take the
+square root, which gives scipy's ``cdist`` euclidean bits without importing
+scipy. The top n of each query is found by selection, not by sorting its
+row: rows closer than the n-th smallest distance are in, and rows at exactly
+that distance fill the remaining slots. Only when those tied rows outnumber
+the slots and disagree on being true positives does that query fall back to
+a (distance, lowest sample_id) lexsort of its row.
 """
 
 from __future__ import annotations
@@ -12,13 +20,15 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .encoder import encode
 from .errors import ConfigurationError, UsageError
 
 RESULTS_FILE = "results.json"
 RECALL_CSV = "recall_matrix.csv"
+# Query rows per distance chunk. On a 2-vCPU Xeon, 1000 x 1000 at D = 32 and
+# 64, chunks of 64 rows timed fastest, 32 within 10% and 16 or 128 slower.
+_DIST_ROWS = 64
 
 
 @dataclass
@@ -58,26 +68,58 @@ def recall_at_n(
         raise UsageError("empty query split")
     if not (np.all(np.isfinite(db_emb)) and np.all(np.isfinite(q_emb))):
         raise UsageError("embeddings must be finite")
-    dists = cdist(q_emb, db_emb)
-    is_pos = cdist(q_poses, db_poses) < pos_test
-    hits = 0
-    evaluated = 0
-    excluded = 0
-    top = min(n, db_emb.shape[0])
-    for i in range(len(q_emb)):
-        if not is_pos[i].any():
-            excluded += 1
-            continue
-        evaluated += 1
-        # lexsort: primary key distance, secondary lowest sample_id on exact ties
+    dists = _euclidean(q_emb, db_emb)
+    is_pos = _euclidean(q_poses, db_poses) < pos_test
+    evaluated = int(is_pos.any(axis=1).sum())
+    excluded = len(q_emb) - evaluated
+    top = min(n, dists.shape[1])
+    # Rows closer than the top-th smallest distance are in the top; rows at
+    # exactly that distance fill the remaining (>= 1) slots.
+    kth = np.partition(dists, top - 1, axis=1)[:, top - 1 : top]
+    closer = dists < kth
+    tied = dists == kth
+    n_tied = tied.sum(axis=1)
+    tied_pos = (tied & is_pos).sum(axis=1)
+    all_in = top - closer.sum(axis=1) == n_tied
+    hit = (closer & is_pos).any(axis=1) | ((tied_pos > 0) & (all_in | (tied_pos == n_tied)))
+    # Some tied rows are positive, some not, and not all fit: the lowest
+    # sample ids among them decide, so rank that query's row as a whole.
+    for i in np.flatnonzero(~hit & (tied_pos > 0)):
         order = np.lexsort((db_ids, dists[i]))[:top]
-        if is_pos[i, order].any():
-            hits += 1
+        hit[i] = is_pos[i, order].any()
+    hits = int(hit.sum())
     if evaluated == 0:
         raise UsageError("every query lacked a true positive in the database")
     return RecallOutcome(
         percent=100.0 * hits / evaluated, evaluated=evaluated, excluded=excluded
     )
+
+
+def _euclidean(a, b) -> np.ndarray:
+    """Pairwise Euclidean distances, bit-equal to scipy's cdist (euclidean).
+
+    Squared differences add one column at a time, in column order, starting
+    from zero; rows of ``a`` go in chunks of ``_DIST_ROWS`` through buffers
+    allocated once.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b_cols = np.ascontiguousarray(np.asarray(b, dtype=np.float64).T)
+    out = np.zeros((a.shape[0], b_cols.shape[1]))
+    diff = np.empty((min(_DIST_ROWS, a.shape[0]), b_cols.shape[1]))
+    with np.errstate():  # restores the ufunc buffer size on exit
+        # numpy's default buffer copies broadcast rows shorter than itself
+        # through it; at the smallest size the (rows, 1) - (m,) subtraction
+        # runs in place, which halved this loop at 1000 x 1000.
+        np.setbufsize(16)
+        for start in range(0, a.shape[0], _DIST_ROWS):
+            rows = a[start : start + _DIST_ROWS]
+            acc = out[start : start + _DIST_ROWS]
+            d = diff[: len(rows)]
+            for k, col in enumerate(b_cols):
+                np.subtract(rows[:, k : k + 1], col, out=d)
+                np.multiply(d, d, out=d)
+                np.add(acc, d, out=acc)
+    return np.sqrt(out, out=out)
 
 
 def forgetting_score(recall_matrix: np.ndarray, mode: str = "printed") -> ForgettingReport:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigurationError, UsageError
 
@@ -32,6 +31,15 @@ _CHUNK_BUDGET = 65_536
 DIVERGENCES = ("skl", "kl", "js")
 LAMBDA_VARIANTS = ("literal", "incloud")
 RKD_NORMS = ("cubic", "quadratic")
+
+
+def expit(x, out=None):
+    """scipy's logistic sigmoid, imported on first call: ``rankfuse eval`` and
+    ``gen-data`` never load scipy. numpy's ``exp`` would differ in the last bit.
+    """
+    from scipy.special import expit as _expit
+
+    return _expit(x, out=out)
 
 
 @dataclass

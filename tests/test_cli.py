@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -56,6 +57,19 @@ def test_run_reports_each_seed(smoke_out):
     _, proc = smoke_out
     assert "seed 0:" in proc.stdout
     assert "mean R@1" in proc.stdout
+
+
+def test_run_prints_buffer_shortfall_warning(smoke_out):
+    # The smoke buffer quota exceeds a domain's 60 training samples.
+    _, proc = smoke_out
+    assert "warning: buffer shortfall" in proc.stderr
+
+
+def test_main_attaches_one_warning_handler(tmp_path):
+    logger = logging.getLogger("rankfuse")
+    for _ in range(3):
+        assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 2
+    assert logger.handlers.count(rankfuse.cli._WARNINGS) == 1
 
 
 def test_run_writes_all_artifacts(smoke_out):
@@ -257,6 +271,28 @@ def test_eval_fused_pair(smoke_out, corpora):
                "--queries", root / "plains" / "query")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["embedding_dim"] == 32
+
+
+def test_cli_never_imports_scipy(smoke_out, tmp_path):
+    # Import, gen-data and single and fused eval run without loading scipy;
+    # only the training losses import it (for expit).
+    out, _ = smoke_out
+    snaps = [str(out / "seed_0" / f"step_{i}.snap") for i in (0, 1)]
+    corpora = tmp_path / "corpora" / "plains"
+    script = f"""
+import sys
+import rankfuse.cli
+assert "scipy" not in sys.modules, "import"
+main = rankfuse.cli.main
+assert main(["gen-data", "--config", {str(SMOKE)!r}, "--out", {str(tmp_path)!r}]) == 0
+where = ["--corpus", {str(corpora / "db")!r}, "--queries", {str(corpora / "query")!r}]
+assert main(["eval", "--snapshot", {snaps[1]!r}] + where) == 0
+assert main(["eval", "--fusion", "on", "--snapshot", {snaps[0]!r}, "--snapshot", {snaps[1]!r}] + where) == 0
+assert "scipy" not in sys.modules, "verbs"
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("recall_at_n") == 2
 
 
 def test_eval_three_snapshots_is_usage_error(smoke_out, corpora):

@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+import rankfuse.evaluation as evaluation_mod
 from rankfuse.config import load_config
 from rankfuse.continual import build_protocol_data, run_protocol
 from rankfuse.encoder import init_params, make_snapshot
@@ -170,6 +173,68 @@ def test_recall_rejects_non_finite_embeddings(db_samples):
         recall_at_n(bad, poses, ids, db_emb, poses, 25.0, 1)
     with pytest.raises(UsageError, match="finite"):
         recall_at_n(db_emb, poses, ids, bad, poses, 25.0, 1)
+
+
+def lexsort_recall(db_emb, db_poses, db_ids, q_emb, q_poses, pos_test, n):
+    """The oracle: scipy distances and a full (distance, sample id) lexsort per query."""
+    dists = cdist(q_emb, db_emb)
+    is_pos = cdist(q_poses, db_poses) < pos_test
+    hits = evaluated = excluded = 0
+    top = min(n, db_emb.shape[0])
+    for i in range(len(q_emb)):
+        if not is_pos[i].any():
+            excluded += 1
+            continue
+        evaluated += 1
+        order = np.lexsort((db_ids, dists[i]))[:top]
+        if is_pos[i, order].any():
+            hits += 1
+    if evaluated == 0:
+        raise UsageError("every query lacked a true positive in the database")
+    return 100.0 * hits / evaluated, evaluated, excluded
+
+
+@pytest.mark.parametrize("dim", [2, 32, 64])
+def test_distance_matches_cdist_bit_for_bit(dim):
+    c = evaluation_mod._DIST_ROWS
+    rng = np.random.default_rng(dim)
+    for rows in (1, c - 1, c, c + 1, 2 * c + 1):
+        for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+            a = rng.normal(0.0, scale, (rows, dim))
+            b = rng.normal(0.0, scale, (40, dim))
+            b[:3] = a[:3] if rows >= 3 else a[0]  # duplicate rows: exact zeros
+            out = evaluation_mod._euclidean(a, b)
+            assert np.array_equal(out, cdist(a, b)), (rows, scale)
+            assert (out == 0.0).any()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 24),
+    q=st.integers(1, 16),
+    dim=st.integers(1, 4),
+    levels=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+)
+def test_recall_matches_lexsort_oracle(m, q, dim, levels, seed):
+    # Embeddings on a coarse integer grid tie exactly; poses on a 10 m grid
+    # with a 15 m radius leave some queries without a true positive.
+    rng = np.random.default_rng(seed)
+    db_emb = rng.integers(0, levels + 1, (m, dim)).astype(float)
+    q_emb = rng.integers(0, levels + 1, (q, dim)).astype(float)
+    db_poses = 10.0 * rng.integers(0, 4, (m, 2))
+    q_poses = 10.0 * rng.integers(0, 5, (q, 2))
+    ids = rng.permutation(3 * m)[:m]
+    for n in sorted({1, 5, m, m + 3}):
+        args = (db_emb, db_poses, ids, q_emb, q_poses, 15.0, n)
+        try:
+            expected = lexsort_recall(*args)
+        except UsageError:
+            with pytest.raises(UsageError, match="true positive"):
+                recall_at_n(*args)
+            continue
+        out = recall_at_n(*args)
+        assert (out.percent, out.evaluated, out.excluded) == expected, n
 
 
 # ---------------------------------------------------------------------------
