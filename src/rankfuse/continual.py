@@ -30,6 +30,7 @@ from .encoder import (
     AdamState,
     EncoderParams,
     ModelSnapshot,
+    TrainPass,
     adam_step,
     backward,
     encode,
@@ -194,6 +195,8 @@ def _train(
     pool = new_samples + buffer_entries
     pool_scans = np.stack([s.scan.points for s in pool])
     teacher = encode(old_params, pool_scans, normalize) if distill else None
+    # One set of (B, P, h) activation buffers for every batch of the step.
+    work = TrainPass()
 
     records = []
     lambda_calls = 0
@@ -212,7 +215,7 @@ def _train(
         ):
             batch = [pool[i] for i in rows]
             scans = pool_scans[rows]
-            e_new, cache = encode_with_cache(params, scans, normalize)
+            e_new, cache = encode_with_cache(params, scans, normalize, work)
             e_old = teacher[rows] if distill else None
             relation = batch_relation(batch, cfg.pairs)
             out = combined_loss(

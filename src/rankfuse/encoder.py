@@ -6,8 +6,18 @@ optional L2 row normalization. Forward, analytic backward, Adam with
 decoupled weight decay, and a versioned binary snapshot format.
 
 Two forward passes share the same arithmetic. ``encode_with_cache`` is the
-training pass: it runs the whole batch at once and keeps every activation
-plus the pooling indices for ``backward``. ``encode`` is the inference pass:
+training pass: it runs the whole batch at once and caches only what
+``backward`` reads, ``(x, h1, idx, pooled, z, norms)``. Two exact identities
+make the pre-activations unnecessary: ``a1 > 0`` holds exactly where
+``h1 > 0``, and the pooling gradient reaches only the arg-max point, whose
+pre-activation is positive exactly where the pooled value is. The (B, P, h)
+buffers belong to a ``TrainPass`` that a training step creates once and
+passes to every batch. A forward on a pass makes the caches of its earlier
+forwards stale, and ``backward`` raises ``UsageError`` on a stale cache
+rather than read overwritten buffers. ``backward`` only reads its cache, so
+it can run twice on one.
+
+``encode`` is the inference pass:
 it keeps no cache and runs the per-point layers in row chunks of about 4 MB
 per activation, so its memory stays bounded however many scans it embeds.
 Chunking does not change a single bit, since the per-point layers handle each
@@ -22,6 +32,7 @@ time, so save -> load -> encode is bit-exact.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -123,20 +134,6 @@ def _head(p: EncoderParams, pooled: np.ndarray, normalize: bool):
     return z / np.maximum(norms, _NORM_FLOOR), z, norms
 
 
-def _forward(params: EncoderParams, x: np.ndarray, normalize: bool):
-    p = params.astype(np.float64)
-    a1 = x @ p.w1 + p.b1
-    h1 = np.maximum(a1, 0.0)
-    a2 = h1 @ p.w2 + p.b2
-    h2 = np.maximum(a2, 0.0)
-    # argmax takes the first maximum: ties break to the lowest point index.
-    idx = np.argmax(h2, axis=1)
-    pooled = np.take_along_axis(h2, idx[:, None, :], axis=1)[:, 0, :]
-    e, z, norms = _head(p, pooled, normalize)
-    cache = (p, x, a1, h1, a2, idx, pooled, z, norms)
-    return e, cache
-
-
 def _chunk_bounds(rows: int, points: int, hidden: int) -> list[int]:
     """Row offsets of encode's chunks; no 1-row chunk unless ``rows`` is 1."""
     size = max(2, _ENCODE_BUDGET // max(points * hidden, 1))
@@ -167,57 +164,116 @@ def encode(params: EncoderParams, scans, normalize: bool = True) -> np.ndarray:
     return _head(p, pooled, normalize)[0]
 
 
-def encode_with_cache(params: EncoderParams, scans, normalize: bool = True):
-    """Training forward: embeddings plus the cache that backward() reads."""
+class TrainPass:
+    """The (B, P, h) buffers of one training step, reused by every batch.
+
+    A batch takes views of the first B·P·h elements of each buffer, and the
+    buffers grow when a batch needs more. Each forward bumps ``generation``,
+    which makes the caches of earlier forwards stale.
+    """
+
+    def __init__(self):
+        self.generation = 0
+        self._bufs = (np.empty(0), np.empty(0), np.empty(0))
+
+    def views(self, b: int, pts: int, h: int):
+        """(h1, scratch, dh1) views of shape (b, pts, h)."""
+        n = b * pts * h
+        if n > self._bufs[0].size:
+            self._bufs = tuple(np.empty(n) for _ in self._bufs)
+        return tuple(buf[:n].reshape(b, pts, h) for buf in self._bufs)
+
+
+@dataclass(frozen=True)
+class TrainCache:
+    """What ``backward`` reads of one training forward."""
+
+    x: np.ndarray  # (B, P, 3) inputs
+    h1: np.ndarray  # (B, P, h) first-layer activations, a view into ``work``
+    idx: np.ndarray  # (B, h) pooling indices
+    pooled: np.ndarray  # (B, h)
+    z: np.ndarray  # (B, D) projections
+    norms: np.ndarray | None  # (B, 1), None without normalization
+    work: TrainPass
+    generation: int
+
+
+def encode_with_cache(params: EncoderParams, scans, normalize: bool = True,
+                      work: TrainPass | None = None):
+    """Training forward: embeddings plus the ``TrainCache`` that backward() reads.
+
+    The activations live in ``work``'s buffers; without ``work`` the call
+    allocates its own. The rows equal ``encode``'s bit for bit.
+    """
     x = _stack_scans(scans)
-    return _forward(params, x, normalize)
+    p = params.astype(np.float64)
+    work = TrainPass() if work is None else work
+    work.generation += 1
+    h1, h2, _ = work.views(len(x), x.shape[1], p.hidden)
+    np.matmul(x, p.w1, out=h1)
+    h1 += p.b1
+    np.maximum(h1, 0.0, out=h1)
+    np.matmul(h1, p.w2, out=h2)
+    h2 += p.b2
+    np.maximum(h2, 0.0, out=h2)
+    # argmax takes the first maximum: ties break to the lowest point index.
+    idx = np.argmax(h2, axis=1)
+    pooled = np.take_along_axis(h2, idx[:, None, :], axis=1)[:, 0, :]
+    e, z, norms = _head(p, pooled, normalize)
+    return e, TrainCache(x, h1, idx, pooled, z, norms, work, work.generation)
 
 
 def backward(params: EncoderParams, scans, upstream: np.ndarray, normalize: bool = True,
-             cache=None) -> GradientBundle:
+             *, cache: TrainCache) -> GradientBundle:
     """Exact loss gradient w.r.t. every parameter given d(loss)/d(embedding).
 
-    Max pooling routes gradient to the argmax point (lowest index on ties);
-    the rectifier subgradient at 0 is 0. With normalization on, the full
-    normalization Jacobian is applied; rows with norm below 1e-12 get zero
-    gradient (subgradient convention at the origin).
+    ``params``, ``scans`` and ``normalize`` are those of the forward that made
+    ``cache``. Max pooling routes gradient to the argmax point (lowest index
+    on ties); the rectifier subgradient at 0 is 0. With normalization on, the
+    full normalization Jacobian is applied; rows with norm below 1e-12 get
+    zero gradient (subgradient convention at the origin). The cache is only
+    read, so a second call gives the same bytes.
     """
-    if cache is None:
-        x = _stack_scans(scans)
-        _, cache = _forward(params, x, normalize)
-    p, x, a1, h1, a2, idx, pooled, z, norms = cache
+    if cache.generation != cache.work.generation:
+        raise UsageError("stale training cache: a later forward on its pass overwrote it")
+    x, h1, norms = cache.x, cache.h1, cache.norms
+    if np.shape(scans) != x.shape or normalize != (norms is not None):
+        raise UsageError("backward scans or normalize differ from the cached forward")
+    p = params.astype(np.float64)
     de = np.asarray(upstream, dtype=np.float64)
-    if de.shape != z.shape:
-        raise UsageError(f"upstream shape {de.shape} does not match embeddings {z.shape}")
+    if de.shape != cache.z.shape:
+        raise UsageError(f"upstream shape {de.shape} does not match embeddings {cache.z.shape}")
 
     if normalize:
         safe = np.maximum(norms, _NORM_FLOOR)
-        e = z / safe
+        e = cache.z / safe
         dz = (de - np.sum(de * e, axis=1, keepdims=True) * e) / safe
         dz[norms[:, 0] < _NORM_FLOOR] = 0.0
     else:
         dz = de
 
-    dw3 = pooled.T @ dz
+    dw3 = cache.pooled.T @ dz
     db3 = dz.sum(axis=0)
     dpooled = dz @ p.w3.T
 
-    dh2 = np.zeros_like(a2)
-    np.put_along_axis(dh2, idx[:, None, :], dpooled[:, None, :], axis=1)
-    da2 = dh2 * (a2 > 0.0)
-
-    b, pts, h = a2.shape
+    # Only the pooled point of each channel gets gradient, and its
+    # pre-activation is positive exactly where the pooled value is.
+    b, pts, h = h1.shape
+    _, da2, dh1 = cache.work.views(b, pts, h)
+    da2.fill(0.0)
+    np.put_along_axis(da2, cache.idx[:, None, :],
+                      (dpooled * (cache.pooled > 0.0))[:, None, :], axis=1)
     h1f = h1.reshape(b * pts, h)
     da2f = da2.reshape(b * pts, h)
     dw2 = h1f.T @ da2f
     db2 = da2f.sum(axis=0)
-    dh1 = da2 @ p.w2.T
-    da1 = dh1 * (a1 > 0.0)
+    np.matmul(da2, p.w2.T, out=dh1)
+    dh1 *= h1 > 0.0  # h1 > 0 exactly where its pre-activation is
 
     xf = x.reshape(b * pts, 3)
-    da1f = da1.reshape(b * pts, h)
-    dw1 = xf.T @ da1f
-    db1 = da1f.sum(axis=0)
+    dh1f = dh1.reshape(b * pts, h)
+    dw1 = xf.T @ dh1f
+    db1 = dh1f.sum(axis=0)
     return EncoderParams(w1=dw1, b1=db1, w2=dw2, b2=db2, w3=dw3, b3=db3)
 
 
@@ -227,13 +283,16 @@ def backward(params: EncoderParams, scans, upstream: np.ndarray, normalize: bool
 
 @dataclass
 class AdamState:
-    m: EncoderParams
-    v: EncoderParams
+    """Adam moments as flat float64 vectors in declaration order, updated in place."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def zeros_like(cls, params: EncoderParams) -> "AdamState":
-        return cls(m=params.map(np.zeros_like), v=params.map(np.zeros_like), t=0)
+        n = sum(t.size for t in params.tensors())
+        return cls(m=np.zeros(n), v=np.zeros(n), t=0)
 
 
 def adam_step(
@@ -246,23 +305,30 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[EncoderParams, AdamState]:
-    """One Adam update; weight decay is decoupled and applied before the moments."""
-    for name, g in zip(_FIELDS, grads.tensors()):
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in {name}")
+    """One Adam update; weight decay is decoupled and applied before the moments.
+
+    Every tensor is updated at once, as one flat vector: the arithmetic is
+    elementwise, so each element gets the same operations in the same order
+    as a per-tensor update. ``state``'s moments are updated in place, and
+    ``state`` is returned; the returned params are new arrays.
+    """
+    g = flatten_params(grads)
+    if not np.all(np.isfinite(g)):
+        name = next(f for f, t in zip(_FIELDS, grads.tensors()) if not np.all(np.isfinite(t)))
+        raise TrainingError(f"non-finite gradient in {name}")
     t = state.t + 1
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    new_p, new_m, new_v = [], [], []
-    for pt, gt, mt, vt in zip(params.tensors(), grads.tensors(), state.m.tensors(), state.v.tensors()):
-        pt = pt - lr * weight_decay * pt
-        m = beta1 * mt + (1.0 - beta1) * gt
-        v = beta2 * vt + (1.0 - beta2) * gt * gt
-        pt = pt - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-        new_p.append(pt)
-        new_m.append(m)
-        new_v.append(v)
-    return EncoderParams(*new_p), AdamState(m=EncoderParams(*new_m), v=EncoderParams(*new_v), t=t)
+    p = flatten_params(params)
+    p -= lr * weight_decay * p
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    state.t = t
+    return unflatten_params(p, params.hidden, params.out_dim), state
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +342,14 @@ def flatten_params(params: EncoderParams) -> np.ndarray:
 def unflatten_params(vec: np.ndarray, hidden: int, dim: int) -> EncoderParams:
     """Inverse of flatten_params for the given architecture."""
     shapes = [(3, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, dim), (dim,)]
-    total = sum(int(np.prod(s)) for s in shapes)
+    total = sum(math.prod(s) for s in shapes)
     vec = np.asarray(vec, dtype=np.float64)
     if vec.shape != (total,):
         raise UsageError(f"expected a flat vector of {total} params, got {vec.shape}")
     out = []
     off = 0
     for s in shapes:
-        n = int(np.prod(s))
+        n = math.prod(s)
         out.append(vec[off : off + n].reshape(s))
         off += n
     return EncoderParams(*out)
@@ -330,6 +396,8 @@ def load_snapshot(path: str | Path) -> ModelSnapshot:
         raw = Path(path).read_bytes()
     except FileNotFoundError:
         raise UsageError(f"snapshot file not found: {path}") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read snapshot file {path}: {exc.strerror}") from None
     off = 0
 
     def take(n):
@@ -344,10 +412,15 @@ def load_snapshot(path: str | Path) -> ModelSnapshot:
         raise UsageError(f"{path} is not a snapshot file (bad magic)")
     (version,) = struct.unpack("<I", take(4))
     if version != _SNAP_VERSION:
-        raise UsageError(f"unsupported snapshot version {version}")
+        raise UsageError(f"unsupported snapshot version {version} in {path}")
     (dlen,) = struct.unpack("<H", take(2))
-    digest = take(dlen).decode("utf-8")
+    try:
+        digest = take(dlen).decode("utf-8")
+    except UnicodeDecodeError:
+        raise UsageError(f"config digest in snapshot file {path} is not UTF-8") from None
     step_index, hidden, dim = struct.unpack("<III", take(12))
+    if hidden < 1 or dim < 1:
+        raise UsageError(f"snapshot file {path} has hidden={hidden}, dim={dim}; both must be >= 1")
     (norm_flag,) = struct.unpack("<B", take(1))
     shapes = [(3, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, dim), (dim,)]
     tensors = []

@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -338,6 +339,63 @@ def test_eval_missing_snapshot_exits_2(corpora, tmp_path):
                "--queries", root / "plains" / "query")
     assert proc.returncode == 2
     assert "not found" in proc.stderr
+
+
+def _eval_snapshot(corpora, snap):
+    root, _ = corpora
+    proc = cli("eval", "--snapshot", snap,
+               "--corpus", root / "plains" / "db",
+               "--queries", root / "plains" / "query")
+    assert "Traceback" not in proc.stderr
+    return proc
+
+
+def _snapshot_bytes(smoke_out):
+    out, _ = smoke_out
+    raw = bytearray((out / "seed_0" / "step_1.snap").read_bytes())
+    # magic (4), version (4), digest length (2), digest, step/hidden/dim (12), flag (1)
+    (dlen,) = struct.unpack("<H", raw[8:10])
+    return raw, 10 + dlen
+
+
+def test_eval_snapshot_directory_exits_2(corpora, tmp_path):
+    proc = _eval_snapshot(corpora, tmp_path)
+    assert proc.returncode == 2
+    assert f"cannot read snapshot file {tmp_path}" in proc.stderr
+
+
+def test_eval_snapshot_non_utf8_digest_exits_2(smoke_out, corpora, tmp_path):
+    raw, _ = _snapshot_bytes(smoke_out)
+    raw[10] = 0xFF
+    snap = tmp_path / "bad_digest.snap"
+    snap.write_bytes(raw)
+    proc = _eval_snapshot(corpora, snap)
+    assert proc.returncode == 2
+    assert f"config digest in snapshot file {snap} is not UTF-8" in proc.stderr
+
+
+def test_eval_snapshot_unsupported_version_exits_2(smoke_out, corpora, tmp_path):
+    raw, _ = _snapshot_bytes(smoke_out)
+    raw[4:8] = struct.pack("<I", 7)
+    snap = tmp_path / "v7.snap"
+    snap.write_bytes(raw)
+    proc = _eval_snapshot(corpora, snap)
+    assert proc.returncode == 2
+    assert f"unsupported snapshot version 7 in {snap}" in proc.stderr
+
+
+@pytest.mark.parametrize("hidden, dim", [(0, 8), (8, 0)])
+def test_eval_snapshot_zero_dims_exits_2(smoke_out, corpora, tmp_path, hidden, dim):
+    # A self-consistent file: exactly the tensor bytes its header asks for.
+    raw, head = _snapshot_bytes(smoke_out)
+    step, _, _ = struct.unpack("<III", raw[head : head + 12])
+    floats = 3 * hidden + hidden + hidden * hidden + hidden + hidden * dim + dim
+    snap = tmp_path / "empty_dims.snap"
+    snap.write_bytes(raw[:head] + struct.pack("<III", step, hidden, dim) + raw[head + 12 : head + 13]
+                     + np.zeros(floats, dtype="<f4").tobytes())
+    proc = _eval_snapshot(corpora, snap)
+    assert proc.returncode == 2
+    assert f"snapshot file {snap} has hidden={hidden}, dim={dim}" in proc.stderr
 
 
 def _eval_on(smoke_out, database, queries):

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from rankfuse.encoder import (
     _ENCODE_BUDGET,
+    _NORM_FLOOR,
     _chunk_bounds,
+    _head,
     AdamState,
     EncoderParams,
+    TrainPass,
     adam_step,
     backward,
     encode,
@@ -22,12 +25,80 @@ from rankfuse.encoder import (
     save_snapshot,
     unflatten_params,
 )
-from rankfuse.errors import UsageError
+from rankfuse.errors import TrainingError, UsageError
 
 
 def _scans(n, p, seed=0):
     rng = np.random.default_rng(seed)
     return rng.uniform(-1.0, 1.0, (n, p, 3))
+
+
+def _grads(params, scans, upstream, normalize=True):
+    _, cache = encode_with_cache(params, scans, normalize)
+    return backward(params, scans, upstream, normalize, cache=cache)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the training forward and backward as they were before the lean
+# pass, caching every pre-activation and masking with dense (B, P, h) arrays.
+
+
+def _forward(params, x, normalize):
+    p = params.astype(np.float64)
+    a1 = x @ p.w1 + p.b1
+    h1 = np.maximum(a1, 0.0)
+    a2 = h1 @ p.w2 + p.b2
+    h2 = np.maximum(a2, 0.0)
+    idx = np.argmax(h2, axis=1)
+    pooled = np.take_along_axis(h2, idx[:, None, :], axis=1)[:, 0, :]
+    e, z, norms = _head(p, pooled, normalize)
+    return e, (p, x, a1, h1, a2, idx, pooled, z, norms)
+
+
+def oracle_backward(params, x, upstream, normalize):
+    _, cache = _forward(params, x, normalize)
+    p, x, a1, h1, a2, idx, pooled, z, norms = cache
+    de = np.asarray(upstream, dtype=np.float64)
+    if normalize:
+        safe = np.maximum(norms, _NORM_FLOOR)
+        e = z / safe
+        dz = (de - np.sum(de * e, axis=1, keepdims=True) * e) / safe
+        dz[norms[:, 0] < _NORM_FLOOR] = 0.0
+    else:
+        dz = de
+    dw3 = pooled.T @ dz
+    db3 = dz.sum(axis=0)
+    dpooled = dz @ p.w3.T
+    dh2 = np.zeros_like(a2)
+    np.put_along_axis(dh2, idx[:, None, :], dpooled[:, None, :], axis=1)
+    da2 = dh2 * (a2 > 0.0)
+    b, pts, h = a2.shape
+    h1f = h1.reshape(b * pts, h)
+    da2f = da2.reshape(b * pts, h)
+    dw2 = h1f.T @ da2f
+    db2 = da2f.sum(axis=0)
+    dh1 = da2 @ p.w2.T
+    da1 = dh1 * (a1 > 0.0)
+    xf = x.reshape(b * pts, 3)
+    da1f = da1.reshape(b * pts, h)
+    dw1 = xf.T @ da1f
+    db1 = da1f.sum(axis=0)
+    return EncoderParams(w1=dw1, b1=db1, w2=dw2, b2=db2, w3=dw3, b3=db3)
+
+
+def _bytes(*arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+def _pass_bytes(params, x, upstream, normalize, work=None):
+    """Embedding and gradient bytes of one lean forward plus backward."""
+    e, cache = encode_with_cache(params, x, normalize, work)
+    return _bytes(e, *backward(params, x, upstream, normalize, cache=cache).tensors())
+
+
+def _oracle_bytes(params, x, upstream, normalize):
+    e, _ = _forward(params, x, normalize)
+    return _bytes(e, *oracle_backward(params, x, upstream, normalize).tensors())
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +208,13 @@ def test_encoder_is_permutation_invariant_including_ties(seed, n_points, copies,
     # maximum, so gradients agree under any permutation.
     e, cache = encode_with_cache(params, shuffled)
     np.testing.assert_array_equal(e, encode(params, scans))
-    h2 = np.maximum(cache[4], 0.0)
-    idx = cache[5]
+    h2 = np.maximum(_forward(params, shuffled, True)[1][4], 0.0)
     for b in range(h2.shape[0]):
         for c in range(h2.shape[2]):
             col = h2[b, :, c]
-            assert idx[b, c] == np.flatnonzero(col == col.max()).min()
+            assert cache.idx[b, c] == np.flatnonzero(col == col.max()).min()
     probe = rng.normal(size=e.shape)
-    a = backward(params, scans, probe)
+    a = _grads(params, scans, probe)
     g = backward(params, shuffled, probe, cache=cache)
     for ta, tg in zip(a.tensors(), g.tensors()):
         np.testing.assert_allclose(tg, ta, rtol=1e-12, atol=1e-12)
@@ -164,7 +234,7 @@ def test_backward_matches_finite_differences():
         p = unflatten_params(vec, hidden=6, dim=5)
         return float(np.sum(probe * encode(p, scans)))
 
-    grads = backward(params, scans, upstream=probe)
+    grads = _grads(params, scans, probe)
     analytic = np.concatenate(
         [np.asarray(g, dtype=np.float64).ravel() for g in (grads.w1, grads.b1, grads.w2, grads.b2, grads.w3, grads.b3)]
     )
@@ -180,14 +250,101 @@ def test_backward_matches_finite_differences():
 
 
 def test_backward_accepts_cache():
+    # A cache on a step's pass gives the gradients of a fresh forward.
     params = init_params(seed=9, hidden=6, dim=5)
     scans = _scans(4, 9, seed=9)
     upstream = np.ones((4, 5))
-    _, cache = encode_with_cache(params, scans)
-    a = backward(params, scans, upstream)
+    _, cache = encode_with_cache(params, scans, True, TrainPass())
+    a = oracle_backward(params, scans, upstream, True)
     b = backward(params, scans, upstream, cache=cache)
-    np.testing.assert_array_equal(a.w1, b.w1)
-    np.testing.assert_array_equal(a.b3, b.b3)
+    for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    b=st.integers(1, 20),
+    pts=st.integers(1, 12),
+    hidden=st.integers(1, 8),
+    dim=st.integers(1, 5),
+    quantize=st.booleans(),
+    copies=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=6),
+    bias_shift=st.sampled_from([0.0, -0.5, -3.0]),
+    dead=st.booleans(),
+)
+def test_lean_pass_matches_oracle_bytes(seed, b, pts, hidden, dim, quantize, copies,
+                                        bias_shift, dead):
+    # tobytes, so the sign of every zero counts. Quantised and duplicated
+    # points tie the pooling maxima; negative biases pool channels to 0, and
+    # ``dead`` makes one first-layer channel zero at every point.
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (b, pts, 3))
+    if quantize:
+        x = np.round(x * 2.0) / 2.0
+    for src, dst in copies:
+        x[:, dst % pts] = x[:, src % pts]
+    base = init_params(seed % 1000, hidden, dim)
+    shift = bias_shift * rng.uniform(0.0, 1.0, hidden)
+    b1 = base.b1 + shift
+    b1[0] -= 10.0 if dead else 0.0
+    params = EncoderParams(base.w1, b1, base.w2, base.b2 + shift, base.w3,
+                           rng.normal(size=dim))
+    upstream = rng.normal(size=(b, dim))
+    work = TrainPass()
+    for normalize in (True, False):
+        expected = _oracle_bytes(params, x, upstream, normalize)
+        assert _pass_bytes(params, x, upstream, normalize) == expected
+        assert _pass_bytes(params, x, upstream, normalize, work) == expected
+
+
+def test_pass_reuse_across_shapes_matches_fresh_pass():
+    # Batches grow (16 -> 64 at the reference shapes) and shrink; one pass
+    # object serves each shape with the bytes of a fresh pass.
+    params = init_params(seed=13, hidden=H, dim=D)
+    rng = np.random.default_rng(13)
+    work = TrainPass()
+    for b, pts in ((64, 40), (16, 40), (70, 40), (16, 58)):
+        x = _tied_scans(b, pts, seed=b + pts)
+        upstream = rng.normal(size=(b, D))
+        assert _pass_bytes(params, x, upstream, True, work) == _pass_bytes(
+            params, x, upstream, True
+        )
+
+
+def test_backward_refuses_stale_cache():
+    params = init_params(seed=14, hidden=6, dim=5)
+    work = TrainPass()
+    _, first = encode_with_cache(params, _scans(4, 9, seed=1), True, work)
+    x = _scans(4, 9, seed=2)
+    _, second = encode_with_cache(params, x, True, work)
+    with pytest.raises(UsageError, match="stale"):
+        backward(params, x, np.ones((4, 5)), cache=first)
+    backward(params, x, np.ones((4, 5)), cache=second)
+
+
+def test_backward_twice_on_one_cache_gives_equal_bytes():
+    params = init_params(seed=15, hidden=H, dim=D)
+    x = _tied_scans(16, 40, seed=15)
+    upstream = np.random.default_rng(15).normal(size=(16, D))
+    for work in (None, TrainPass()):
+        _, cache = encode_with_cache(params, x, True, work)
+        first = backward(params, x, upstream, cache=cache)
+        second = backward(params, x, upstream, cache=cache)
+        assert _bytes(*first.tensors()) == _bytes(*second.tensors())
+        assert _bytes(*first.tensors()) == _oracle_bytes(params, x, upstream, True)[1:]
+
+
+def test_backward_checks_its_arguments_against_the_cache():
+    params = init_params(seed=16, hidden=6, dim=5)
+    x = _scans(4, 9)
+    _, cache = encode_with_cache(params, x, True)
+    with pytest.raises(UsageError):
+        backward(params, x, np.ones((4, 5)), False, cache=cache)
+    with pytest.raises(UsageError):
+        backward(params, x[:3], np.ones((4, 5)), cache=cache)
+    with pytest.raises(UsageError, match="upstream"):
+        backward(params, x, np.ones((4, 4)), cache=cache)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +354,7 @@ def test_backward_accepts_cache():
 def test_adam_step_moves_against_gradient():
     params = init_params(seed=0, hidden=4, dim=4)
     scans = _scans(2, 6)
-    grads = backward(params, scans, upstream=np.ones((2, 4)))
+    grads = _grads(params, scans, np.ones((2, 4)))
     state = AdamState.zeros_like(params)
     new_params, new_state = adam_step(params, grads, state, lr=1e-2)
     assert not np.array_equal(flatten_params(new_params), flatten_params(params))
@@ -207,11 +364,54 @@ def test_adam_step_moves_against_gradient():
 def test_adam_weight_decay_is_decoupled():
     # Zero gradient, nonzero decay: parameters shrink, moments stay zero.
     params = init_params(seed=0, hidden=4, dim=4)
-    zero = backward(params, _scans(2, 6), upstream=np.zeros((2, 4)))
+    zero = _grads(params, _scans(2, 6), np.zeros((2, 4)))
     state = AdamState.zeros_like(params)
     new_params, new_state = adam_step(params, zero, state, lr=0.1, weight_decay=0.01)
     np.testing.assert_allclose(new_params.w1, params.w1 * (1 - 0.1 * 0.01), atol=1e-15)
-    np.testing.assert_array_equal(new_state.m.w1, 0.0)
+    np.testing.assert_array_equal(new_state.m, 0.0)
+
+
+def oracle_adam_step(params, grads, moments, t, lr, weight_decay=0.0, beta1=0.9,
+                     beta2=0.999, eps=1e-8):
+    """Adam as it was before the flat in-place moments: one tensor at a time."""
+    t += 1
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    new_p, new_m, new_v = [], [], []
+    for pt, gt, mt, vt in zip(params.tensors(), grads.tensors(), *moments):
+        pt = pt - lr * weight_decay * pt
+        m = beta1 * mt + (1.0 - beta1) * gt
+        v = beta2 * vt + (1.0 - beta2) * gt * gt
+        pt = pt - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        new_p.append(pt)
+        new_m.append(m)
+        new_v.append(v)
+    return EncoderParams(*new_p), (new_m, new_v), t
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+def test_adam_step_matches_per_tensor_oracle_bytes(weight_decay):
+    rng = np.random.default_rng(17)
+    params = init_params(seed=17, hidden=H, dim=D)
+    expected, moments, t = params, (params.map(np.zeros_like).tensors(),) * 2, 0
+    state = AdamState.zeros_like(params)
+    for step in range(6):
+        grads = params.map(lambda a: rng.normal(size=a.shape) * (rng.uniform(size=a.shape) < 0.7))
+        lr = 1e-3 if step < 4 else 1e-4
+        params, state = adam_step(params, grads, state, lr=lr, weight_decay=weight_decay)
+        expected, moments, t = oracle_adam_step(expected, grads, moments, t, lr, weight_decay)
+        assert _bytes(*params.tensors()) == _bytes(*expected.tensors())
+        assert state.m.tobytes() == np.concatenate([a.ravel() for a in moments[0]]).tobytes()
+        assert state.v.tobytes() == np.concatenate([a.ravel() for a in moments[1]]).tobytes()
+        assert state.t == t
+
+
+def test_adam_rejects_non_finite_gradient_by_name():
+    params = init_params(seed=0, hidden=4, dim=4)
+    grads = params.map(np.zeros_like)
+    grads.w2[1, 2] = np.nan
+    with pytest.raises(TrainingError, match="non-finite gradient in w2"):
+        adam_step(params, grads, AdamState.zeros_like(params), lr=1e-3)
 
 
 def test_flatten_unflatten_roundtrip():
