@@ -60,6 +60,7 @@ from .losses import (
     combined_loss,
     distribution_distill_loss,
     ranking_distill_loss,
+    sweep_workers,
     triplet_loss,
 )
 
@@ -140,6 +141,14 @@ def _effective_config(args):
     )
 
 
+def _numpy_simd() -> dict:
+    """numpy's SIMD baseline and the dispatch targets it found on this CPU."""
+    try:
+        return np.show_config(mode="dicts").get("SIMD Extensions", {})
+    except TypeError:  # numpy < 1.26 has no dict mode
+        return {}
+
+
 def cmd_run(args) -> int:
     cfg = _effective_config(args)
     digest = config_digest(cfg)
@@ -152,6 +161,10 @@ def cmd_run(args) -> int:
         "seeds": list(cfg.seeds),
         "results": {},
         "wall_clock": {},
+        # Threads a soft-rank sweep runs on at the largest batch, and the SIMD
+        # kernels numpy picked: neither changes results.json.
+        "rank_sweep_workers": sweep_workers(cfg.plan.batch_cap),
+        "numpy_simd": _numpy_simd(),
     }
     agg = {"single": {"mean_recall_at_1": [], "forgetting": []},
            "fused": {"mean_recall_at_1": [], "forgetting": []}}
@@ -225,13 +238,15 @@ def cmd_eval(args) -> int:
         raise UsageError(f"single-model eval needs one snapshot, got {len(snaps)}")
 
     digests = {s.config_digest for s in snaps}
+    names = " and ".join(str(p) for p in args.snapshot)
     if len(digests) > 1:
-        print("error: snapshots come from different configs", file=sys.stderr)
+        print(f"error: snapshots come from different configs: {names}", file=sys.stderr)
         return EXIT_DIGEST
     if args.config is not None:
         cfg = load_config(args.config)
         if config_digest(cfg) not in digests:
-            print("error: snapshot digest does not match --config", file=sys.stderr)
+            print(f"error: snapshot digest of {names} does not match --config {args.config}",
+                  file=sys.stderr)
             return EXIT_DIGEST
 
     policy = PairPolicy(pos_test=args.pos_test)

@@ -425,7 +425,7 @@ def load_snapshot(path: str | Path) -> ModelSnapshot:
     shapes = [(3, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, dim), (dim,)]
     tensors = []
     for shape in shapes:
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         tensors.append(np.frombuffer(take(4 * n), dtype="<f4").reshape(shape).copy())
     if off != len(raw):
         raise UsageError(f"trailing bytes in snapshot file {path}")

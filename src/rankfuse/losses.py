@@ -7,10 +7,19 @@ Conventions shared by every loss here:
     only;
   * subgradients at hinge/absolute-value kinks are 0;
   * probability floors clamp at 1e-12 before any log.
+
+The O(N^3) soft-rank sweeps of ranking distillation run on every CPU the
+process may use. Their row chunks are dealt out in contiguous shares, one
+per thread; each row gets the same operations on the same inputs at any
+thread count, so the bytes do not depend on it. The helper threads call
+only numpy and ``expit``, which release the GIL, and are joined before the
+sweep returns.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +33,9 @@ _DIST_FLOOR = 1e-12
 # one BLAS thread, per ranking_distill_loss call: whole 16-row batches take
 # 0.13 ms at any budget; at n=64, 16-row chunks 3.7 ms against 4.6 ms (1 row)
 # and 4.7 ms (64 rows); at n=256, 1-row chunks 213 ms against 231 ms (4 rows)
-# and 240 ms (30 rows).
+# and 240 ms (30 rows). Each sweep thread owns one pair of buffers, and
+# threads take whole chunks, so the chunk boundaries never depend on the
+# thread count.
 _CHUNK_BUDGET = 65_536
 
 # The one definition of each loss choice; config and cli import these.
@@ -142,25 +153,37 @@ def similarity_backward(vectors: np.ndarray, upstream: np.ndarray) -> np.ndarray
     return -(a.sum(axis=1)[:, None] * v) + a @ v
 
 
-def _rank_sweep(S: np.ndarray, tau: float, r_ref=None, scale: float = 0.0):
-    """Soft ranks of S and, given ``r_ref``, dL/dS for L = scale * sum|R - r_ref|.
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_rows(n: int) -> int:
+    return max(1, min(n, _CHUNK_BUDGET // max(n * n, 1)))
+
+
+def sweep_workers(n: int) -> int:
+    """Threads a soft-rank sweep over n rows runs on: one per usable CPU, at
+    most one per row chunk."""
+    chunks = -(-n // _chunk_rows(n))
+    return max(1, min(_usable_cpus(), chunks))
+
+
+def _sweep_rows(S, tau, r_ref, scale, step, starts, r, ds):
+    """Fill rows of R (and dL/dS) for the chunks beginning at ``starts``.
 
     One pass over row chunks of the [q, i, j] sigmoid tensor, held in buffers
-    allocated once: each chunk gives its rows of R, and because dL/dR[q] =
-    scale * sign(R[q] - r_ref[q]) needs only row q, the same chunk then gives
-    its rows of dL/dS. Returns (R, dL/dS or None).
+    allocated once per call: each chunk gives its rows of R, and because
+    dL/dR[q] = scale * sign(R[q] - r_ref[q]) needs only row q, the same chunk
+    then gives its rows of dL/dS.
     """
-    S = np.asarray(S, dtype=np.float64)
     n = S.shape[0]
-    if tau <= 0:
-        raise UsageError(f"tau must be > 0, got {tau}")
-    r = np.empty_like(S)
-    ds = None if r_ref is None else np.empty_like(S)
     diag = np.arange(n)
-    step = max(1, min(n, _CHUNK_BUDGET // max(n * n, 1)))
     g_buf = np.empty((step, n, n))
     p_buf = None if r_ref is None else np.empty_like(g_buf)
-    for start in range(0, n, step):
+    for start in starts:
         rows = S[start : start + step]
         g = g_buf[: len(rows)]
         np.subtract(rows[:, None, :], rows[:, :, None], out=g)  # [q, i, j]
@@ -179,6 +202,48 @@ def _rank_sweep(S: np.ndarray, tau: float, r_ref=None, scale: float = 0.0):
         ds[start : start + step] = (
             np.einsum("qi,qik->qk", tc, p) - tc * p.sum(axis=2)
         ) / tau
+
+
+def _rank_sweep(S: np.ndarray, tau: float, r_ref=None, scale: float = 0.0):
+    """Soft ranks of S and, given ``r_ref``, dL/dS for L = scale * sum|R - r_ref|.
+
+    The row chunks go out in contiguous shares, one per sweep thread: this
+    thread runs the first share and helper threads the others, each writing
+    only its own rows. Helpers are joined before returning, and the first
+    helper's exception is raised here. Returns (R, dL/dS or None).
+    """
+    S = np.asarray(S, dtype=np.float64)
+    n = S.shape[0]
+    if tau <= 0:
+        raise UsageError(f"tau must be > 0, got {tau}")
+    r = np.empty_like(S)
+    ds = None if r_ref is None else np.empty_like(S)
+    step = _chunk_rows(n)
+    starts = range(0, n, step)
+    workers = sweep_workers(n)
+    shares = [starts[w * len(starts) // workers : (w + 1) * len(starts) // workers]
+              for w in range(workers)]
+    errors = [None] * workers
+
+    def helper(w):
+        try:
+            _sweep_rows(S, tau, r_ref, scale, step, shares[w], r, ds)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors[w] = exc
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            t = threading.Thread(target=helper, args=(w,))
+            t.start()
+            threads.append(t)
+        _sweep_rows(S, tau, r_ref, scale, step, shares[0], r, ds)
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return r, ds
 
 

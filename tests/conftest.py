@@ -1,5 +1,7 @@
 """Shared fixtures: tiny domains and configs sized for sub-second tests."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,12 @@ def unit_rows():
         return e / np.linalg.norm(e, axis=1, keepdims=True)
 
     return make
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a thread alive: the rank sweeps join their helpers."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads still running after the test: {left}"

@@ -1,5 +1,6 @@
 """End-to-end CLI runs through subprocesses: exit codes and on-disk artifacts."""
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -15,7 +16,9 @@ import pytest
 import rankfuse.cli
 import rankfuse.evaluation
 from rankfuse.cli import main
+from rankfuse.config import config_digest, load_config
 from rankfuse.data import load_corpus
+from rankfuse.encoder import load_snapshot, save_snapshot
 
 from test_config import REFERENCE, SMOKE
 from test_continual import RUN_LOG_KEYS
@@ -105,8 +108,11 @@ def test_run_log_wire_keys(smoke_out):
 def test_manifest_and_aggregate(smoke_out):
     out, _ = smoke_out
     manifest = json.loads((out / "manifest.json").read_text())
-    assert set(manifest) == {"tool_version", "config_digest", "seeds", "results", "wall_clock"}
+    assert set(manifest) == {"tool_version", "config_digest", "seeds", "results", "wall_clock",
+                             "rank_sweep_workers", "numpy_simd"}
     assert manifest["seeds"] == [0]
+    assert manifest["rank_sweep_workers"] == 1  # a batch of 32 is one chunk
+    assert isinstance(manifest["numpy_simd"], dict)
     clock = manifest["wall_clock"]["0"]
     assert set(clock) == {"data_seconds", "train_seconds", "eval_seconds", "per_step_seconds"}
     assert len(clock["per_step_seconds"]) == 2
@@ -141,6 +147,36 @@ def test_results_are_identical_across_blas_thread_counts(tmp_path):
         digests.append((out / "seed_0" / "results.json").read_bytes())
     assert digests[0] == digests[1]
     assert hashlib.sha256(digests[0]).hexdigest() == SMOKE_RESULTS_SHA256
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs at least two usable CPUs",
+)
+def test_results_are_identical_on_one_cpu_and_on_all(tmp_path):
+    # Batches of 64 are four sweep chunks, so an unpinned run splits them
+    # across threads while a run pinned to one CPU sweeps them in one.
+    config = tmp_path / "wide.yaml"
+    text = SMOKE.read_text()
+    text = text.replace("batch_start: 16", "batch_start: 64").replace("batch_cap: 32", "batch_cap: 64")
+    config.write_text(text)
+    cpu = min(os.sched_getaffinity(0))
+    outputs = {}
+    for pin in (True, False):
+        out = tmp_path / ("one_cpu" if pin else "all_cpus")
+        script = (
+            "import os, sys\n"
+            + (f"os.sched_setaffinity(0, {{{cpu}}})\n" if pin else "")
+            + "from rankfuse.cli import main\n"
+            + f"sys.exit(main(['run', '--config', {str(config)!r}, '--seed', '0', '--out', {str(out)!r}]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        outputs[pin] = (manifest["rank_sweep_workers"], (out / "seed_0" / "results.json").read_bytes())
+    assert outputs[True][0] == 1
+    assert outputs[False][0] >= 2
+    assert outputs[True][1] == outputs[False][1]
 
 
 def test_run_encodes_each_split_once_per_snapshot(monkeypatch, tmp_path):
@@ -329,7 +365,23 @@ def test_eval_digest_mismatch_exits_4(smoke_out, corpora):
                "--corpus", root / "plains" / "db",
                "--queries", root / "plains" / "query")
     assert proc.returncode == 4
-    assert "digest" in proc.stderr
+    snap = out / "seed_0" / "step_1.snap"
+    assert f"snapshot digest of {snap} does not match --config {REFERENCE}" in proc.stderr
+
+
+def test_eval_fused_snapshots_from_different_configs_exit_4(smoke_out, corpora, tmp_path):
+    out, _ = smoke_out
+    root, _ = corpora
+    new = out / "seed_0" / "step_1.snap"
+    foreign = load_snapshot(out / "seed_0" / "step_0.snap")
+    foreign = dataclasses.replace(foreign, config_digest=config_digest(load_config(REFERENCE)))
+    old = save_snapshot(foreign, tmp_path / "reference_step_0.snap")
+    proc = cli("eval", "--fusion", "on", "--snapshot", old, "--snapshot", new,
+               "--corpus", root / "plains" / "db",
+               "--queries", root / "plains" / "query")
+    assert proc.returncode == 4
+    assert f"snapshots come from different configs: {old} and {new}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_eval_missing_snapshot_exits_2(corpora, tmp_path):
