@@ -24,7 +24,6 @@ from .data import (
     PairRelation,
     generate_domain,
     pairwise_pose_distances,
-    with_domain_id,
 )
 from .encoder import (
     AdamState,
@@ -398,8 +397,7 @@ def build_protocol_data(cfg: ExperimentConfig):
         splits = []
         for session, n in ((0, dom.train_places), (1, dom.test_places), (2, dom.test_places)):
             spec = DomainSpec(n_places=n, session=session, **common)
-            samples = generate_domain(spec, points_per_scan=cfg.encoder.points_per_scan)
-            splits.append(with_domain_id(samples, i))
+            splits.append(generate_domain(spec, cfg.encoder.points_per_scan, domain_id=i))
         train.append(splits[0])
         db.append(splits[1])
         query.append(splits[2])

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -306,7 +306,8 @@ class _World:
     curve: np.ndarray
     arc: np.ndarray
     landmark_centers: np.ndarray  # (M, 2)
-    landmark_points: tuple  # (n_i, 3) world-frame arrays
+    landmark_points: np.ndarray  # (R, 3) world frame, landmark after landmark
+    landmark_sizes: np.ndarray  # (M,) rows of each landmark in landmark_points
 
 
 # A domain's sessions share one world: generating them in turn builds it once.
@@ -345,9 +346,11 @@ def _build_world(seed: int, trajectory_length: float, style: StyleParams) -> _Wo
             pts = _clutter_points(rng, c)
         pts[:, 2] *= style.height_scale
         points.append(pts)
-    for a in (curve, arc, centers, *points):
+    flat = np.concatenate(points)
+    sizes = np.array([len(p) for p in points])
+    for a in (curve, arc, centers, flat, sizes):
         a.flags.writeable = False  # the cached world is shared by every session
-    return _World(curve=curve, arc=arc, landmark_centers=centers, landmark_points=tuple(points))
+    return _World(curve, arc, centers, flat, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -355,67 +358,91 @@ def _build_world(seed: int, trajectory_length: float, style: StyleParams) -> _Wo
 
 
 def generate_domain(
-    spec: DomainSpec, points_per_scan: int = DEFAULT_POINTS_PER_SCAN
+    spec: DomainSpec, points_per_scan: int = DEFAULT_POINTS_PER_SCAN, domain_id: int = 0
 ) -> list[PlaceSample]:
-    """Deterministically generate ``spec.n_places`` samples along one trajectory."""
+    """Deterministically generate ``spec.n_places`` samples along one trajectory.
+
+    A scan sees every point of each landmark within the visibility radius (or
+    uniform clutter when none is), rotated into a jittered sensor frame and
+    mounted, jittered per point, subsampled to ``points_per_scan`` and
+    normalized. The split is built at once: visibility for every (pose,
+    landmark) pair, then a per-scan loop that makes only the RNG draws, in
+    per-scan order, then one transform of the picked points. Every kept point
+    gets the operations of a scan-by-scan build, so the bytes are the same.
+    """
     if points_per_scan < 1:
         raise ConfigurationError(f"points_per_scan must be >= 1, got {points_per_scan}")
 
     world = _build_world(spec.seed, spec.trajectory_length, spec.style)
     style = spec.style
-    anchors, _tangents = _anchor_poses(world.curve, world.arc, spec.n_places)
+    n, p = spec.n_places, points_per_scan
+    poses, _tangents = _anchor_poses(world.curve, world.arc, n)
 
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([spec.seed, _SESSION_TAG, spec.session]))
     )
-
-    poses = anchors.copy()
     if spec.session > 0:
         poses = poses + rng.normal(0.0, 1.5, poses.shape)
 
-    samples = []
-    for i in range(spec.n_places):
-        pose = poses[i]
-        dists = np.linalg.norm(world.landmark_centers - pose[None, :], axis=1)
-        vis = np.flatnonzero(dists <= style.visibility_radius)
+    # Every (pose, landmark) distance at once; sqrt(dx*dx + dy*dy) has the
+    # bits of a per-pose np.linalg.norm over the centers.
+    centers, sizes = world.landmark_centers, world.landmark_sizes
+    dist = np.subtract(centers[:, 0], poses[:, :1])
+    dist *= dist
+    dy = np.subtract(centers[:, 1], poses[:, 1:])
+    dist += np.multiply(dy, dy, out=dy)
+    del dy
+    visible = np.sqrt(dist, out=dist) <= style.visibility_radius
+    del dist
 
-        if len(vis) > 0:
-            pts = np.concatenate([world.landmark_points[j] for j in vis], axis=0)
-            rel = pts.copy()
-            rel[:, 0] -= pose[0]
-            rel[:, 1] -= pose[1]
+    # The draws of each scan, in scan order: clutter when nothing is in view,
+    # yaw, noise over every visible point, the pick. Only picked rows stay.
+    scans = np.empty((n, p, 3))  # the picked noise until the transform adds to it
+    src = np.zeros((n, p), dtype=np.intp)  # picked rows of landmark_points
+    clutter, yaws = {}, []
+    for i, k in enumerate((visible @ sizes).tolist()):
+        fill = None
+        if k == 0:
+            k, fill = p, rng.uniform(-2.0, 2.0, (p, 3))
+        yaws.append(style.sensor_yaw + rng.uniform(-style.yaw_jitter, style.yaw_jitter))
+        noise = rng.normal(0.0, style.noise, (k, 3))
+        pick = rng.choice(k, size=p, replace=k < p)
+        scans[i] = noise[pick]
+        if fill is None:
+            src[i] = np.flatnonzero(np.repeat(visible[i], sizes))[pick]
         else:
-            rel = rng.uniform(-2.0, 2.0, (points_per_scan, 3))
+            clutter[i] = fill[pick]
+    del visible
 
-        yaw = style.sensor_yaw + rng.uniform(-style.yaw_jitter, style.yaw_jitter)
+    rel = world.landmark_points[src]
+    del src
+    rel[:, :, :2] -= poses[:, None, :]
+    for i, fill in clutter.items():
+        rel[i] = fill
+    # Each 2x2 rotation stays a BLAS product on a strided view, as in a
+    # scan-by-scan build: an elementwise x*c - y*s rounds differently where
+    # BLAS fuses multiply and add. A one-row product goes to gemv, which also
+    # rounds unlike the gemm that a scan's visible points went through, so a
+    # lone picked point is rotated as two.
+    ct, st = math.cos(style.sensor_tilt), math.sin(style.sensor_tilt)
+    tilt = np.array([[ct, -st], [st, ct]])
+    for i, yaw in enumerate(yaws):
         c, s = math.cos(yaw), math.sin(yaw)
-        rot = np.array([[c, -s], [s, c]])
-        rel[:, :2] = rel[:, :2] @ rot.T
+        rows = rel[i, [0, 0]] if p == 1 and i not in clutter else rel[i]
+        rows[:, :2] = rows[:, :2] @ np.array([[c, -s], [s, c]]).T
         if style.sensor_tilt != 0.0:
-            ct, st = math.cos(style.sensor_tilt), math.sin(style.sensor_tilt)
-            tilt = np.array([[ct, -st], [st, ct]])
-            rel[:, 1:] = rel[:, 1:] @ tilt.T
-        rel *= style.axis_scale
-        rel[:, 2] += style.sensor_z
-        rel = rel + rng.normal(0.0, style.noise, rel.shape)
-
-        n_pts = rel.shape[0]
-        pick = rng.choice(n_pts, size=points_per_scan, replace=n_pts < points_per_scan)
-        rel = rel[pick]
-
-        rel[:, 0] /= FRAME_XY
-        rel[:, 1] /= FRAME_XY
-        rel[:, 2] /= FRAME_Z
-        np.clip(rel, -1.0, 1.0, out=rel)
-
-        samples.append(
-            PlaceSample(scan=PointScan(rel), pose=pose, domain_id=0, sample_id=i)
-        )
-    return samples
-
-
-def with_domain_id(samples: list[PlaceSample], domain_id: int) -> list[PlaceSample]:
-    return [replace(s, domain_id=domain_id) for s in samples]
+            rows[:, 1:] = rows[:, 1:] @ tilt.T
+        rel[i] = rows[:p]
+    rel *= style.axis_scale
+    rel[:, :, 2] += style.sensor_z
+    scans += rel  # noise + point, the same sum as point + noise
+    scans[:, :, :2] /= FRAME_XY
+    scans[:, :, 2] /= FRAME_Z
+    np.clip(scans, -1.0, 1.0, out=scans)
+    return [
+        PlaceSample(scan=PointScan(scans[i]), pose=poses[i], domain_id=domain_id, sample_id=i)
+        for i in range(n)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rankfuse.config import EncoderConfig, ExperimentConfig, LossConfig, PlanConfig
-from rankfuse.data import DomainSpec, PairPolicy, StyleParams, generate_domain, with_domain_id
+from rankfuse.data import DomainSpec, PairPolicy, StyleParams, generate_domain
 
 TINY_STYLE = StyleParams(
     plane_weight=0.5,
@@ -27,7 +27,7 @@ def tiny_domain(seed=7, n_places=40, session=0, points=32, style=TINY_STYLE, dom
         style=style,
         session=session,
     )
-    return with_domain_id(generate_domain(spec, points_per_scan=points), domain_id)
+    return generate_domain(spec, points_per_scan=points, domain_id=domain_id)
 
 
 def tiny_config(pairs=None, loss=None, **plan):

@@ -26,6 +26,8 @@ from test_continual import RUN_LOG_KEYS
 RESULT_KEYS = {"recall_matrix", "mean_recall_at_1", "forgetting", "per_step_details"}
 # sha256 of the smoke seed-0 results.json; a change here changes the program's output.
 SMOKE_RESULTS_SHA256 = "038707a87bf7021e482bebfc8c2da1ceedd1071a993683cd90fdcbd519a05a5b"
+# sha256 of the smoke gen-data corpora: each file's relative name, NUL, then its bytes.
+SMOKE_CORPUS_SHA256 = "ffdfe70f6a29252773e6b91d41ddc410261db3d8a03bb2762f78566def66b2b7"
 
 
 def cli(*argv, env=None):
@@ -281,6 +283,16 @@ def test_gen_data_writes_loadable_corpora(corpora):
         samples = load_corpus(root / "plains" / split)
         assert len(samples) == expect
         assert samples[0].scan.points.shape == (48, 3)
+
+
+def test_gen_data_smoke_corpus_digest(corpora):
+    # Generation drift fails here, without running the benchmark.
+    root, _ = corpora
+    h = hashlib.sha256()
+    for f in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(f.relative_to(root).as_posix().encode() + b"\0")
+        h.update(f.read_bytes())
+    assert h.hexdigest() == SMOKE_CORPUS_SHA256
 
 
 def test_eval_single_snapshot(smoke_out, corpora, tmp_path):

@@ -1,24 +1,31 @@
 """Synthetic corpus generation, pair labeling, and the on-disk format."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from rankfuse.continual import batch_relation
 from rankfuse.data import (
+    FRAME_XY,
+    FRAME_Z,
     STYLE_PRESETS,
+    _SESSION_TAG,
     DomainSpec,
     PairPolicy,
     PlaceSample,
     PointScan,
     StyleParams,
+    _anchor_poses,
+    _build_world,
     generate_domain,
     load_corpus,
     pairwise_pose_distances,
     save_corpus,
-    with_domain_id,
 )
 from rankfuse.errors import ConfigurationError, IngestionError
 from rankfuse.evaluation import recall_at_n
@@ -30,6 +37,69 @@ def _spec(**kw):
     base = dict(seed=3, n_places=30, trajectory_length=250.0, style=TINY_STYLE)
     base.update(kw)
     return DomainSpec(**base)
+
+
+# The depot rig with sparse landmarks and a 2 m reach: most poses see none.
+BLIND_STYLE = dataclasses.replace(STYLE_PRESETS["depot"], landmark_density=0.02, visibility_radius=2.0)
+ORACLE_STYLES = {**STYLE_PRESETS, "blind": BLIND_STYLE}
+
+
+def _oracle_domain(spec, points_per_scan):
+    """The scan-by-scan generator, kept as a byte oracle for generate_domain.
+
+    Returns the scans, the poses and each scan's visible point count.
+    """
+    world = _build_world(spec.seed, spec.trajectory_length, spec.style)
+    landmarks = np.split(world.landmark_points, np.cumsum(world.landmark_sizes)[:-1])
+    style = spec.style
+    anchors, _ = _anchor_poses(world.curve, world.arc, spec.n_places)
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([spec.seed, _SESSION_TAG, spec.session])))
+    poses = anchors.copy()
+    if spec.session > 0:
+        poses = poses + rng.normal(0.0, 1.5, poses.shape)
+
+    scans, counts = [], []
+    for i in range(spec.n_places):
+        pose = poses[i]
+        dists = np.linalg.norm(world.landmark_centers - pose[None, :], axis=1)
+        vis = np.flatnonzero(dists <= style.visibility_radius)
+        if len(vis) > 0:
+            rel = np.concatenate([landmarks[j] for j in vis], axis=0)
+            rel[:, 0] -= pose[0]
+            rel[:, 1] -= pose[1]
+        else:
+            rel = rng.uniform(-2.0, 2.0, (points_per_scan, 3))
+        counts.append(rel.shape[0] if len(vis) else 0)
+
+        yaw = style.sensor_yaw + rng.uniform(-style.yaw_jitter, style.yaw_jitter)
+        c, s = math.cos(yaw), math.sin(yaw)
+        rel[:, :2] = rel[:, :2] @ np.array([[c, -s], [s, c]]).T
+        if style.sensor_tilt != 0.0:
+            ct, st_ = math.cos(style.sensor_tilt), math.sin(style.sensor_tilt)
+            rel[:, 1:] = rel[:, 1:] @ np.array([[ct, -st_], [st_, ct]]).T
+        rel *= style.axis_scale
+        rel[:, 2] += style.sensor_z
+        rel = rel + rng.normal(0.0, style.noise, rel.shape)
+
+        n_pts = rel.shape[0]
+        rel = rel[rng.choice(n_pts, size=points_per_scan, replace=n_pts < points_per_scan)]
+        rel[:, 0] /= FRAME_XY
+        rel[:, 1] /= FRAME_XY
+        rel[:, 2] /= FRAME_Z
+        np.clip(rel, -1.0, 1.0, out=rel)
+        scans.append(rel)
+    return scans, poses, counts
+
+
+def _assert_matches_oracle(spec, points_per_scan):
+    samples = generate_domain(spec, points_per_scan=points_per_scan)
+    scans, poses, counts = _oracle_domain(spec, points_per_scan)
+    assert len(samples) == len(scans)
+    for s, scan, pose in zip(samples, scans, poses):
+        assert s.scan.points.tobytes() == scan.tobytes()
+        assert s.pose.tobytes() == pose.tobytes()
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +152,60 @@ def test_different_seeds_give_different_worlds():
     assert not np.array_equal(a[0].scan.points, b[0].scan.points)
 
 
-def test_with_domain_id_tags_copies():
+def test_generate_domain_tags_domain_id():
     samples = generate_domain(_spec(), points_per_scan=16)
-    tagged = with_domain_id(samples, 5)
+    tagged = generate_domain(_spec(), points_per_scan=16, domain_id=5)
     assert all(s.domain_id == 5 for s in tagged)
     assert all(s.domain_id == 0 for s in samples)
+    for a, b in zip(samples, tagged):
+        assert a.scan.points.tobytes() == b.scan.points.tobytes()
+
+
+@pytest.mark.parametrize("session", [0, 1, 2])
+@pytest.mark.parametrize("style", sorted(ORACLE_STYLES))
+def test_generate_domain_matches_scan_by_scan_oracle(style, session):
+    # 1 and 16 points sit below every visible count, 4000 above it (picks
+    # with replacement); the blind style takes the uniform-clutter branch.
+    spec = _spec(style=ORACLE_STYLES[style], session=session, n_places=12, trajectory_length=200.0)
+    one, few, many = (_assert_matches_oracle(spec, p) for p in (1, 16, 4000))
+    assert one == few == many
+    if style == "blind":
+        assert 0 in few
+    else:
+        assert 16 < min(few) and max(few) < 4000
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    style=st.sampled_from(sorted(ORACLE_STYLES)),
+    session=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    n_places=st.integers(2, 9),
+    points=st.integers(1, 3000),
+    length=st.floats(60.0, 400.0),
+)
+@example(style="blind", session=0, seed=3, n_places=9, points=2999, length=300.0)
+@example(style="blind", session=1, seed=3, n_places=9, points=1, length=300.0)
+@example(style="plains", session=2, seed=0, n_places=2, points=1, length=60.0)
+def test_generate_domain_matches_oracle_on_any_split(style, session, seed, n_places, points, length):
+    spec = DomainSpec(seed=seed, n_places=n_places, trajectory_length=length,
+                      style=ORACLE_STYLES[style], session=session)
+    _assert_matches_oracle(spec, points)
+
+
+def test_cached_world_is_read_only_and_scans_are_fresh():
+    spec = _spec(n_places=6)
+    first = generate_domain(spec, points_per_scan=16)
+    world = _build_world(spec.seed, spec.trajectory_length, spec.style)
+    for name in ("curve", "arc", "landmark_centers", "landmark_points", "landmark_sizes"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(world, name)[0] = 0
+    expected = [(s.scan.points.tobytes(), s.pose.tobytes()) for s in first]
+    for s in first:
+        s.scan.points[:] = 0.5
+        s.pose[:] = -1.0
+    second = generate_domain(spec, points_per_scan=16)
+    assert [(s.scan.points.tobytes(), s.pose.tobytes()) for s in second] == expected
 
 
 def test_points_per_scan_validated():
