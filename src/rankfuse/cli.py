@@ -13,7 +13,6 @@ abort; 4 snapshot/config digest mismatch; 5 gradient check failure.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 import time
@@ -22,13 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (
-    apply_overrides,
-    config_digest,
-    load_config,
-    parse_toggle_args,
-)
-from .continual import build_protocol_data, run_protocol
 from .data import PairPolicy, load_corpus, save_corpus
 from .encoder import (
     backward,
@@ -51,7 +43,6 @@ from .evaluation import (
     results_dict,
     write_recall_csv,
 )
-from .gradcheck import GradCheckSuite, check_gradient
 from .losses import (
     DIVERGENCES,
     LAMBDA_VARIANTS,
@@ -63,6 +54,7 @@ from .losses import (
     sweep_workers,
     triplet_loss,
 )
+# Config (and yaml), training and the gradient suite load in the verbs that run them.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -129,6 +121,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _effective_config(args):
+    from .config import apply_overrides, load_config, parse_toggle_args
+
     cfg = load_config(args.config)
     return apply_overrides(
         cfg,
@@ -150,6 +144,9 @@ def _numpy_simd() -> dict:
 
 
 def cmd_run(args) -> int:
+    from .config import config_digest
+    from .continual import build_protocol_data, run_protocol
+
     cfg = _effective_config(args)
     digest = config_digest(cfg)
     out_root = Path(cfg.out_dir)
@@ -216,12 +213,8 @@ def cmd_run(args) -> int:
             if vals:
                 aggregate[f"{mode}_{key}_mean"] = float(np.mean(vals))
                 aggregate[f"{mode}_{key}_std"] = float(np.std(vals))
-    (out_root / "aggregate.json").write_text(
-        json.dumps(aggregate, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    (out_root / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    (out_root / "aggregate.json").write_text(dump_results(aggregate), encoding="utf-8")
+    (out_root / "manifest.json").write_text(dump_results(manifest), encoding="utf-8")
     return EXIT_OK
 
 
@@ -243,6 +236,8 @@ def cmd_eval(args) -> int:
         print(f"error: snapshots come from different configs: {names}", file=sys.stderr)
         return EXIT_DIGEST
     if args.config is not None:
+        from .config import config_digest, load_config
+
         cfg = load_config(args.config)
         if config_digest(cfg) not in digests:
             print(f"error: snapshot digest of {names} does not match --config {args.config}",
@@ -271,7 +266,7 @@ def cmd_eval(args) -> int:
         "fusion": fusion,
         "snapshots": [str(p) for p in args.snapshot],
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = dump_results(report)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -298,8 +293,10 @@ def _random_relation(rng, n):
     return batch_relation(samples, PairPolicy())
 
 
-def gradcheck_suite(seed: int, batch: int, dim: int, points: int, corrupt: float = 0.0) -> GradCheckSuite:
+def gradcheck_suite(seed: int, batch: int, dim: int, points: int, corrupt: float = 0.0):
     """FD-verify the encoder and every loss; ``corrupt`` is a negative control."""
+    from .gradcheck import GradCheckSuite, check_gradient
+
     rng = np.random.Generator(np.random.PCG64(seed))
     suite = GradCheckSuite()
     hidden = 6
@@ -414,6 +411,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    from .continual import build_protocol_data
+
     cfg = _effective_config(args)
     out_root = Path(cfg.out_dir) / "corpora"
     train, db, query = build_protocol_data(cfg)

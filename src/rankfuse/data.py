@@ -13,6 +13,8 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -483,16 +485,17 @@ def load_corpus(path: str | Path, domain_id: int = 0) -> list[PlaceSample]:
 
     The point count of the first scan fixes the corpus point count. A count
     mismatch, a non-finite pose or scan value, or an empty corpus is an
-    ingestion error naming poses.csv, the line and the scan file.
+    ingestion error naming poses.csv, the line and the scan file (the first
+    bad line's). Scans are read into one buffer and checked as a whole.
     """
     root = Path(path)
     poses_path = root / POSES_FILE
     if not poses_path.is_file():
         raise IngestionError(f"missing {POSES_FILE} in {root}")
 
-    samples: list[PlaceSample] = []
+    kept: list[tuple] = []  # (where, scan file, sample id, x, y, bytes) per scan read
     seen_ids: set[int] = set()
-    expected_count: int | None = None
+    fault = None  # a line's own fault waits until the scans before it are checked
     with open(poses_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -501,47 +504,58 @@ def load_corpus(path: str | Path, domain_id: int = 0) -> list[PlaceSample]:
             raise IngestionError(f"{poses_path}: empty file") from None
         if [h.strip() for h in header] != _CSV_HEADER:
             raise IngestionError(f"{poses_path} line 1: expected header {','.join(_CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            where = f"{poses_path} line {lineno}"
-            if len(row) != 4:
-                raise IngestionError(f"{where}: expected 4 fields, got {len(row)}")
-            try:
-                sample_id = int(row[0])
-                x = float(row[1])
-                y = float(row[2])
-            except ValueError as exc:
-                raise IngestionError(f"{where}: {exc}") from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise IngestionError(f"{where}: non-finite pose ({row[1]}, {row[2]})")
-            if sample_id in seen_ids:
-                raise IngestionError(f"{where}: duplicate sample_id {sample_id}")
-            seen_ids.add(sample_id)
-            scan_file = row[3].strip()
-            scan_path = root / scan_file
-            if not scan_path.is_file():
-                raise IngestionError(f"{where}: missing scan file {scan_file}")
-            raw = np.frombuffer(scan_path.read_bytes(), dtype="<f4")
-            if raw.size == 0 or raw.size % 3 != 0:
-                raise IngestionError(
-                    f"{where}: scan file {scan_file} has {raw.size} floats, not a multiple of 3"
-                )
-            pts = raw.astype(np.float64).reshape(-1, 3)
-            if expected_count is None:
-                expected_count = pts.shape[0]
-            elif pts.shape[0] != expected_count:
-                raise IngestionError(
-                    f"{where}: scan file {scan_file} has {pts.shape[0]} points, expected {expected_count}"
-                )
-            peak = np.max(np.abs(pts))
-            if not np.isfinite(peak):
-                raise IngestionError(f"{where}: scan file {scan_file} has non-finite values")
-            if peak > 1.0:
-                pts = pts / peak
-            samples.append(
-                PlaceSample(scan=PointScan(pts), pose=np.array([x, y]), domain_id=domain_id, sample_id=sample_id)
-            )
-    if not samples:
-        raise IngestionError(f"{poses_path}: no samples after the header")
-    return samples
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                where = f"{poses_path} line {lineno}"
+                if len(row) != 4:
+                    raise IngestionError(f"{where}: expected 4 fields, got {len(row)}")
+                try:
+                    sample_id = int(row[0])
+                    x = float(row[1])
+                    y = float(row[2])
+                except ValueError as exc:
+                    raise IngestionError(f"{where}: {exc}") from None
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise IngestionError(f"{where}: non-finite pose ({row[1]}, {row[2]})")
+                if sample_id in seen_ids:
+                    raise IngestionError(f"{where}: duplicate sample_id {sample_id}")
+                seen_ids.add(sample_id)
+                scan_file = row[3].strip()
+                path = os.path.join(root, scan_file)
+                try:  # non-blocking, so a FIFO cannot hang the open
+                    with open(path, "rb", opener=lambda p, f: os.open(p, f | os.O_NONBLOCK)) as scan:
+                        if not stat.S_ISREG(os.fstat(scan.fileno()).st_mode):
+                            raise IsADirectoryError  # a FIFO or a device is no scan file
+                        blob = scan.read()
+                except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError):
+                    raise IngestionError(f"{where}: missing scan file {scan_file}") from None
+                if not blob or len(blob) % 12:
+                    raise IngestionError(
+                        f"{where}: scan file {scan_file} has {len(blob) / 4:.12g} floats, not a multiple of 3"
+                    )
+                if kept and len(blob) != len(kept[0][-1]):
+                    raise IngestionError(
+                        f"{where}: scan file {scan_file} has {len(blob) // 12} points, "
+                        f"expected {len(kept[0][-1]) // 12}"
+                    )
+                kept.append((where, scan_file, sample_id, x, y, blob))
+        except IngestionError as exc:
+            fault = exc
+    if not kept:
+        raise fault or IngestionError(f"{poses_path}: no samples after the header")
+    pts = np.frombuffer(b"".join(k[-1] for k in kept), dtype="<f4").astype(np.float64).reshape(len(kept), -1)
+    peaks = np.max(np.abs(pts), axis=1)
+    bad = np.flatnonzero(~np.isfinite(peaks))
+    if len(bad):
+        where, scan_file = kept[bad[0]][:2]
+        raise IngestionError(f"{where}: scan file {scan_file} has non-finite values")
+    if fault is not None:
+        raise fault
+    big = peaks > 1.0
+    pts[big] /= peaks[big, None]
+    return [
+        PlaceSample(scan=PointScan(scan), pose=np.array([x, y]), domain_id=domain_id, sample_id=sid)
+        for scan, (_, _, sid, x, y, _) in zip(pts.reshape(len(kept), -1, 3), kept)
+    ]

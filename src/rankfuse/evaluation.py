@@ -1,16 +1,15 @@
 """Retrieval evaluation: exact nearest neighbor, Recall@N, the step-by-task
 recall matrix, the forgetting score, and fused old+new retrieval.
 
-Retrieval is brute force (desk-scale databases make exactness cheap) with
-distance ties broken by lowest sample_id so every result is reproducible.
-Distances, for embeddings and for the positive-radius pose test alike, sum
-the squared column differences in column order from zero and then take the
-square root, which gives scipy's ``cdist`` euclidean bits without importing
-scipy. The top n of each query is found by selection, not by sorting its
-row: rows closer than the n-th smallest distance are in, and rows at exactly
-that distance fill the remaining slots. Only when those tied rows outnumber
-the slots and disagree on being true positives does that query fall back to
-a (distance, lowest sample_id) lexsort of its row.
+Retrieval is brute force, distance ties broken by lowest sample_id. Distances,
+for embeddings and for the positive-radius pose test alike, sum the squared
+column differences in column order from zero, then take the square root:
+scipy's ``cdist`` euclidean bits without scipy. One matrix product screens the
+database; only rows that can reach a query's top n get the exact distance.
+The top n is found by selection: rows closer than the n-th smallest distance
+are in, and rows at exactly that distance fill the remaining slots. Only when
+those tied rows outnumber the slots and disagree on being true positives does
+that query fall back to a (distance, lowest sample_id) lexsort.
 """
 
 from __future__ import annotations
@@ -68,11 +67,15 @@ def recall_at_n(
         raise UsageError("empty query split")
     if not (np.all(np.isfinite(db_emb)) and np.all(np.isfinite(q_emb))):
         raise UsageError("embeddings must be finite")
-    dists = _euclidean(q_emb, db_emb)
+    q = np.asarray(q_emb, dtype=np.float64)
+    db = np.asarray(db_emb, dtype=np.float64)
     is_pos = _euclidean(q_poses, db_poses) < pos_test
     evaluated = int(is_pos.any(axis=1).sum())
-    excluded = len(q_emb) - evaluated
-    top = min(n, dists.shape[1])
+    excluded = len(q) - evaluated
+    top = min(n, len(db))
+    cols = _screen(q, db, top)  # holds every row that can reach a query's top
+    dists = _euclidean(q, db, cols)
+    is_pos = np.take_along_axis(is_pos, cols, axis=1)
     # Rows closer than the top-th smallest distance are in the top; rows at
     # exactly that distance fill the remaining (>= 1) slots.
     kth = np.partition(dists, top - 1, axis=1)[:, top - 1 : top]
@@ -83,26 +86,50 @@ def recall_at_n(
     all_in = top - closer.sum(axis=1) == n_tied
     hit = (closer & is_pos).any(axis=1) | ((tied_pos > 0) & (all_in | (tied_pos == n_tied)))
     # Some tied rows are positive, some not, and not all fit: the lowest
-    # sample ids among them decide, so rank that query's row as a whole.
+    # sample ids among them decide, so rank that query's candidates as a whole.
     for i in np.flatnonzero(~hit & (tied_pos > 0)):
-        order = np.lexsort((db_ids, dists[i]))[:top]
+        order = np.lexsort((np.asarray(db_ids)[cols[i]], dists[i]))[:top]
         hit[i] = is_pos[i, order].any()
-    hits = int(hit.sum())
     if evaluated == 0:
         raise UsageError("every query lacked a true positive in the database")
     return RecallOutcome(
-        percent=100.0 * hits / evaluated, evaluated=evaluated, excluded=excluded
+        percent=100.0 * int(hit.sum()) / evaluated, evaluated=evaluated, excluded=excluded
     )
 
 
-def _euclidean(a, b) -> np.ndarray:
-    """Pairwise Euclidean distances, bit-equal to scipy's cdist (euclidean).
+def _screen(q, db, top: int) -> np.ndarray:
+    """Each query's candidate rows: its ``width`` smallest Gram-form squared
+    distances, ``width`` being the most rows within 2 ``bound`` of a query's
+    top-th. ``bound`` exceeds the Gram form's error plus the exact column sum's
+    (with room for sqrt merging sums and for subnormal squares), so every row as
+    close as the exact top-th is a candidate; so is NaN or inf (overflow)."""
+    f = np.finfo(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nq = np.einsum("ij,ij->i", q, q)
+        nd = np.einsum("ij,ij->i", db, db)
+        approx = q @ db.T
+        approx *= -2.0
+        approx += np.add.outer(nq, nd)
+        bound = 4 * (q.shape[1] + 4) * (f.eps * (nq + nd.max()) + f.smallest_subnormal)
+        part = np.argpartition(approx, top - 1, axis=1)
+        kth = np.take_along_axis(approx, part[:, top - 1 : top], axis=1)
+        width = np.count_nonzero(~(approx > kth + 2 * bound[:, None]), axis=1).max()
+    return part[:, :top] if width == top else np.argpartition(approx, width - 1, axis=1)[:, :width]
+
+
+def _euclidean(a, b, cols=None) -> np.ndarray:
+    """Distances from each row of ``a`` to every row of ``b`` (or to rows
+    ``cols[i]``), bit-equal to scipy's cdist (euclidean).
 
     Squared differences add one column at a time, in column order, starting
-    from zero; rows of ``a`` go in chunks of ``_DIST_ROWS`` through buffers
-    allocated once.
-    """
+    from zero; a full matrix takes rows of ``a`` in chunks of ``_DIST_ROWS``."""
     a = np.asarray(a, dtype=np.float64)
+    if cols is not None:
+        out = np.zeros(cols.shape)
+        for k in range(a.shape[1]):
+            d = np.subtract(a[:, k : k + 1], b[cols, k])
+            out += np.multiply(d, d, out=d)
+        return np.sqrt(out, out=out)
     b_cols = np.ascontiguousarray(np.asarray(b, dtype=np.float64).T)
     out = np.zeros((a.shape[0], b_cols.shape[1]))
     diff = np.empty((min(_DIST_ROWS, a.shape[0]), b_cols.shape[1]))

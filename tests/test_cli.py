@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import rankfuse.cli
+import rankfuse.continual
 import rankfuse.evaluation
 from rankfuse.cli import main
 from rankfuse.config import config_digest, load_config
@@ -28,6 +29,13 @@ RESULT_KEYS = {"recall_matrix", "mean_recall_at_1", "forgetting", "per_step_deta
 SMOKE_RESULTS_SHA256 = "038707a87bf7021e482bebfc8c2da1ceedd1071a993683cd90fdcbd519a05a5b"
 # sha256 of the smoke gen-data corpora: each file's relative name, NUL, then its bytes.
 SMOKE_CORPUS_SHA256 = "ffdfe70f6a29252773e6b91d41ddc410261db3d8a03bb2762f78566def66b2b7"
+# sha256 of the compact sorted-key JSON of the single (Recall@1, step_1) and
+# fused (Recall@5, step_0 + step_1) smoke eval.json on the smoke plains
+# corpus, without its "snapshots" key.
+SMOKE_EVAL_SHA256 = [
+    "1b4e0bc38e1b0839df9bd376da915691e01b7d7ac2d2be4ad5418c9d17013acd",
+    "6f3ad5f9bacdbe27862091f95c0ab645ff4f8e392300c564863e89fa0429c532",
+]
 
 
 def cli(*argv, env=None):
@@ -202,13 +210,13 @@ def test_run_builds_corpora_once_for_all_seeds(monkeypatch, tmp_path):
     # The splits depend only on the config: two seeds, one build, and the seed
     # that paid for it records the time.
     builds = []
-    real = rankfuse.cli.build_protocol_data
+    real = rankfuse.continual.build_protocol_data
 
     def counting(cfg):
         builds.append(cfg)
         return real(cfg)
 
-    monkeypatch.setattr(rankfuse.cli, "build_protocol_data", counting)
+    monkeypatch.setattr(rankfuse.continual, "build_protocol_data", counting)
     config = tmp_path / "two_seeds.yaml"
     text = SMOKE.read_text()
     assert "seeds: [0]\n" in text
@@ -310,6 +318,24 @@ def test_eval_single_snapshot(smoke_out, corpora, tmp_path):
     assert json.loads((tmp_path / "eval.json").read_text()) == report
 
 
+def test_eval_reports_are_pinned(smoke_out, corpora, tmp_path):
+    # Read-path drift fails here, without running the benchmark: the smoke
+    # snapshots on the smoke plains corpus, snapshot paths left out.
+    out, _ = smoke_out
+    root, _ = corpora
+    snaps = [out / "seed_0" / f"step_{i}.snap" for i in (0, 1)]
+    where = ["--corpus", root / "plains" / "db", "--queries", root / "plains" / "query"]
+    digests = []
+    for extra in (["--snapshot", snaps[1]],
+                  ["--fusion", "on", "--at", 5, "--snapshot", snaps[0], "--snapshot", snaps[1]]):
+        proc = cli("eval", *where, *extra, "--out", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "eval.json").read_text())
+        report.pop("snapshots")
+        digests.append(hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest())
+    assert digests == SMOKE_EVAL_SHA256
+
+
 def test_eval_fused_pair(smoke_out, corpora):
     out, _ = smoke_out
     root, _ = corpora
@@ -322,22 +348,25 @@ def test_eval_fused_pair(smoke_out, corpora):
     assert json.loads(proc.stdout)["embedding_dim"] == 32
 
 
-def test_cli_never_imports_scipy(smoke_out, tmp_path):
+def test_cli_never_imports_scipy(smoke_out, corpora, tmp_path):
     # Import, gen-data and single and fused eval run without loading scipy;
-    # only the training losses import it (for expit).
+    # only the training losses import it (for expit). eval also leaves out
+    # the config (and yaml), training and gradient-check modules.
     out, _ = smoke_out
     snaps = [str(out / "seed_0" / f"step_{i}.snap") for i in (0, 1)]
-    corpora = tmp_path / "corpora" / "plains"
+    plains = corpora[0] / "plains"
     script = f"""
 import sys
 import rankfuse.cli
 assert "scipy" not in sys.modules, "import"
 main = rankfuse.cli.main
-assert main(["gen-data", "--config", {str(SMOKE)!r}, "--out", {str(tmp_path)!r}]) == 0
-where = ["--corpus", {str(corpora / "db")!r}, "--queries", {str(corpora / "query")!r}]
+where = ["--corpus", {str(plains / "db")!r}, "--queries", {str(plains / "query")!r}]
 assert main(["eval", "--snapshot", {snaps[1]!r}] + where) == 0
 assert main(["eval", "--fusion", "on", "--snapshot", {snaps[0]!r}, "--snapshot", {snaps[1]!r}] + where) == 0
-assert "scipy" not in sys.modules, "verbs"
+unused = {{"scipy", "yaml", "rankfuse.config", "rankfuse.continual", "rankfuse.gradcheck"}}
+assert not unused & set(sys.modules), sorted(unused & set(sys.modules))
+assert main(["gen-data", "--config", {str(SMOKE)!r}, "--out", {str(tmp_path)!r}]) == 0
+assert "scipy" not in sys.modules, "gen-data"
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

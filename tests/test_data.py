@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -354,6 +355,64 @@ def test_load_corpus_rejects_nan_scan(tmp_path):
     scan1.write_bytes(pts.tobytes())
     with pytest.raises(IngestionError, match=r"poses\.csv line 3: scan file scan_000001\.f32 has non-finite"):
         load_corpus(out)
+
+
+def test_load_corpus_reports_the_first_bad_line(tmp_path):
+    # A NaN scan at line 3 is reported before a missing file at line 5, though
+    # the scans are checked for finite values only once all are read.
+    out = save_corpus(tiny_domain(n_places=5, points=8), tmp_path / "two")
+    scan1 = out / "scan_000001.f32"
+    pts = np.frombuffer(scan1.read_bytes(), dtype="<f4").copy()
+    pts[0] = np.nan
+    scan1.write_bytes(pts.tobytes())
+    (out / "scan_000003.f32").unlink()
+    with pytest.raises(IngestionError, match=r"line 3: scan file scan_000001\.f32 has non-finite"):
+        load_corpus(out)
+    scan1.write_bytes(np.zeros(24, dtype="<f4").tobytes())
+    with pytest.raises(IngestionError, match=r"line 5: missing scan file scan_000003\.f32"):
+        load_corpus(out)
+
+
+def test_load_corpus_scan_entry_naming_a_directory_is_missing(tmp_path):
+    out = save_corpus(tiny_domain(n_places=3, points=8), tmp_path / "dir")
+    (out / "scan_000002.f32").unlink()
+    (out / "scan_000002.f32").mkdir()
+    with pytest.raises(IngestionError, match=r"line 4: missing scan file scan_000002\.f32"):
+        load_corpus(out)
+    # Nor is a FIFO a scan file: it is refused, not waited on.
+    (out / "scan_000002.f32").rmdir()
+    os.mkfifo(out / "scan_000002.f32")
+    with pytest.raises(IngestionError, match=r"line 4: missing scan file scan_000002\.f32"):
+        load_corpus(out)
+
+
+def test_load_corpus_size_messages(tmp_path):
+    out = save_corpus(tiny_domain(n_places=3, points=8), tmp_path / "size")
+    scan2 = out / "scan_000002.f32"
+    raw = scan2.read_bytes()
+    scan2.write_bytes(raw[:-4])
+    with pytest.raises(IngestionError, match=r"line 4: scan file scan_000002\.f32 has 23 floats, "
+                                             r"not a multiple of 3$"):
+        load_corpus(out)
+    scan2.write_bytes(raw[:-12])
+    with pytest.raises(IngestionError, match=r"line 4: scan file scan_000002\.f32 has 7 points, "
+                                             r"expected 8$"):
+        load_corpus(out)
+
+
+def test_load_corpus_renormalizes_only_out_of_range_scans(tmp_path):
+    samples = tiny_domain(n_places=4, points=8)
+    out = save_corpus(samples, tmp_path / "one")
+    scan2 = out / "scan_000002.f32"
+    pts = np.frombuffer(scan2.read_bytes(), dtype="<f4").copy()
+    pts[5] = 4.0
+    scan2.write_bytes(pts.tobytes())
+    loaded = load_corpus(out)
+    for i, (orig, back) in enumerate(zip(samples, loaded)):
+        expect = orig.scan.points.astype("<f4").astype(np.float64)
+        if i == 2:
+            expect = pts.astype(np.float64).reshape(-1, 3) / 4.0
+        assert back.scan.points.tobytes() == expect.tobytes(), i
 
 
 def test_load_corpus_rejects_nan_pose(tmp_path):

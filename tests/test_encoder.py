@@ -163,7 +163,9 @@ def _tied_scans(n, p, seed=0):
     return scans
 
 
-@pytest.mark.parametrize("rows", [2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 200])
+# Besides the chunk edges: 64-66 and 131 rows, the edges of the earlier 65-row
+# chunks, are 8 whole chunks, a folded 1-row tail, a 2-row tail and a 3-row tail.
+@pytest.mark.parametrize("rows", [2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 64, 65, 66, 131, 200])
 @pytest.mark.parametrize("make", [_scans, _tied_scans], ids=["random", "tied"])
 def test_encode_matches_training_forward_bit_for_bit(rows, make):
     # Snapshot (float32) weights, as the frozen teacher and evaluation use them.

@@ -206,6 +206,10 @@ def test_distance_matches_cdist_bit_for_bit(dim):
             out = evaluation_mod._euclidean(a, b)
             assert np.array_equal(out, cdist(a, b)), (rows, scale)
             assert (out == 0.0).any()
+            # The screen's exact pass: chosen rows of b for each row of a.
+            cols = rng.integers(0, len(b), (rows, 7))
+            picked = evaluation_mod._euclidean(a, b, cols)
+            assert np.array_equal(picked, out[np.arange(rows)[:, None], cols]), (rows, scale)
 
 
 @settings(max_examples=150, deadline=None)
@@ -235,6 +239,51 @@ def test_recall_matches_lexsort_oracle(m, q, dim, levels, seed):
             continue
         out = recall_at_n(*args)
         assert (out.percent, out.evaluated, out.excluded) == expected, n
+
+
+def _nudge(rng, x):
+    """x with each element moved 0, 1 or 2 ulps, up or down."""
+    toward = rng.choice([-np.inf, np.inf], x.shape)
+    for _ in range(2):
+        x = np.where(rng.random(x.shape) < 0.5, np.nextafter(x, toward), x)
+    return x
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(200, 1000),
+    dim=st.sampled_from([1, 32, 64]),
+    scale=st.sampled_from([1.0, 1e-160, 1e155]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screened_recall_matches_lexsort_oracle(m, dim, scale, seed):
+    # Unit rows, half of them ulp-nudged twins of the first eighth, and queries
+    # nudged off those rows: every query has near-ties at other poses, which
+    # the screen must all keep. At scale 1e-160 the squares go subnormal, at
+    # 1e155 they overflow. n reaches past the database.
+    rng = np.random.default_rng(seed)
+    db_emb = rng.normal(size=(m, dim))
+    db_emb /= np.linalg.norm(db_emb, axis=1, keepdims=True)
+    db_emb[m // 2 :] = _nudge(rng, db_emb[rng.integers(0, m // 8, m - m // 2)])
+    q_emb = _nudge(rng, db_emb[rng.integers(0, m // 8, 100)])
+    db_poses = 10.0 * rng.integers(0, 6, (m, 2))
+    q_poses = 10.0 * rng.integers(0, 6, (len(q_emb), 2))
+    ids = rng.permutation(2 * m)[:m]
+    for n in (1, 5, m, m + 3):
+        args = (scale * db_emb, db_poses, ids, scale * q_emb, q_poses, 15.0, n)
+        out = recall_at_n(*args)
+        assert (out.percent, out.evaluated, out.excluded) == lexsort_recall(*args), n
+    # One query at a time, too: then no other query's near-ties widen its
+    # candidate set.
+    for i in range(8):
+        args = (scale * db_emb, db_poses, ids, scale * q_emb[i : i + 1], q_poses[i : i + 1], 15.0, 1)
+        try:
+            expected = lexsort_recall(*args)
+        except UsageError:
+            continue
+        out = recall_at_n(*args)
+        assert (out.percent, out.evaluated, out.excluded) == expected, i
 
 
 # ---------------------------------------------------------------------------
