@@ -22,15 +22,7 @@ import numpy as np
 
 from . import __version__
 from .data import PairPolicy, load_corpus, save_corpus
-from .encoder import (
-    backward,
-    encode,
-    encode_with_cache,
-    flatten_params,
-    init_params,
-    load_snapshot,
-    unflatten_params,
-)
+from .encoder import load_snapshot
 from .errors import ConfigurationError, IngestionError, TrainingError, UsageError
 from .evaluation import (
     RECALL_CSV,
@@ -43,17 +35,7 @@ from .evaluation import (
     results_dict,
     write_recall_csv,
 )
-from .losses import (
-    DIVERGENCES,
-    LAMBDA_VARIANTS,
-    LossToggles,
-    batch_hard_triplet,
-    combined_loss,
-    distribution_distill_loss,
-    ranking_distill_loss,
-    sweep_workers,
-    triplet_loss,
-)
+from .losses import DIVERGENCES, LAMBDA_VARIANTS, sweep_workers
 # Config (and yaml), training and the gradient suite load in the verbs that run them.
 
 EXIT_OK = 0
@@ -74,13 +56,20 @@ _WARNINGS = _StderrHandler()
 _WARNINGS.setFormatter(logging.Formatter("warning: %(message)s"))
 
 
+def _seed(text: str) -> int:
+    """The type of ``--seed``: a non-negative integer, as numpy's generators need."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rankfuse", description=__doc__.split("\n")[0])
     p.add_argument("--version", action="version", version=f"rankfuse {__version__}")
     sub = p.add_subparsers(dest="verb", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the config seed list")
+    common.add_argument("--seed", type=_seed, default=None, help="override the config seed list")
     common.add_argument("--out", type=str, default=None, help="output directory override")
 
     run = sub.add_parser("run", parents=[common], help="train and evaluate a protocol")
@@ -94,7 +83,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--lambda-variant", choices=LAMBDA_VARIANTS, default=None)
     run.add_argument("--divergence", choices=DIVERGENCES, default=None)
-    run.add_argument("--fusion", choices=["on", "off"], default=None)
 
     ev = sub.add_parser("eval", parents=[common], help="evaluate saved snapshots on a corpus")
     ev.add_argument("--snapshot", action="append", required=True, help="snapshot file (repeatable)")
@@ -131,7 +119,6 @@ def _effective_config(args):
         toggles=parse_toggle_args(getattr(args, "toggle", None)),
         lambda_variant=getattr(args, "lambda_variant", None),
         divergence=getattr(args, "divergence", None),
-        fusion={"on": True, "off": False}.get(getattr(args, "fusion", None)),
     )
 
 
@@ -279,122 +266,9 @@ def cmd_eval(args) -> int:
 # gradcheck
 
 
-def _random_relation(rng, n):
-    from .continual import batch_relation
-    from .data import PlaceSample, PointScan
-
-    samples = []
-    for i in range(n):
-        pose = rng.uniform(0.0, 100.0, 2)
-        pts = rng.uniform(-1.0, 1.0, (4, 3))
-        samples.append(
-            PlaceSample(scan=PointScan(points=pts), pose=pose, domain_id=0, sample_id=i)
-        )
-    return batch_relation(samples, PairPolicy())
-
-
-def gradcheck_suite(seed: int, batch: int, dim: int, points: int, corrupt: float = 0.0):
-    """FD-verify the encoder and every loss; ``corrupt`` is a negative control."""
-    from .gradcheck import GradCheckSuite, check_gradient
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    suite = GradCheckSuite()
-    hidden = 6
-
-    # Encoder: scalar probe <W, E(params)> exercises every parameter path.
-    scans = rng.uniform(-1.0, 1.0, (batch, points, 3))
-    params = init_params(seed, hidden, dim)
-    probe = rng.normal(0.0, 1.0, (batch, dim))
-    for normalize in (False, True):
-        e, cache = encode_with_cache(params, scans, normalize)
-        g = backward(params, scans, probe, normalize, cache=cache)
-        suite.reports.append(
-            check_gradient(
-                lambda v: float(
-                    np.sum(probe * encode(unflatten_params(v, hidden, dim), scans, normalize))
-                ),
-                flatten_params(g),
-                flatten_params(params),
-                name=f"encoder[normalize={normalize}]",
-                corrupt=corrupt,
-            )
-        )
-
-    # Triplet margin loss on a generic triple.
-    tri = rng.normal(0.0, 1.0, (3, dim))
-    res = triplet_loss(tri[0], tri[1], tri[2], margin=2.5)
-    suite.reports.append(
-        check_gradient(
-            lambda v: triplet_loss(v[0], v[1], v[2], margin=2.5).value,
-            res.grad_new,
-            tri,
-            name="triplet",
-            corrupt=corrupt,
-        )
-    )
-
-    # Batch-hard triplet over a random relation.
-    e = rng.normal(0.0, 1.0, (batch, dim))
-    relation = _random_relation(rng, batch)
-    bh = batch_hard_triplet(e, relation, margin=0.5)
-    suite.reports.append(
-        check_gradient(
-            lambda v: batch_hard_triplet(v, relation, margin=0.5).loss.value,
-            bh.loss.grad_new,
-            e,
-            name="batch_hard_triplet",
-            corrupt=corrupt,
-        )
-    )
-
-    # Ranking distillation against a fixed old batch.
-    e_old = rng.normal(0.0, 1.0, (batch, dim))
-    e_new = rng.normal(0.0, 1.0, (batch, dim))
-    rkd = ranking_distill_loss(e_old, e_new, tau=0.3)
-    suite.reports.append(
-        check_gradient(
-            lambda v: ranking_distill_loss(e_old, v, tau=0.3).value,
-            rkd.grad_new,
-            e_new,
-            name="ranking_distill",
-            corrupt=corrupt,
-        )
-    )
-
-    # Distribution distillation, all three divergences.
-    for div in DIVERGENCES:
-        dkd = distribution_distill_loss(e_old, e_new, temp=1.0, divergence=div)
-        suite.reports.append(
-            check_gradient(
-                lambda v, d=div: distribution_distill_loss(e_old, v, temp=1.0, divergence=d).value,
-                dkd.grad_new,
-                e_new,
-                name=f"distribution_distill[{div}]",
-                corrupt=corrupt,
-            )
-        )
-
-    # Combined objective with every term on.
-    comb = combined_loss(
-        e_old, e_new, relation, margin=0.5, rank_temp=0.3, dist_temp=1.0, lam=0.5,
-        toggles=LossToggles(),
-    )
-    suite.reports.append(
-        check_gradient(
-            lambda v: combined_loss(
-                e_old, v, relation, margin=0.5, rank_temp=0.3, dist_temp=1.0, lam=0.5,
-                toggles=LossToggles(),
-            ).loss.value,
-            comb.loss.grad_new,
-            e_new,
-            name="combined",
-            corrupt=corrupt,
-        )
-    )
-    return suite
-
-
 def cmd_gradcheck(args) -> int:
+    from .gradcheck import gradcheck_suite
+
     seed = args.seed if args.seed is not None else 0
     suite = gradcheck_suite(seed, args.batch, args.dim, args.points, corrupt=args.corrupt)
     for line in suite.lines():

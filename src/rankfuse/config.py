@@ -32,6 +32,12 @@ def _require_choice(value, choices: tuple, path: str):
     _require(value in choices, path, f"must be one of {choices}, got {value!r}")
 
 
+def _require_seed(value, path: str):
+    # bool is an int subclass, but `true` is not a seed.
+    ok = isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    _require(ok, path, f"must be a non-negative integer, got {value!r}")
+
+
 # Each section validates its own fields on construction, so a config built by
 # from_dict, by apply_overrides (via replace) or directly is checked alike.
 
@@ -133,6 +139,13 @@ class DomainConfig:
     trajectory_length: float = 900.0
     style: str | StyleParams = "plains"
 
+    def __post_init__(self):
+        path = f"domains[{self.name}]"
+        _require_seed(self.seed, f"{path}.seed")
+        _require(self.train_places >= 2, f"{path}.train_places", "must be >= 2")
+        _require(self.test_places >= 2, f"{path}.test_places", "must be >= 2")
+        self.style_params()  # validates preset names
+
     def style_params(self) -> StyleParams:
         if isinstance(self.style, StyleParams):
             return self.style
@@ -200,7 +213,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
         "must be a non-empty list of integers",
     )
     for i, s in enumerate(seeds):
-        _require(isinstance(s, int), f"seeds[{i}]", f"must be an integer, got {s!r}")
+        _require_seed(s, f"seeds[{i}]")
 
     fusion = raw.get("fusion", True)
     _require(isinstance(fusion, bool), "fusion", f"must be a boolean, got {fusion!r}")
@@ -216,11 +229,8 @@ def from_dict(raw: dict) -> ExperimentConfig:
             d = dict(d)
             d["style"] = _build(StyleParams, d["style"], f"domains[{i}].style")
         dom = _build(DomainConfig, d, f"domains[{i}]")
-        _require(dom.train_places >= 2, f"domains[{i}].train_places", "must be >= 2")
-        _require(dom.test_places >= 2, f"domains[{i}].test_places", "must be >= 2")
         _require(dom.name not in names, f"domains[{i}].name", f"duplicate name {dom.name!r}")
         names.add(dom.name)
-        dom.style_params()  # validates preset names
         domains.append(dom)
 
     return ExperimentConfig(
@@ -256,7 +266,6 @@ def apply_overrides(
     toggles: dict | None = None,
     lambda_variant: str | None = None,
     divergence: str | None = None,
-    fusion: bool | None = None,
 ) -> ExperimentConfig:
     """Apply command-line overrides; replace() re-validates each section."""
     loss_changes = {}
@@ -275,8 +284,6 @@ def apply_overrides(
         loss_changes["lambda_variant"] = lambda_variant
     if divergence is not None:
         loss_changes["divergence"] = divergence
-    if fusion is not None:
-        fus = fusion
     return replace(
         cfg,
         loss=replace(cfg.loss, **loss_changes),
@@ -287,17 +294,13 @@ def apply_overrides(
     )
 
 
-def canonical_dict(cfg: ExperimentConfig) -> dict:
-    return asdict(cfg)
-
-
 def config_digest(cfg: ExperimentConfig) -> str:
     """sha256 over the canonical JSON form; stable across dict ordering.
 
     out_dir is excluded: it decides where artifacts land, not what the
     experiment computes, and results must not change when it does.
     """
-    d = canonical_dict(cfg)
+    d = asdict(cfg)
     d.pop("out_dir")
     blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -77,12 +77,6 @@ class EncoderParams:
     def astype(self, dtype) -> "EncoderParams":
         return EncoderParams(*(t.astype(dtype, copy=False) for t in self.tensors()))
 
-    def map(self, fn) -> "EncoderParams":
-        return EncoderParams(*(fn(t) for t in self.tensors()))
-
-
-GradientBundle = EncoderParams  # same shapes, per-parameter gradients
-
 
 @dataclass(frozen=True)
 class ModelSnapshot:
@@ -224,7 +218,7 @@ def encode_with_cache(params: EncoderParams, scans, normalize: bool = True,
 
 
 def backward(params: EncoderParams, scans, upstream: np.ndarray, normalize: bool = True,
-             *, cache: TrainCache) -> GradientBundle:
+             *, cache: TrainCache) -> EncoderParams:
     """Exact loss gradient w.r.t. every parameter given d(loss)/d(embedding).
 
     ``params``, ``scans`` and ``normalize`` are those of the forward that made
@@ -297,7 +291,7 @@ class AdamState:
 
 def adam_step(
     params: EncoderParams,
-    grads: GradientBundle,
+    grads: EncoderParams,
     state: AdamState,
     lr: float,
     weight_decay: float = 0.0,
@@ -334,6 +328,12 @@ def adam_step(
 # ---------------------------------------------------------------------------
 # Snapshots
 
+
+def _shapes(hidden: int, dim: int) -> list[tuple[int, ...]]:
+    """Shapes of the ``_FIELDS`` tensors for a (hidden, dim) encoder."""
+    return [(3, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, dim), (dim,)]
+
+
 def flatten_params(params: EncoderParams) -> np.ndarray:
     """Concatenate all tensors into one float64 vector, declaration order."""
     return np.concatenate([np.asarray(t, dtype=np.float64).ravel() for t in params.tensors()])
@@ -341,7 +341,7 @@ def flatten_params(params: EncoderParams) -> np.ndarray:
 
 def unflatten_params(vec: np.ndarray, hidden: int, dim: int) -> EncoderParams:
     """Inverse of flatten_params for the given architecture."""
-    shapes = [(3, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, dim), (dim,)]
+    shapes = _shapes(hidden, dim)
     total = sum(math.prod(s) for s in shapes)
     vec = np.asarray(vec, dtype=np.float64)
     if vec.shape != (total,):
@@ -422,9 +422,8 @@ def load_snapshot(path: str | Path) -> ModelSnapshot:
     if hidden < 1 or dim < 1:
         raise UsageError(f"snapshot file {path} has hidden={hidden}, dim={dim}; both must be >= 1")
     (norm_flag,) = struct.unpack("<B", take(1))
-    shapes = [(3, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, dim), (dim,)]
     tensors = []
-    for shape in shapes:
+    for shape in _shapes(hidden, dim):
         n = math.prod(shape)
         tensors.append(np.frombuffer(take(4 * n), dtype="<f4").reshape(shape).copy())
     if off != len(raw):

@@ -271,7 +271,6 @@ def results_dict(
     fused: ProtocolEvaluation | None,
     seed: int,
     config_digest: str,
-    notes: str = "",
 ) -> dict:
     d = _mode_dict(headline)
     return {
@@ -285,7 +284,7 @@ def results_dict(
             "single": _mode_dict(single),
             "fused": _mode_dict(fused) if fused is not None else None,
             "cells": headline.cells,
-            "notes": notes,
+            "notes": "",
         },
     }
 

@@ -5,6 +5,8 @@ central differences at eps = 1e-4, relative error below 1e-4 on float64
 inputs, with a guard that skips coordinates sitting on hinge/abs kinks
 (where the two one-sided slopes disagree). A deliberate corruption hook
 exists so the harness itself can be shown to catch wrong gradients.
+``gradcheck_suite`` runs it on the encoder and on every loss term the method
+trains with; ``rankfuse gradcheck`` and acceptance criterion 1 call it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,13 @@ from typing import Callable
 
 import numpy as np
 
+from .continual import batch_relation
+from .data import PairPolicy, PlaceSample, PointScan
+from .encoder import (backward, encode, encode_with_cache, flatten_params, init_params,
+                      unflatten_params)
 from .errors import UsageError
+from .losses import (DIVERGENCES, LossToggles, batch_hard_triplet, combined_loss,
+                     distribution_distill_loss, ranking_distill_loss, triplet_loss)
 
 DEFAULT_EPS = 1e-4
 DEFAULT_TOL = 1e-4
@@ -107,3 +115,113 @@ def check_gradient(
         passed=max_rel < tol,
         worst_index=worst,
     )
+
+
+def _random_relation(rng, n):
+    samples = []
+    for i in range(n):
+        pose = rng.uniform(0.0, 100.0, 2)
+        pts = rng.uniform(-1.0, 1.0, (4, 3))
+        samples.append(
+            PlaceSample(scan=PointScan(points=pts), pose=pose, domain_id=0, sample_id=i)
+        )
+    return batch_relation(samples, PairPolicy())
+
+
+def gradcheck_suite(seed: int, batch: int, dim: int, points: int, corrupt: float = 0.0):
+    """FD-verify the encoder and every loss; ``corrupt`` is a negative control."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    suite = GradCheckSuite()
+    hidden = 6
+
+    # Encoder: scalar probe <W, E(params)> exercises every parameter path.
+    scans = rng.uniform(-1.0, 1.0, (batch, points, 3))
+    params = init_params(seed, hidden, dim)
+    probe = rng.normal(0.0, 1.0, (batch, dim))
+    for normalize in (False, True):
+        e, cache = encode_with_cache(params, scans, normalize)
+        g = backward(params, scans, probe, normalize, cache=cache)
+        suite.reports.append(
+            check_gradient(
+                lambda v: float(
+                    np.sum(probe * encode(unflatten_params(v, hidden, dim), scans, normalize))
+                ),
+                flatten_params(g),
+                flatten_params(params),
+                name=f"encoder[normalize={normalize}]",
+                corrupt=corrupt,
+            )
+        )
+
+    # Triplet margin loss on a generic triple.
+    tri = rng.normal(0.0, 1.0, (3, dim))
+    res = triplet_loss(tri[0], tri[1], tri[2], margin=2.5)
+    suite.reports.append(
+        check_gradient(
+            lambda v: triplet_loss(v[0], v[1], v[2], margin=2.5).value,
+            res.grad_new,
+            tri,
+            name="triplet",
+            corrupt=corrupt,
+        )
+    )
+
+    # Batch-hard triplet over a random relation.
+    e = rng.normal(0.0, 1.0, (batch, dim))
+    relation = _random_relation(rng, batch)
+    bh = batch_hard_triplet(e, relation, margin=0.5)
+    suite.reports.append(
+        check_gradient(
+            lambda v: batch_hard_triplet(v, relation, margin=0.5).loss.value,
+            bh.loss.grad_new,
+            e,
+            name="batch_hard_triplet",
+            corrupt=corrupt,
+        )
+    )
+
+    # Ranking distillation against a fixed old batch.
+    e_old = rng.normal(0.0, 1.0, (batch, dim))
+    e_new = rng.normal(0.0, 1.0, (batch, dim))
+    rkd = ranking_distill_loss(e_old, e_new, tau=0.3)
+    suite.reports.append(
+        check_gradient(
+            lambda v: ranking_distill_loss(e_old, v, tau=0.3).value,
+            rkd.grad_new,
+            e_new,
+            name="ranking_distill",
+            corrupt=corrupt,
+        )
+    )
+
+    # Distribution distillation, all three divergences.
+    for div in DIVERGENCES:
+        dkd = distribution_distill_loss(e_old, e_new, temp=1.0, divergence=div)
+        suite.reports.append(
+            check_gradient(
+                lambda v, d=div: distribution_distill_loss(e_old, v, temp=1.0, divergence=d).value,
+                dkd.grad_new,
+                e_new,
+                name=f"distribution_distill[{div}]",
+                corrupt=corrupt,
+            )
+        )
+
+    # Combined objective with every term on.
+    comb = combined_loss(
+        e_old, e_new, relation, margin=0.5, rank_temp=0.3, dist_temp=1.0, lam=0.5,
+        toggles=LossToggles(),
+    )
+    suite.reports.append(
+        check_gradient(
+            lambda v: combined_loss(
+                e_old, v, relation, margin=0.5, rank_temp=0.3, dist_temp=1.0, lam=0.5,
+                toggles=LossToggles(),
+            ).loss.value,
+            comb.loss.grad_new,
+            e_new,
+            name="combined",
+            corrupt=corrupt,
+        )
+    )
+    return suite

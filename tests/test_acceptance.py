@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankfuse.cli import gradcheck_suite
 from rankfuse.config import apply_overrides, load_config
 from rankfuse.continual import (
     MemoryBuffer,
@@ -35,6 +34,7 @@ from rankfuse.evaluation import (
     forgetting_score,
     recall_at_n,
 )
+from rankfuse.gradcheck import gradcheck_suite
 from rankfuse.losses import (
     RelaxationSchedule,
     js_divergence,

@@ -200,7 +200,8 @@ def test_run_encodes_each_split_once_per_snapshot(monkeypatch, tmp_path):
         return real(params, scans, normalize)
 
     monkeypatch.setattr(rankfuse.evaluation, "encode", counting)
-    assert main(["run", "--config", str(SMOKE), "--fusion", "on", "--out", str(tmp_path)]) == 0
+    assert main(["run", "--config", str(SMOKE), "--toggle", "fusion=on",
+                 "--out", str(tmp_path)]) == 0
     t_total = 2
     assert len(calls) == 2 * t_total**2
     assert calls == [30] * len(calls)  # smoke test_places
@@ -256,6 +257,32 @@ def test_all_loss_terms_off_exits_2(tmp_path):
     proc = cli("run", "--config", SMOKE, "--out", tmp_path,
                "--toggle", "pr=off", "rkd=off", "dkd=off")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--config", SMOKE),
+    ("gen-data", "--config", SMOKE),
+    ("gradcheck",),
+    ("eval", "--snapshot", "a.snap", "--corpus", "db", "--queries", "q"),
+])
+def test_negative_seed_flag_exits_2(tmp_path, argv):
+    proc = cli(*argv, "--seed", "-1", "--out", tmp_path)
+    assert proc.returncode == 2
+    assert "argument --seed: expected a non-negative integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("verb, old, new, field", [
+    ("run", "seeds: [0]", "seeds: [true]", "seeds[0]"),
+    ("gen-data", "seed: 101", "seed: -1", "domains[plains].seed"),
+])
+def test_bad_config_seed_exits_2(tmp_path, verb, old, new, field):
+    config = tmp_path / "edited.yaml"
+    config.write_text(SMOKE.read_text().replace(old, new, 1))
+    proc = cli(verb, "--config", config, "--out", tmp_path / "out")
+    assert proc.returncode == 2
+    assert f"config error: {field}: must be a non-negative integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +394,7 @@ unused = {{"scipy", "yaml", "rankfuse.config", "rankfuse.continual", "rankfuse.g
 assert not unused & set(sys.modules), sorted(unused & set(sys.modules))
 assert main(["gen-data", "--config", {str(SMOKE)!r}, "--out", {str(tmp_path)!r}]) == 0
 assert "scipy" not in sys.modules, "gen-data"
+assert "rankfuse.gradcheck" not in sys.modules, "gen-data"
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -8,9 +8,9 @@ import yaml
 
 from rankfuse.config import (
     SCHEMA_ID,
+    DomainConfig,
     ExperimentConfig,
     apply_overrides,
-    canonical_dict,
     config_digest,
     from_dict,
     load_config,
@@ -79,6 +79,14 @@ def test_field_validation_messages():
         from_dict(_minimal(seeds=[]))
     with pytest.raises(ConfigurationError, match="seeds\\[1\\]"):
         from_dict(_minimal(seeds=[0, "one"]))
+    # A bool is not an integer, and numpy's generators refuse negative seeds.
+    with pytest.raises(ConfigurationError, match="seeds\\[0\\]: must be a non-negative integer"):
+        from_dict(_minimal(seeds=[True]))
+    with pytest.raises(ConfigurationError, match="seeds\\[1\\]: must be a non-negative integer"):
+        from_dict(_minimal(seeds=[0, -2]))
+    for seed in (-1, True):
+        with pytest.raises(ConfigurationError, match="domains\\[a\\].seed: must be a non-negative"):
+            from_dict(_minimal(domains=[{"name": "a", "seed": seed, "style": "plains"}]))
     with pytest.raises(ConfigurationError, match="forgetting_max"):
         from_dict(_minimal(forgetting_max="always"))
 
@@ -96,6 +104,18 @@ def test_duplicate_domain_names_rejected():
 def test_unknown_style_preset_rejected():
     with pytest.raises(ConfigurationError, match="unknown preset"):
         from_dict(_minimal(domains=[{"name": "a", "seed": 1, "style": "metropolis"}]))
+
+
+def test_domain_config_checks_its_own_fields():
+    # Built directly rather than by from_dict, a domain is checked alike.
+    with pytest.raises(ConfigurationError, match="domains\\[a\\].seed"):
+        DomainConfig(name="a", seed=-1)
+    with pytest.raises(ConfigurationError, match="domains\\[a\\].train_places: must be >= 2"):
+        DomainConfig(name="a", seed=1, train_places=1)
+    with pytest.raises(ConfigurationError, match="domains\\[a\\].test_places: must be >= 2"):
+        DomainConfig(name="a", seed=1, test_places=1)
+    with pytest.raises(ConfigurationError, match="domains\\[a\\].style: unknown preset"):
+        DomainConfig(name="a", seed=1, style="metropolis")
 
 
 def test_inline_style_mapping_accepted():
@@ -135,7 +155,7 @@ def test_digest_tracks_any_field(tmp_path):
     assert config_digest(cfg) != config_digest(moved)
     # Round trip through YAML: same digest.
     path = tmp_path / "copy.yaml"
-    path.write_text(yaml.safe_dump(canonical_dict(cfg)))
+    path.write_text(yaml.safe_dump(dataclasses.asdict(cfg)))
     assert config_digest(load_config(path)) == config_digest(cfg)
 
 

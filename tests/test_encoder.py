@@ -395,10 +395,11 @@ def oracle_adam_step(params, grads, moments, t, lr, weight_decay=0.0, beta1=0.9,
 def test_adam_step_matches_per_tensor_oracle_bytes(weight_decay):
     rng = np.random.default_rng(17)
     params = init_params(seed=17, hidden=H, dim=D)
-    expected, moments, t = params, (params.map(np.zeros_like).tensors(),) * 2, 0
+    expected, moments, t = params, (tuple(np.zeros_like(a) for a in params.tensors()),) * 2, 0
     state = AdamState.zeros_like(params)
     for step in range(6):
-        grads = params.map(lambda a: rng.normal(size=a.shape) * (rng.uniform(size=a.shape) < 0.7))
+        grads = EncoderParams(*(rng.normal(size=a.shape) * (rng.uniform(size=a.shape) < 0.7)
+                                for a in params.tensors()))
         lr = 1e-3 if step < 4 else 1e-4
         params, state = adam_step(params, grads, state, lr=lr, weight_decay=weight_decay)
         expected, moments, t = oracle_adam_step(expected, grads, moments, t, lr, weight_decay)
@@ -410,7 +411,7 @@ def test_adam_step_matches_per_tensor_oracle_bytes(weight_decay):
 
 def test_adam_rejects_non_finite_gradient_by_name():
     params = init_params(seed=0, hidden=4, dim=4)
-    grads = params.map(np.zeros_like)
+    grads = EncoderParams(*(np.zeros_like(a) for a in params.tensors()))
     grads.w2[1, 2] = np.nan
     with pytest.raises(TrainingError, match="non-finite gradient in w2"):
         adam_step(params, grads, AdamState.zeros_like(params), lr=1e-3)

@@ -430,10 +430,10 @@ def test_results_dict_layout(smoke_run, smoke_emb):
 
 def test_results_dict_single_mode(smoke_run, smoke_emb):
     single = evaluate_protocol(smoke_run, smoke_emb, fusion=False)
-    d = results_dict(single, single, None, seed=3, config_digest="abc", notes="n")
+    d = results_dict(single, single, None, seed=3, config_digest="abc")
     assert d["per_step_details"]["headline_mode"] == "single"
     assert d["per_step_details"]["fused"] is None
-    assert d["per_step_details"]["notes"] == "n"
+    assert d["per_step_details"]["notes"] == ""
 
 
 def test_dump_results_is_canonical(smoke_run, smoke_emb):
