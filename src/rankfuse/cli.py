@@ -68,12 +68,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"rankfuse {__version__}")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_seed, default=None, help="override the config seed list")
-    common.add_argument("--out", type=str, default=None, help="output directory override")
-
-    run = sub.add_parser("run", parents=[common], help="train and evaluate a protocol")
+    run = sub.add_parser("run", help="train and evaluate a protocol")
     run.add_argument("--config", required=True, help="experiment config (YAML)")
+    run.add_argument("--seed", type=_seed, default=None, help="override the config seed list")
+    run.add_argument("--out", default=None, help="output directory override")
     run.add_argument(
         "--toggle",
         action="append",
@@ -84,7 +82,7 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--lambda-variant", choices=LAMBDA_VARIANTS, default=None)
     run.add_argument("--divergence", choices=DIVERGENCES, default=None)
 
-    ev = sub.add_parser("eval", parents=[common], help="evaluate saved snapshots on a corpus")
+    ev = sub.add_parser("eval", help="evaluate saved snapshots on a corpus")
     ev.add_argument("--snapshot", action="append", required=True, help="snapshot file (repeatable)")
     ev.add_argument("--corpus", required=True, help="database corpus directory")
     ev.add_argument("--queries", required=True, help="query corpus directory")
@@ -92,15 +90,18 @@ def _parser() -> argparse.ArgumentParser:
     ev.add_argument("--config", default=None, help="verify snapshots against this config")
     ev.add_argument("--pos-test", type=float, default=25.0, help="positive radius, meters")
     ev.add_argument("--at", type=int, default=1, help="N for Recall@N")
+    ev.add_argument("--out", default=None, help="also write eval.json to this directory")
 
-    gc = sub.add_parser("gradcheck", parents=[common], help="finite-difference gradient suite")
+    gc = sub.add_parser("gradcheck", help="finite-difference gradient suite")
+    gc.add_argument("--seed", type=_seed, default=0, help="seed of the random inputs")
     gc.add_argument("--batch", type=int, default=5)
     gc.add_argument("--dim", type=int, default=8)
     gc.add_argument("--points", type=int, default=32)
     gc.add_argument("--corrupt", type=float, default=0.0, help=argparse.SUPPRESS)
 
-    gd = sub.add_parser("gen-data", parents=[common], help="write synthetic corpora to disk")
+    gd = sub.add_parser("gen-data", help="write synthetic corpora to disk")
     gd.add_argument("--config", required=True, help="experiment config (YAML)")
+    gd.add_argument("--out", default=None, help="output directory override")
     return p
 
 
@@ -114,7 +115,7 @@ def _effective_config(args):
     cfg = load_config(args.config)
     return apply_overrides(
         cfg,
-        seed=args.seed,
+        seed=getattr(args, "seed", None),
         out=args.out,
         toggles=parse_toggle_args(getattr(args, "toggle", None)),
         lambda_variant=getattr(args, "lambda_variant", None),
@@ -269,8 +270,7 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .gradcheck import gradcheck_suite
 
-    seed = args.seed if args.seed is not None else 0
-    suite = gradcheck_suite(seed, args.batch, args.dim, args.points, corrupt=args.corrupt)
+    suite = gradcheck_suite(args.seed, args.batch, args.dim, args.points, corrupt=args.corrupt)
     for line in suite.lines():
         print(line)
     if suite.passed:

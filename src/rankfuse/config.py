@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import yaml
@@ -144,6 +145,10 @@ class DomainConfig:
         _require_seed(self.seed, f"{path}.seed")
         _require(self.train_places >= 2, f"{path}.train_places", "must be >= 2")
         _require(self.test_places >= 2, f"{path}.test_places", "must be >= 2")
+        length = self.trajectory_length
+        number = isinstance(length, (int, float)) and not isinstance(length, bool)
+        _require(number and math.isfinite(length) and length > 0, f"{path}.trajectory_length",
+                 f"must be a finite number > 0, got {length!r}")
         self.style_params()  # validates preset names
 
     def style_params(self) -> StyleParams:
@@ -182,6 +187,13 @@ def _build(cls, raw: dict, path: str):
         return cls(**raw)
     except TypeError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
+    except ConfigurationError as exc:
+        # PairPolicy and StyleParams name a bad field "<class>.<field>": put
+        # its config path in place of the class name.
+        msg = str(exc)
+        if not msg.startswith(cls.__name__):
+            raise
+        raise ConfigurationError(path + msg[len(cls.__name__):]) from None
 
 
 def from_dict(raw: dict) -> ExperimentConfig:

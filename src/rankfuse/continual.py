@@ -23,7 +23,6 @@ from .data import (
     PairPolicy,
     PairRelation,
     generate_domain,
-    pairwise_pose_distances,
 )
 from .encoder import (
     AdamState,
@@ -40,8 +39,8 @@ from .encoder import (
     save_snapshot,
 )
 from .errors import ConfigurationError, TrainingError, UsageError
+from .evaluation import euclidean
 from .losses import (
-    LossToggles,
     RelaxationSchedule,
     combined_loss,
     relaxation_weight,
@@ -93,7 +92,8 @@ def batch_relation(samples: list, policy: PairPolicy) -> PairRelation:
     Same-domain pairs follow the pose thresholds; cross-domain pairs are
     negatives (different environments are never the same place).
     """
-    dist = pairwise_pose_distances(samples)
+    poses = np.stack([s.pose for s in samples])
+    dist = euclidean(poses, poses)
     dom = np.array([s.domain_id for s in samples])
     same = dom[:, None] == dom[None, :]
     positive = same & (dist < policy.pos_train)
@@ -171,13 +171,12 @@ def _train(
 ) -> StepResult:
     plan, loss = cfg.plan, cfg.loss
     normalize = cfg.encoder.normalize
-    toggles = LossToggles(pr=loss.pr, rkd=loss.rkd, dkd=loss.dkd)
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([seed, _STEP_TAG, step_index]))
     )
     params = start_params.astype(np.float64)
     state = AdamState.zeros_like(params)
-    distill = old is not None and (toggles.rkd or toggles.dkd)
+    distill = old is not None and (loss.rkd or loss.dkd)
     old_params = old.params if old is not None else None
     old_digest = params_digest(old_params) if old_params is not None else None
     schedule = (
@@ -217,18 +216,7 @@ def _train(
             e_new, cache = encode_with_cache(params, scans, normalize, work)
             e_old = teacher[rows] if distill else None
             relation = batch_relation(batch, cfg.pairs)
-            out = combined_loss(
-                e_old,
-                e_new,
-                relation,
-                margin=loss.margin,
-                rank_temp=loss.rank_temp,
-                dist_temp=loss.dist_temp,
-                lam=lam,
-                toggles=toggles,
-                divergence=loss.divergence,
-                rkd_norm=loss.rkd_norm,
-            )
+            out = combined_loss(e_old, e_new, relation, loss, lam)
             if not np.isfinite(out.loss.value):
                 raise TrainingError(
                     f"non-finite loss at step {step_index} epoch {epoch} "
@@ -255,7 +243,7 @@ def _train(
                 active_fraction=mean_fraction,
             )
         )
-        if toggles.pr:
+        if loss.pr:
             batch_size = maybe_expand_batch(batch_size, mean_fraction, plan)
 
     if old_params is not None and params_digest(old_params) != old_digest:

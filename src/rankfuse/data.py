@@ -448,16 +448,6 @@ def generate_domain(
 
 
 # ---------------------------------------------------------------------------
-# Pair labeling
-
-
-def pairwise_pose_distances(samples: list[PlaceSample]) -> np.ndarray:
-    poses = np.stack([s.pose for s in samples])
-    diff = poses[:, None, :] - poses[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
-
-
-# ---------------------------------------------------------------------------
 # On-disk corpus format: poses.csv + one little-endian float32 .f32 per scan
 
 POSES_FILE = "poses.csv"

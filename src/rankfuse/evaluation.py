@@ -2,9 +2,9 @@
 recall matrix, the forgetting score, and fused old+new retrieval.
 
 Retrieval is brute force, distance ties broken by lowest sample_id. Distances,
-for embeddings and for the positive-radius pose test alike, sum the squared
-column differences in column order from zero, then take the square root:
-scipy's ``cdist`` euclidean bits without scipy. One matrix product screens the
+for embeddings, for the positive-radius pose test and for training pair labels
+alike, sum the squared column differences in column order from zero, then take
+the square root: scipy's ``cdist`` euclidean bits without scipy. One matrix product screens the
 database; only rows that can reach a query's top n get the exact distance.
 The top n is found by selection: rows closer than the n-th smallest distance
 are in, and rows at exactly that distance fill the remaining slots. Only when
@@ -69,12 +69,12 @@ def recall_at_n(
         raise UsageError("embeddings must be finite")
     q = np.asarray(q_emb, dtype=np.float64)
     db = np.asarray(db_emb, dtype=np.float64)
-    is_pos = _euclidean(q_poses, db_poses) < pos_test
+    is_pos = euclidean(q_poses, db_poses) < pos_test
     evaluated = int(is_pos.any(axis=1).sum())
     excluded = len(q) - evaluated
     top = min(n, len(db))
     cols = _screen(q, db, top)  # holds every row that can reach a query's top
-    dists = _euclidean(q, db, cols)
+    dists = euclidean(q, db, cols)
     is_pos = np.take_along_axis(is_pos, cols, axis=1)
     # Rows closer than the top-th smallest distance are in the top; rows at
     # exactly that distance fill the remaining (>= 1) slots.
@@ -117,7 +117,7 @@ def _screen(q, db, top: int) -> np.ndarray:
     return part[:, :top] if width == top else np.argpartition(approx, width - 1, axis=1)[:, :width]
 
 
-def _euclidean(a, b, cols=None) -> np.ndarray:
+def euclidean(a, b, cols=None) -> np.ndarray:
     """Distances from each row of ``a`` to every row of ``b`` (or to rows
     ``cols[i]``), bit-equal to scipy's cdist (euclidean).
 

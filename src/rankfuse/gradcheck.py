@@ -16,13 +16,14 @@ from typing import Callable
 
 import numpy as np
 
+from .config import LossConfig
 from .continual import batch_relation
 from .data import PairPolicy, PlaceSample, PointScan
 from .encoder import (backward, encode, encode_with_cache, flatten_params, init_params,
                       unflatten_params)
 from .errors import UsageError
-from .losses import (DIVERGENCES, LossToggles, batch_hard_triplet, combined_loss,
-                     distribution_distill_loss, ranking_distill_loss, triplet_loss)
+from .losses import (DIVERGENCES, batch_hard_triplet, combined_loss, distribution_distill_loss,
+                     ranking_distill_loss, triplet_loss)
 
 DEFAULT_EPS = 1e-4
 DEFAULT_TOL = 1e-4
@@ -35,7 +36,6 @@ class GradCheckReport:
     checked: int
     skipped_kinks: int
     passed: bool
-    worst_index: tuple = ()
 
     def line(self) -> str:
         status = "ok" if self.passed else "FAIL"
@@ -80,7 +80,6 @@ def check_gradient(
         raise UsageError("eps and tol must be positive")
 
     max_rel = 0.0
-    worst = ()
     checked = 0
     kinks = 0
     base = float(fn(x))
@@ -102,9 +101,7 @@ def check_gradient(
         analytic = float(grad[idx])
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
         checked += 1
-        if rel > max_rel:
-            max_rel = rel
-            worst = idx
+        max_rel = max(max_rel, rel)
     if checked == 0:
         raise UsageError(f"{name}: every coordinate sat on a kink; nothing checked")
     return GradCheckReport(
@@ -113,7 +110,6 @@ def check_gradient(
         checked=checked,
         skipped_kinks=kinks,
         passed=max_rel < tol,
-        worst_index=worst,
     )
 
 
@@ -131,97 +127,44 @@ def _random_relation(rng, n):
 def gradcheck_suite(seed: int, batch: int, dim: int, points: int, corrupt: float = 0.0):
     """FD-verify the encoder and every loss; ``corrupt`` is a negative control."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    suite = GradCheckSuite()
     hidden = 6
+    cases = []  # (name, fn, analytic gradient, input)
 
     # Encoder: scalar probe <W, E(params)> exercises every parameter path.
     scans = rng.uniform(-1.0, 1.0, (batch, points, 3))
     params = init_params(seed, hidden, dim)
     probe = rng.normal(0.0, 1.0, (batch, dim))
     for normalize in (False, True):
-        e, cache = encode_with_cache(params, scans, normalize)
-        g = backward(params, scans, probe, normalize, cache=cache)
-        suite.reports.append(
-            check_gradient(
-                lambda v: float(
-                    np.sum(probe * encode(unflatten_params(v, hidden, dim), scans, normalize))
-                ),
-                flatten_params(g),
-                flatten_params(params),
-                name=f"encoder[normalize={normalize}]",
-                corrupt=corrupt,
-            )
-        )
+        _, cache = encode_with_cache(params, scans, normalize)
+        cases.append((
+            f"encoder[normalize={normalize}]",
+            lambda v, nz=normalize: float(
+                np.sum(probe * encode(unflatten_params(v, hidden, dim), scans, nz))
+            ),
+            flatten_params(backward(params, scans, probe, normalize, cache=cache)),
+            flatten_params(params),
+        ))
 
-    # Triplet margin loss on a generic triple.
+    # Each loss as (name, x -> LossValue, x): a generic triplet, batch-hard
+    # mining over a random relation, and the distillation terms and the
+    # combined objective (every term on) against a fixed old batch.
     tri = rng.normal(0.0, 1.0, (3, dim))
-    res = triplet_loss(tri[0], tri[1], tri[2], margin=2.5)
-    suite.reports.append(
-        check_gradient(
-            lambda v: triplet_loss(v[0], v[1], v[2], margin=2.5).value,
-            res.grad_new,
-            tri,
-            name="triplet",
-            corrupt=corrupt,
-        )
-    )
-
-    # Batch-hard triplet over a random relation.
     e = rng.normal(0.0, 1.0, (batch, dim))
     relation = _random_relation(rng, batch)
-    bh = batch_hard_triplet(e, relation, margin=0.5)
-    suite.reports.append(
-        check_gradient(
-            lambda v: batch_hard_triplet(v, relation, margin=0.5).loss.value,
-            bh.loss.grad_new,
-            e,
-            name="batch_hard_triplet",
-            corrupt=corrupt,
-        )
-    )
-
-    # Ranking distillation against a fixed old batch.
     e_old = rng.normal(0.0, 1.0, (batch, dim))
     e_new = rng.normal(0.0, 1.0, (batch, dim))
-    rkd = ranking_distill_loss(e_old, e_new, tau=0.3)
-    suite.reports.append(
-        check_gradient(
-            lambda v: ranking_distill_loss(e_old, v, tau=0.3).value,
-            rkd.grad_new,
-            e_new,
-            name="ranking_distill",
-            corrupt=corrupt,
-        )
-    )
+    combined = LossConfig(margin=0.5, rank_temp=0.3, dist_temp=1.0)
+    losses = [
+        ("triplet", lambda v: triplet_loss(v[0], v[1], v[2], margin=2.5), tri),
+        ("batch_hard_triplet", lambda v: batch_hard_triplet(v, relation, margin=0.5).loss, e),
+        ("ranking_distill", lambda v: ranking_distill_loss(e_old, v, tau=0.3), e_new),
+        *((f"distribution_distill[{div}]",
+           lambda v, d=div: distribution_distill_loss(e_old, v, temp=1.0, divergence=d), e_new)
+          for div in DIVERGENCES),
+        ("combined", lambda v: combined_loss(e_old, v, relation, combined, lam=0.5).loss, e_new),
+    ]
+    cases += [(name, lambda v, f=f: f(v).value, f(x).grad_new, x) for name, f, x in losses]
 
-    # Distribution distillation, all three divergences.
-    for div in DIVERGENCES:
-        dkd = distribution_distill_loss(e_old, e_new, temp=1.0, divergence=div)
-        suite.reports.append(
-            check_gradient(
-                lambda v, d=div: distribution_distill_loss(e_old, v, temp=1.0, divergence=d).value,
-                dkd.grad_new,
-                e_new,
-                name=f"distribution_distill[{div}]",
-                corrupt=corrupt,
-            )
-        )
-
-    # Combined objective with every term on.
-    comb = combined_loss(
-        e_old, e_new, relation, margin=0.5, rank_temp=0.3, dist_temp=1.0, lam=0.5,
-        toggles=LossToggles(),
-    )
-    suite.reports.append(
-        check_gradient(
-            lambda v: combined_loss(
-                e_old, v, relation, margin=0.5, rank_temp=0.3, dist_temp=1.0, lam=0.5,
-                toggles=LossToggles(),
-            ).loss.value,
-            comb.loss.grad_new,
-            e_new,
-            name="combined",
-            corrupt=corrupt,
-        )
-    )
-    return suite
+    return GradCheckSuite(reports=[
+        check_gradient(fn, grad, x, name=name, corrupt=corrupt) for name, fn, grad, x in cases
+    ])

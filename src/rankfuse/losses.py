@@ -21,10 +21,14 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import LossConfig
 
 _PROB_FLOOR = 1e-12
 _DIST_FLOOR = 1e-12
@@ -67,13 +71,6 @@ class BatchTripletResult:
     active_fraction: float
     valid_anchors: int
     no_valid_anchors: bool
-
-
-@dataclass(frozen=True)
-class LossToggles:
-    pr: bool = True
-    rkd: bool = True
-    dkd: bool = True
 
 
 @dataclass(frozen=True)
@@ -304,8 +301,10 @@ def kl_divergence(p, q) -> float:
 
 
 def symmetric_kl(p, q) -> float:
-    """0.5 (KL(p||q) + KL(q||p)); symmetric bit-exactly."""
-    return 0.5 * (kl_divergence(p, q) + kl_divergence(q, p))
+    """0.5 (KL(p||q) + KL(q||p)) as one sum; symmetric bit-exactly, because
+    each element adds the same two terms in either order."""
+    pc, qc = _clamped(p), _clamped(q)
+    return 0.5 * float(np.sum(pc * (np.log(pc) - np.log(qc)) + qc * (np.log(qc) - np.log(pc))))
 
 
 def js_divergence(p, q) -> float:
@@ -315,11 +314,15 @@ def js_divergence(p, q) -> float:
     return 0.5 * kl_divergence(pc, m) + 0.5 * kl_divergence(qc, m)
 
 
+_DIVERGENCE_FNS = {"skl": symmetric_kl, "kl": kl_divergence, "js": js_divergence}
+
+
 def distribution_distill_loss(e_old, e_new, temp: float, divergence: str = "skl") -> LossValue:
     """Row-wise divergence between old and new embedding distributions.
 
-    Sums divergence(softmax(old_i), softmax(new_i)) over the batch. ``kl``
-    is KL(old || new); ``js`` and ``skl`` are symmetric in their arguments.
+    Sums divergence(softmax(old_i), softmax(new_i)) over the batch, with the
+    divergence functions above. ``kl`` is KL(old || new); ``js`` and ``skl``
+    are symmetric in their arguments.
     """
     if divergence not in DIVERGENCES:
         raise ConfigurationError(f"divergence must be one of {DIVERGENCES}, got {divergence!r}")
@@ -328,25 +331,21 @@ def distribution_distill_loss(e_old, e_new, temp: float, divergence: str = "skl"
         raise UsageError(f"batch shape mismatch: old {vo.shape} vs new {vn.shape}")
     p = to_distribution(vo, temp)
     q = to_distribution(vn, temp)
-    pc, qc = _clamped(p), _clamped(q)
+    value = _DIVERGENCE_FNS[divergence](p, q)
 
+    # d(divergence)/dq, elementwise on the clamped distributions.
+    pc, qc = _clamped(p), _clamped(q)
     if divergence == "skl":
-        value = 0.5 * np.sum(pc * (np.log(pc) - np.log(qc)) + qc * (np.log(qc) - np.log(pc)))
         df_dq = 0.5 * (-pc / qc + np.log(qc) - np.log(pc) + 1.0)
     elif divergence == "kl":
-        value = np.sum(pc * (np.log(pc) - np.log(qc)))
         df_dq = -pc / qc
     else:
-        m = 0.5 * (pc + qc)
-        value = 0.5 * np.sum(pc * (np.log(pc) - np.log(m))) + 0.5 * np.sum(
-            qc * (np.log(qc) - np.log(m))
-        )
-        df_dq = 0.5 * (np.log(qc) - np.log(m))
+        df_dq = 0.5 * (np.log(qc) - np.log(0.5 * (pc + qc)))
 
     # Chain through softmax: dL/dz_k = q_k (df_k - sum_j q_j df_j), z = e/temp.
     inner = np.sum(q * df_dq, axis=1, keepdims=True)
     grad = q * (df_dq - inner) / temp
-    return LossValue(value=float(value), grad_new=grad)
+    return LossValue(value=value, grad_new=grad)
 
 
 # ---------------------------------------------------------------------------
@@ -443,27 +442,15 @@ class CombinedLossResult:
     no_valid_anchors: bool
 
 
-def combined_loss(
-    e_old,
-    e_new,
-    relation,
-    margin: float,
-    rank_temp: float,
-    dist_temp: float,
-    lam: float,
-    toggles: LossToggles = LossToggles(),
-    divergence: str = "skl",
-    rkd_norm: str = "cubic",
-) -> CombinedLossResult:
+def combined_loss(e_old, e_new, relation, loss: LossConfig, lam: float) -> CombinedLossResult:
     """Place-recognition loss plus relaxed distillation terms.
 
-    total = [pr] + lam * ([rkd] + [dkd]), each term toggleable. Gradients
-    flow to the new embeddings only.
+    total = [pr] + lam * ([rkd] + [dkd]), each term switched by the loss
+    section, which refuses all three off. Gradients flow to the new
+    embeddings only.
     """
-    if not (toggles.pr or toggles.rkd or toggles.dkd):
-        raise ConfigurationError("all loss terms toggled off")
     vn = _vectors(e_new)
-    if (toggles.rkd or toggles.dkd) and e_old is None:
+    if (loss.rkd or loss.dkd) and e_old is None:
         raise UsageError("distillation toggled on but no old embeddings given")
 
     grad = np.zeros_like(vn)
@@ -471,18 +458,18 @@ def combined_loss(
     active_fraction = 0.0
     no_valid = False
 
-    if toggles.pr:
-        pr = batch_hard_triplet(e_new, relation, margin)
+    if loss.pr:
+        pr = batch_hard_triplet(e_new, relation, loss.margin)
         pr_value = pr.loss.value
         active_fraction = pr.active_fraction
         no_valid = pr.no_valid_anchors
         grad += pr.loss.grad_new
-    if toggles.rkd:
-        rkd = ranking_distill_loss(e_old, e_new, rank_temp, norm=rkd_norm)
+    if loss.rkd:
+        rkd = ranking_distill_loss(e_old, e_new, loss.rank_temp, norm=loss.rkd_norm)
         rkd_value = rkd.value
         grad += lam * rkd.grad_new
-    if toggles.dkd:
-        dkd = distribution_distill_loss(e_old, e_new, dist_temp, divergence=divergence)
+    if loss.dkd:
+        dkd = distribution_distill_loss(e_old, e_new, loss.dist_temp, divergence=loss.divergence)
         dkd_value = dkd.value
         grad += lam * dkd.grad_new
 

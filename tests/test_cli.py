@@ -266,9 +266,37 @@ def test_all_loss_terms_off_exits_2(tmp_path):
     ("eval", "--snapshot", "a.snap", "--corpus", "db", "--queries", "q"),
 ])
 def test_negative_seed_flag_exits_2(tmp_path, argv):
-    proc = cli(*argv, "--seed", "-1", "--out", tmp_path)
+    # Only run and gradcheck read --seed, and gradcheck writes no files.
+    out = () if argv[0] == "gradcheck" else ("--out", tmp_path)
+    proc = cli(*argv, *out, "--seed", "-1")
     assert proc.returncode == 2
-    assert "argument --seed: expected a non-negative integer" in proc.stderr
+    if argv[0] in ("run", "gradcheck"):
+        assert "argument --seed: expected a non-negative integer" in proc.stderr
+    else:
+        assert "unrecognized arguments: --seed -1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-data", "--config", SMOKE, "--seed", "0"),
+    ("gradcheck", "--out", "somewhere"),
+    ("eval", "--snapshot", "a.snap", "--corpus", "db", "--queries", "q", "--seed", "0"),
+])
+def test_verb_refuses_flags_it_does_not_read(argv):
+    proc = cli(*argv)
+    assert proc.returncode == 2
+    assert f"unrecognized arguments: {' '.join(map(str, argv[-2:]))}" in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["-5.0", ".nan", ".inf"])
+def test_bad_trajectory_length_exits_2(tmp_path, value):
+    config = tmp_path / "edited.yaml"
+    config.write_text(SMOKE.read_text().replace("trajectory_length: 300.0",
+                                                f"trajectory_length: {value}", 1))
+    proc = cli("gen-data", "--config", config, "--out", tmp_path / "out")
+    assert proc.returncode == 2
+    assert "config error: domains[plains].trajectory_length: must be a finite number > 0" \
+        in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -288,6 +316,10 @@ def test_bad_config_seed_exits_2(tmp_path, verb, old, new, field):
 # ---------------------------------------------------------------------------
 # gradcheck
 
+# sha256 of the `gradcheck --batch 4 --dim 6 --points 16` stdout; a change here
+# changes what the suite checks or what a gradient computes.
+GRADCHECK_SMALL_SHA256 = "fedf225660e6a69fb30162b88058849e0dea78875cf42bf9407e8d117d607cc1"
+
 
 def test_gradcheck_passes_and_is_deterministic():
     a = cli("gradcheck", "--batch", 4, "--dim", 6, "--points", 16)
@@ -297,6 +329,7 @@ def test_gradcheck_passes_and_is_deterministic():
     assert len(lines) == 9  # 2 encoder + triplet + batch-hard + rkd + 3 dkd + combined
     assert all(": ok " in line for line in lines)
     assert a.stdout == b.stdout
+    assert hashlib.sha256(a.stdout.encode()).hexdigest() == GRADCHECK_SMALL_SHA256
 
 
 def test_gradcheck_corrupt_control_exits_5():

@@ -89,6 +89,16 @@ def test_field_validation_messages():
             from_dict(_minimal(domains=[{"name": "a", "seed": seed, "style": "plains"}]))
     with pytest.raises(ConfigurationError, match="forgetting_max"):
         from_dict(_minimal(forgetting_max="always"))
+    # Pair thresholds and inline styles are checked by their data classes;
+    # the message names the config path, not the class.
+    with pytest.raises(ConfigurationError, match="^pairs.pos_train must be > 0, got 0.0$"):
+        from_dict(_minimal(pairs={"pos_train": 0.0}))
+    with pytest.raises(ConfigurationError, match="^pairs.neg_train must exceed pos_train"):
+        from_dict(_minimal(pairs={"neg_train": 5.0}))
+    style = {"name": "a", "seed": 1, "style": {"noise": -1.0}}
+    with pytest.raises(ConfigurationError,
+                       match="^domains\\[0\\].style.noise must be >= 0, got -1.0$"):
+        from_dict(_minimal(domains=[style]))
 
 
 def test_duplicate_domain_names_rejected():
@@ -116,6 +126,10 @@ def test_domain_config_checks_its_own_fields():
         DomainConfig(name="a", seed=1, test_places=1)
     with pytest.raises(ConfigurationError, match="domains\\[a\\].style: unknown preset"):
         DomainConfig(name="a", seed=1, style="metropolis")
+    for length in (-5.0, 0.0, float("nan"), float("inf"), True, "900"):
+        with pytest.raises(ConfigurationError,
+                           match="domains\\[a\\].trajectory_length: must be a finite number > 0"):
+            DomainConfig(name="a", seed=1, trajectory_length=length)
 
 
 def test_inline_style_mapping_accepted():

@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import rankfuse.continual
 from rankfuse.config import BufferConfig, load_config
@@ -21,7 +22,7 @@ from rankfuse.continual import (
     update_buffer,
     write_run_log,
 )
-from rankfuse.data import _build_world, pairwise_pose_distances
+from rankfuse.data import _build_world
 from rankfuse.encoder import params_digest
 from rankfuse.errors import ConfigurationError, TrainingError, UsageError
 
@@ -89,7 +90,8 @@ def test_batch_relation_cross_domain_is_negative(policy):
 def test_batch_relation_same_domain_uses_thresholds(policy):
     samples = tiny_domain(n_places=30)
     rel = batch_relation(samples, policy)
-    dist = pairwise_pose_distances(samples)
+    poses = np.stack([s.pose for s in samples])
+    dist = cdist(poses, poses)
     expected_pos = dist < policy.pos_train
     np.fill_diagonal(expected_pos, False)
     np.testing.assert_array_equal(rel.positive, expected_pos)

@@ -25,11 +25,10 @@ from rankfuse.data import (
     _build_world,
     generate_domain,
     load_corpus,
-    pairwise_pose_distances,
     save_corpus,
 )
 from rankfuse.errors import ConfigurationError, IngestionError
-from rankfuse.evaluation import recall_at_n
+from rankfuse.evaluation import euclidean, recall_at_n
 
 from conftest import TINY_STYLE, tiny_domain
 
@@ -250,16 +249,18 @@ def test_domain_spec_validation():
 # Pair labeling
 
 
-def test_pairwise_pose_distances_match_cdist():
+def test_pose_distances_match_cdist():
+    # batch_relation labels pairs with evaluation's distance: cdist's bits.
     samples = tiny_domain(n_places=20)
     poses = np.stack([s.pose for s in samples])
-    np.testing.assert_allclose(pairwise_pose_distances(samples), cdist(poses, poses), atol=1e-9)
+    assert np.array_equal(euclidean(poses, poses), cdist(poses, poses))
 
 
 def test_label_pairs_train_band_is_unlabeled(policy):
     samples = tiny_domain(n_places=50)
     rel = batch_relation(samples, policy)
-    dist = pairwise_pose_distances(samples)
+    poses = np.stack([s.pose for s in samples])
+    dist = cdist(poses, poses)
     band = (dist >= policy.pos_train) & (dist <= policy.neg_train)
     np.fill_diagonal(band, False)
     assert not (rel.positive & band).any()

@@ -203,12 +203,12 @@ def test_distance_matches_cdist_bit_for_bit(dim):
             a = rng.normal(0.0, scale, (rows, dim))
             b = rng.normal(0.0, scale, (40, dim))
             b[:3] = a[:3] if rows >= 3 else a[0]  # duplicate rows: exact zeros
-            out = evaluation_mod._euclidean(a, b)
+            out = evaluation_mod.euclidean(a, b)
             assert np.array_equal(out, cdist(a, b)), (rows, scale)
             assert (out == 0.0).any()
             # The screen's exact pass: chosen rows of b for each row of a.
             cols = rng.integers(0, len(b), (rows, 7))
-            picked = evaluation_mod._euclidean(a, b, cols)
+            picked = evaluation_mod.euclidean(a, b, cols)
             assert np.array_equal(picked, out[np.arange(rows)[:, None], cols]), (rows, scale)
 
 

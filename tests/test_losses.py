@@ -1,5 +1,6 @@
 """Loss values, gradients, soft ranking, divergences, and the relaxation schedule."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -10,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankfuse.losses as losses_mod
+from rankfuse.config import LossConfig
 from rankfuse.data import PairRelation
 from rankfuse.errors import ConfigurationError, UsageError
 from rankfuse.gradcheck import check_gradient
 from rankfuse.losses import (
-    LossToggles,
     RelaxationSchedule,
     batch_hard_triplet,
     combined_loss,
@@ -412,6 +413,21 @@ def test_divergence_floor_handles_zero_entries():
     assert np.isfinite(js_divergence(p, q))
 
 
+@pytest.mark.parametrize("divergence, fn", [
+    ("skl", symmetric_kl), ("kl", kl_divergence), ("js", js_divergence),
+])
+def test_dkd_value_is_the_divergence_function(divergence, fn):
+    # The training loss takes its value from the divergence functions that
+    # criterion 3's fixtures check, so those fixtures cover the trained loss.
+    rng = np.random.default_rng(31)
+    for batch, temp in ((2, 1.0), (16, 0.5), (64, 2.0), (256, 1.0)):
+        old = rng.normal(0.0, 2.0, (batch, 12))
+        new = rng.normal(0.0, 2.0, (batch, 12))
+        out = distribution_distill_loss(old, new, temp=temp, divergence=divergence)
+        expected = fn(to_distribution(old, temp), to_distribution(new, temp))
+        assert out.value == expected, (divergence, batch)
+
+
 def test_dkd_identical_embeddings_zero_for_all_divergences(unit_rows):
     e = unit_rows(5, 8)
     for div in ("skl", "kl", "js"):
@@ -573,21 +589,23 @@ def _combined_inputs(seed=0):
 
 
 def test_combined_all_off_is_config_error():
-    old, new, rel = _combined_inputs()
+    # combined_loss takes the loss section, which refuses all terms off when
+    # it is built and again on every replace.
     with pytest.raises(ConfigurationError):
-        combined_loss(old, new, rel, 0.2, 0.1, 1.0, 0.5,
-                      toggles=LossToggles(pr=False, rkd=False, dkd=False))
+        LossConfig(pr=False, rkd=False, dkd=False)
+    with pytest.raises(ConfigurationError):
+        dataclasses.replace(LossConfig(pr=False, dkd=False), rkd=False)
 
 
 def test_combined_distill_requires_old_embeddings():
     _, new, rel = _combined_inputs()
     with pytest.raises(UsageError):
-        combined_loss(None, new, rel, 0.2, 0.1, 1.0, 0.5)
+        combined_loss(None, new, rel, LossConfig(), 0.5)
 
 
 def test_combined_lambda_zero_equals_batch_triplet():
     old, new, rel = _combined_inputs()
-    out = combined_loss(old, new, rel, 0.2, 0.1, 1.0, lam=0.0)
+    out = combined_loss(old, new, rel, LossConfig(), lam=0.0)
     pr = batch_hard_triplet(new, rel, margin=0.2)
     assert out.loss.value == pr.loss.value
     np.testing.assert_array_equal(out.loss.grad_new, pr.loss.grad_new)
@@ -595,7 +613,7 @@ def test_combined_lambda_zero_equals_batch_triplet():
 
 def test_combined_identical_batches_reduce_to_pr():
     _, new, rel = _combined_inputs()
-    out = combined_loss(new, new.copy(), rel, 0.2, 0.1, 1.0, lam=0.9)
+    out = combined_loss(new, new.copy(), rel, LossConfig(), lam=0.9)
     assert out.rkd_value == 0.0
     assert out.dkd_value == pytest.approx(0.0, abs=1e-12)
     assert out.loss.value == pytest.approx(out.pr_value, abs=1e-12)
@@ -604,7 +622,7 @@ def test_combined_identical_batches_reduce_to_pr():
 def test_combined_matches_component_sum():
     old, new, rel = _combined_inputs(seed=2)
     lam = 0.37
-    out = combined_loss(old, new, rel, 0.2, 0.1, 0.8, lam=lam)
+    out = combined_loss(old, new, rel, LossConfig(dist_temp=0.8), lam=lam)
     pr = batch_hard_triplet(new, rel, margin=0.2)
     rkd = ranking_distill_loss(old, new, tau=0.1)
     dkd = distribution_distill_loss(old, new, temp=0.8)
@@ -620,8 +638,7 @@ def test_combined_matches_component_sum():
 
 def test_combined_fine_tuning_toggle_row():
     old, new, rel = _combined_inputs(seed=3)
-    out = combined_loss(old, new, rel, 0.2, 0.1, 1.0, lam=0.5,
-                        toggles=LossToggles(pr=True, rkd=False, dkd=False))
+    out = combined_loss(old, new, rel, LossConfig(rkd=False, dkd=False), lam=0.5)
     assert out.rkd_value == 0.0 and out.dkd_value == 0.0
     assert out.loss.value == out.pr_value
 
