@@ -33,6 +33,10 @@ def _require_choice(value, choices: tuple, path: str):
     _require(value in choices, path, f"must be one of {choices}, got {value!r}")
 
 
+def _require_finite(value, path: str):
+    _require(math.isfinite(value), path, f"must be finite, got {value!r}")
+
+
 def _require_seed(value, path: str):
     # bool is an int subclass, but `true` is not a seed.
     ok = isinstance(value, int) and not isinstance(value, bool) and value >= 0
@@ -73,6 +77,8 @@ class LossConfig:
     dkd: bool = True
 
     def __post_init__(self):
+        for name in ("margin", "rank_temp", "dist_temp"):
+            _require_finite(getattr(self, name), f"loss.{name}")
         _require(self.margin >= 0, "loss.margin", f"must be >= 0, got {self.margin}")
         _require(self.rank_temp > 0, "loss.rank_temp", f"must be > 0, got {self.rank_temp}")
         _require(self.dist_temp > 0, "loss.dist_temp", f"must be > 0, got {self.dist_temp}")
@@ -102,6 +108,7 @@ class PlanConfig:
             f"start {self.batch_start} exceeds cap {self.batch_cap}",
         )
         _require(self.batch_start >= 2, "plan.batch_start", f"must be >= 2, got {self.batch_start}")
+        _require_finite(self.expansion_rate, "plan.expansion_rate")
         _require(
             self.expansion_rate > 1,
             "plan.expansion_rate",

@@ -75,6 +75,10 @@ class PairPolicy:
     pos_test: float = 25.0
 
     def __post_init__(self):
+        for name in ("pos_train", "neg_train", "pos_test"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"PairPolicy.{name}: must be finite, got {value}")
         if not self.pos_train > 0:
             raise ConfigurationError(f"PairPolicy.pos_train must be > 0, got {self.pos_train}")
         if not self.neg_train > self.pos_train:
@@ -203,9 +207,10 @@ class DomainSpec:
     def __post_init__(self):
         if self.n_places < 2:
             raise ConfigurationError(f"DomainSpec.n_places must be >= 2, got {self.n_places}")
-        if self.trajectory_length <= 0:
+        if not (math.isfinite(self.trajectory_length) and self.trajectory_length > 0):
             raise ConfigurationError(
-                f"DomainSpec.trajectory_length must be > 0, got {self.trajectory_length}"
+                "DomainSpec.trajectory_length must be a finite number > 0, "
+                f"got {self.trajectory_length}"
             )
         if self.session < 0:
             raise ConfigurationError(f"DomainSpec.session must be >= 0, got {self.session}")

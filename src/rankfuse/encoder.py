@@ -141,7 +141,9 @@ def encode(params: EncoderParams, scans, normalize: bool = True) -> np.ndarray:
     """Embed a batch of scans into (B, D) rows; permuting a scan's points is a no-op.
 
     Inference only: no backward cache, bounded memory, and the same bits as
-    the rows of ``encode_with_cache``.
+    the rows of ``encode_with_cache``. The second layer pools before its bias
+    and rectifier: rounding a sum is monotone in each term and the rectifier
+    commutes with max, so max_p relu(h_p + b) = relu(max_p h_p + b) exactly.
     """
     x = _stack_scans(scans)
     p = params.astype(np.float64)
@@ -151,10 +153,9 @@ def encode(params: EncoderParams, scans, normalize: bool = True) -> np.ndarray:
         h = x[lo:hi] @ p.w1
         h += p.b1
         np.maximum(h, 0.0, out=h)
-        h = h @ p.w2
-        h += p.b2
-        np.maximum(h, 0.0, out=h)
-        pooled[lo:hi] = h.max(axis=1)
+        np.max(h @ p.w2, axis=1, out=pooled[lo:hi])
+    pooled += p.b2
+    np.maximum(pooled, 0.0, out=pooled)
     return _head(p, pooled, normalize)[0]
 
 

@@ -12,12 +12,15 @@ The O(N^3) soft-rank sweeps of ranking distillation run on every CPU the
 process may use. Their row chunks are dealt out in contiguous shares, one
 per thread; each row gets the same operations on the same inputs at any
 thread count, so the bytes do not depend on it. The helper threads call
-only numpy and ``expit``, which release the GIL, and are joined before the
-sweep returns.
+only numpy, which releases the GIL, and are joined before the sweep returns.
+
+The sigmoid is ``1 / (1 + exp(-x))`` with libm's ``exp``, as scipy's
+``expit`` computes it, without importing scipy (see ``sigmoid``).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -46,15 +49,6 @@ _CHUNK_BUDGET = 65_536
 DIVERGENCES = ("skl", "kl", "js")
 LAMBDA_VARIANTS = ("literal", "incloud")
 RKD_NORMS = ("cubic", "quadratic")
-
-
-def expit(x, out=None):
-    """scipy's logistic sigmoid, imported on first call: ``rankfuse eval`` and
-    ``gen-data`` never load scipy. numpy's ``exp`` would differ in the last bit.
-    """
-    from scipy.special import expit as _expit
-
-    return _expit(x, out=out)
 
 
 @dataclass
@@ -101,19 +95,49 @@ def relaxation_weight(schedule: RelaxationSchedule, epoch: float) -> float:
     if not 0.0 <= g <= beta:
         raise UsageError(f"epoch {g} outside [0, {beta}]")
     if schedule.variant == "literal":
-        return float(expit(-10.0 * g / (beta - 0.5)))
-    return float(expit(-10.0 * (g / beta - 0.5)))
+        x = -10.0 * g / (beta - 0.5)
+    else:
+        x = -10.0 * (g / beta - 0.5)
+    return 1.0 / (1.0 + math.exp(-x))  # math.exp is libm exp; |x| <= 20
 
 
 # ---------------------------------------------------------------------------
 # Similarity and soft ranking
 
 
-def sigmoid(x, tau: float):
-    """Logistic 1/(1+exp(-x/tau)); saturates cleanly for |x/tau| up to 1e4+."""
+def sigmoid(x, tau: float, out=None, scratch=None):
+    """Logistic 1/(1+exp(-v)) of v = x/tau, saturating to 0 and 1 silently.
+
+    Each element equals ``1.0 / (1.0 + math.exp(-v))`` bit for bit, as
+    scipy's ``expit`` does. numpy's SIMD ``exp`` differs from libm's in the
+    last bit on about 2% of inputs; its scalar loop, which calls libm
+    ``exp``, runs when the input view has a negative stride and the output
+    is contiguous. So -x/tau is written back to front into ``scratch`` and
+    read through a reversed view. ``out`` (which may be ``x``) must be a
+    C-contiguous float64 array of x's shape; ``scratch``, a C-contiguous
+    float64 array of at least ``x.size`` elements, is allocated if not given.
+    """
     if tau <= 0:
         raise UsageError(f"tau must be > 0, got {tau}")
-    return expit(np.asarray(x, dtype=np.float64) / tau)
+    x = np.asarray(x, dtype=np.float64)
+    if out is None:
+        out = np.empty(x.shape)
+    if not (out.flags.c_contiguous and out.dtype == np.float64 and out.shape == x.shape):
+        raise UsageError(f"sigmoid out must be a C-contiguous float64 array of shape {x.shape}")
+    flat = out.reshape(-1)  # a view: out is contiguous
+    if scratch is None:
+        scratch = np.empty(flat.size)
+    elif not (scratch.flags.c_contiguous and scratch.dtype == np.float64
+              and scratch.size >= flat.size):
+        raise UsageError(f"sigmoid scratch must be a C-contiguous float64 array "
+                         f"of at least {flat.size} elements")
+    back = scratch.reshape(-1)[: flat.size][::-1]
+    np.divide(x.reshape(-1), -tau, out=back)  # x / -tau == -(x / tau) exactly
+    with np.errstate(over="ignore"):
+        np.exp(back, out=flat)
+    np.add(flat, 1.0, out=flat)
+    np.divide(1.0, flat, out=flat)
+    return out if out.ndim else out[()]
 
 
 def _vectors(e) -> np.ndarray:
@@ -179,13 +203,13 @@ def _sweep_rows(S, tau, r_ref, scale, step, starts, r, ds):
     n = S.shape[0]
     diag = np.arange(n)
     g_buf = np.empty((step, n, n))
+    s_buf = np.empty_like(g_buf)
     p_buf = None if r_ref is None else np.empty_like(g_buf)
     for start in starts:
         rows = S[start : start + step]
         g = g_buf[: len(rows)]
         np.subtract(rows[:, None, :], rows[:, :, None], out=g)  # [q, i, j]
-        np.divide(g, tau, out=g)
-        expit(g, out=g)
+        sigmoid(g, tau, out=g, scratch=s_buf)
         g[:, diag, diag] = 0.0
         rc = r[start : start + step]
         np.add(1.0, g.sum(axis=2), out=rc)

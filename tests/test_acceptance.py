@@ -98,7 +98,7 @@ def test_criterion_2_soft_rank_invariants():
         e = rng.normal(0.0, 1.0, (n, d))
         e /= np.linalg.norm(e, axis=1, keepdims=True)
         # Unit rows keep every gap <= 2, so gap/tau stays inside the band
-        # where expit neither rounds to 0 nor to 1 in float64.
+        # where the sigmoid neither rounds to 0 nor to 1 in float64.
         tau = float(np.exp(rng.uniform(math.log(0.06), math.log(2.0))))
         r = soft_ranks(similarity_matrix(e), tau)
         expected = n + n * (n - 1) / 2.0

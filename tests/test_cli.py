@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import shutil
 import struct
@@ -12,6 +13,7 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 
 import rankfuse.cli
 import rankfuse.continual
@@ -300,6 +302,21 @@ def test_bad_trajectory_length_exits_2(tmp_path, value):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("section, field", [
+    ("loss", "margin"), ("loss", "rank_temp"), ("loss", "dist_temp"),
+    ("pairs", "neg_train"), ("pairs", "pos_test"),
+])
+def test_infinite_config_value_exits_2(tmp_path, section, field):
+    raw = yaml.safe_load(SMOKE.read_text())
+    raw.setdefault(section, {})[field] = math.inf  # written as .inf
+    config = tmp_path / "edited.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    proc = cli("run", "--config", config, "--out", tmp_path / "out")
+    assert proc.returncode == 2
+    assert f"config error: {section}.{field}: must be finite, got inf" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("verb, old, new, field", [
     ("run", "seeds: [0]", "seeds: [true]", "seeds[0]"),
     ("gen-data", "seed: 101", "seed: -1", "domains[plains].seed"),
@@ -409,9 +426,9 @@ def test_eval_fused_pair(smoke_out, corpora):
 
 
 def test_cli_never_imports_scipy(smoke_out, corpora, tmp_path):
-    # Import, gen-data and single and fused eval run without loading scipy;
-    # only the training losses import it (for expit). eval also leaves out
-    # the config (and yaml), training and gradient-check modules.
+    # Import, single and fused eval, gen-data, run and gradcheck run without
+    # loading scipy. eval also leaves out the config (and yaml), training and
+    # gradient-check modules.
     out, _ = smoke_out
     snaps = [str(out / "seed_0" / f"step_{i}.snap") for i in (0, 1)]
     plains = corpora[0] / "plains"
@@ -428,10 +445,15 @@ assert not unused & set(sys.modules), sorted(unused & set(sys.modules))
 assert main(["gen-data", "--config", {str(SMOKE)!r}, "--out", {str(tmp_path)!r}]) == 0
 assert "scipy" not in sys.modules, "gen-data"
 assert "rankfuse.gradcheck" not in sys.modules, "gen-data"
+assert main(["run", "--config", {str(SMOKE)!r}, "--out", {str(tmp_path / "run")!r}]) == 0
+assert "scipy" not in sys.modules, "run"
+assert main(["gradcheck"]) == 0
+assert "scipy" not in sys.modules, "gradcheck"
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("recall_at_n") == 2
+    assert "seed 0:" in proc.stdout and "combined: ok" in proc.stdout
 
 
 def test_eval_three_snapshots_is_usage_error(smoke_out, corpora):

@@ -95,6 +95,13 @@ def test_field_validation_messages():
         from_dict(_minimal(pairs={"pos_train": 0.0}))
     with pytest.raises(ConfigurationError, match="^pairs.neg_train must exceed pos_train"):
         from_dict(_minimal(pairs={"neg_train": 5.0}))
+    for section, name in [("loss", "margin"), ("loss", "rank_temp"), ("loss", "dist_temp"),
+                          ("pairs", "pos_train"), ("pairs", "neg_train"), ("pairs", "pos_test"),
+                          ("plan", "expansion_rate")]:
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError,
+                               match=f"^{section}.{name}: must be finite, got {value}$"):
+                from_dict(_minimal(**{section: {name: value}}))
     style = {"name": "a", "seed": 1, "style": {"noise": -1.0}}
     with pytest.raises(ConfigurationError,
                        match="^domains\\[0\\].style.noise must be >= 0, got -1.0$"):

@@ -243,6 +243,12 @@ def test_domain_spec_validation():
         DomainSpec(seed=1, n_places=10, trajectory_length=0.0)
     with pytest.raises(ConfigurationError):
         DomainSpec(seed=1, n_places=10, session=-1)
+    # A spec built directly, not through a config, stops here and not later
+    # in generate_domain.
+    for length in (math.nan, math.inf, -math.inf, -5.0):
+        with pytest.raises(ConfigurationError, match="^DomainSpec.trajectory_length must be "
+                                                     "a finite number > 0, got "):
+            DomainSpec(seed=1, n_places=4, trajectory_length=length)
 
 
 # ---------------------------------------------------------------------------

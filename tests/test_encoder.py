@@ -1,5 +1,7 @@
 """Point-set encoder: forward, gradients, optimizer, and snapshots."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,17 +165,31 @@ def _tied_scans(n, p, seed=0):
     return scans
 
 
+def _biased(params, seed):
+    # Nonzero biases; every third second-layer channel is negative at every
+    # point, so it pools to 0 after the rectifier, and channel 1 is 0 at every
+    # point, so all of its points tie.
+    rng = np.random.default_rng(seed)
+    w2, b2 = params.w2.copy(), rng.normal(0.0, 0.5, H)
+    b2[::3] = -100.0
+    w2[:, 1], b2[1] = 0.0, 0.0
+    return dataclasses.replace(params, b1=rng.normal(0.0, 0.5, H), w2=w2, b2=b2)
+
+
 # Besides the chunk edges: 64-66 and 131 rows, the edges of the earlier 65-row
 # chunks, are 8 whole chunks, a folded 1-row tail, a 2-row tail and a 3-row tail.
 @pytest.mark.parametrize("rows", [2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 64, 65, 66, 131, 200])
 @pytest.mark.parametrize("make", [_scans, _tied_scans], ids=["random", "tied"])
 def test_encode_matches_training_forward_bit_for_bit(rows, make):
-    # Snapshot (float32) weights, as the frozen teacher and evaluation use them.
-    params = make_snapshot(init_params(seed=12, hidden=H, dim=D), 0, "", True).params
+    # Snapshot (float32) weights, as the frozen teacher and evaluation use them;
+    # zero biases as initialized, then biases with all-negative channels.
     scans = make(rows, P, seed=rows)
-    for normalize in (True, False):
-        expected, _ = encode_with_cache(params, scans, normalize)
-        np.testing.assert_array_equal(encode(params, scans, normalize), expected)
+    params = init_params(seed=12, hidden=H, dim=D)
+    for weights in (params, _biased(params, seed=rows)):
+        weights = make_snapshot(weights, 0, "", True).params
+        for normalize in (True, False):
+            expected, _ = encode_with_cache(weights, scans, normalize)
+            np.testing.assert_array_equal(encode(weights, scans, normalize), expected)
 
 
 def test_encode_chunks_are_bounded_and_never_single_rows():

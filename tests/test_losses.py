@@ -114,6 +114,47 @@ def test_sigmoid_fixtures():
         sigmoid(1.0, 0.0)
 
 
+def _libm_sigmoid(v: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:  # libm exp returns inf there, and 1/(1+inf) = 0
+        return 0.0
+
+
+_SIGMOID_EDGES = [745.0, -745.0, math.inf, -math.inf, 0.0, 1e-300, -1e-300,
+                  709.7, -709.7, 710.0, -710.0, 36.7, -36.7]
+
+
+@pytest.mark.parametrize("shape", [(n,) for n in [*range(1, 40), 63, 64, 65, 4096, 65_536]]
+                         + [(), (1, 1), (3, 5), (2, 3, 4), (16, 64, 64)])
+def test_sigmoid_is_libm_exact_elementwise(shape):
+    # The sweep's sigmoid must equal 1/(1+math.exp(-v)) in every bit, as
+    # scipy's expit does: numpy's SIMD exp would differ on about 2% of these.
+    rng = np.random.default_rng(sum(shape) + len(shape))
+    x = rng.normal(0.0, 8.0, size=shape)
+    if x.size >= len(_SIGMOID_EDGES):
+        x.reshape(-1)[: len(_SIGMOID_EDGES)] = _SIGMOID_EDGES
+    for tau in (1.0, 0.1, 0.37):
+        v = x / tau
+        expected = np.array([_libm_sigmoid(e) for e in v.reshape(-1)]).reshape(shape)
+        assert np.asarray(sigmoid(x, tau)).tobytes() == expected.tobytes(), tau
+        buf = x.copy()  # in place, with a caller's scratch, as the sweep calls it
+        sigmoid(buf, tau, out=buf, scratch=np.empty(x.size + 3))
+        assert buf.tobytes() == expected.tobytes(), tau
+
+
+def test_sigmoid_refuses_buffers_it_would_copy():
+    x = np.zeros((4, 6))
+    with pytest.raises(UsageError, match="out must be a C-contiguous"):
+        sigmoid(x, 1.0, out=np.empty((6, 4)).T)
+    with pytest.raises(UsageError, match="out must be a C-contiguous"):
+        sigmoid(x, 1.0, out=np.empty((4, 5)))
+    with pytest.raises(UsageError, match="scratch must be"):
+        sigmoid(x, 1.0, scratch=np.empty(23))
+    with pytest.raises(UsageError, match="scratch must be"):
+        sigmoid(x, 1.0, scratch=np.empty(48)[::2])
+
+
 def test_pairwise_distances_zero_diag_symmetric(unit_rows):
     d = pairwise_distances(unit_rows(7, 5, seed=3))
     assert np.all(np.diagonal(d) == 0.0)
@@ -230,13 +271,13 @@ def test_rkd_evaluates_two_sigmoid_sweeps(monkeypatch):
     # One n^3 sweep per side: soft ranks and dL/dS of the new side share it,
     # and splitting the chunks across threads evaluates no sigmoid twice.
     evaluated = []
-    real = losses_mod.expit
+    real = losses_mod.sigmoid
 
     def counting(x, *args, **kwargs):
         evaluated.append(np.size(x))
         return real(x, *args, **kwargs)
 
-    monkeypatch.setattr(losses_mod, "expit", counting)
+    monkeypatch.setattr(losses_mod, "sigmoid", counting)
     n = 50  # two chunks at the default budget, the second one shorter
     old, new = _unit_rows(n, 8, 1), _unit_rows(n, 8, 2)
     for workers in (1, 2):
@@ -297,7 +338,7 @@ class _SweepFailure(Exception):
 
 @pytest.mark.parametrize("fail_in", ["helper", "caller"])
 def test_sweep_failure_reaches_the_caller_and_joins_helpers(fail_in, monkeypatch):
-    real = losses_mod.expit
+    real = losses_mod.sigmoid
     caller = threading.get_ident()
     helper_calls = []
 
@@ -308,7 +349,7 @@ def test_sweep_failure_reaches_the_caller_and_joins_helpers(fail_in, monkeypatch
             raise _SweepFailure(fail_in)
         return real(x, *args, **kwargs)
 
-    monkeypatch.setattr(losses_mod, "expit", failing)
+    monkeypatch.setattr(losses_mod, "sigmoid", failing)
     _force_workers(monkeypatch, 3)
     old, new = _unit_rows(64, 8, 1), _unit_rows(64, 8, 2)  # 4 chunks, 3 shares
     before = threading.active_count()
