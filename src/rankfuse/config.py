@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import yaml
 
@@ -43,6 +43,24 @@ def _require_seed(value, path: str):
     _require(ok, path, f"must be a non-negative integer, got {value!r}")
 
 
+_KINDS = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+}
+
+
+def _require_types(section, path: str):
+    # Before any range check, which would fail on a wrong type with a
+    # message that names neither the field nor the cause. YAML 1.1 reads
+    # 1e9 as a string; bool is an int subclass, but `true` is not a count.
+    for f in fields(section):
+        kind = _KINDS.get(f.type)
+        if kind is not None:
+            value = getattr(section, f.name)
+            _require(kind[1](value), f"{path}.{f.name}", f"must be {kind[0]}, got {value!r}")
+
+
 # Each section validates its own fields on construction, so a config built by
 # from_dict, by apply_overrides (via replace) or directly is checked alike.
 
@@ -55,6 +73,7 @@ class EncoderConfig:
     points_per_scan: int = 48
 
     def __post_init__(self):
+        _require_types(self, "encoder")
         _require(self.hidden >= 1, "encoder.hidden", f"must be >= 1, got {self.hidden}")
         _require(self.dim >= 2, "encoder.dim", f"must be >= 2, got {self.dim}")
         _require(
@@ -77,6 +96,7 @@ class LossConfig:
     dkd: bool = True
 
     def __post_init__(self):
+        _require_types(self, "loss")
         for name in ("margin", "rank_temp", "dist_temp"):
             _require_finite(getattr(self, name), f"loss.{name}")
         _require(self.margin >= 0, "loss.margin", f"must be >= 0, got {self.margin}")
@@ -101,6 +121,7 @@ class PlanConfig:
     weight_decay: float = 1e-3
 
     def __post_init__(self):
+        _require_types(self, "plan")
         _require(self.epochs >= 1, "plan.epochs", f"must be >= 1, got {self.epochs}")
         _require(
             self.batch_start <= self.batch_cap,
@@ -130,6 +151,7 @@ class BufferConfig:
     enabled: bool = True
 
     def __post_init__(self):
+        _require_types(self, "buffer")
         _require(self.capacity >= 1, "buffer.capacity", f"must be >= 1, got {self.capacity}")
         _require(
             0.0 < self.fraction < 1.0,
@@ -150,12 +172,13 @@ class DomainConfig:
     def __post_init__(self):
         path = f"domains[{self.name}]"
         _require_seed(self.seed, f"{path}.seed")
-        _require(self.train_places >= 2, f"{path}.train_places", "must be >= 2")
-        _require(self.test_places >= 2, f"{path}.test_places", "must be >= 2")
         length = self.trajectory_length
         number = isinstance(length, (int, float)) and not isinstance(length, bool)
         _require(number and math.isfinite(length) and length > 0, f"{path}.trajectory_length",
                  f"must be a finite number > 0, got {length!r}")
+        _require_types(self, path)
+        _require(self.train_places >= 2, f"{path}.train_places", "must be >= 2")
+        _require(self.test_places >= 2, f"{path}.test_places", "must be >= 2")
         self.style_params()  # validates preset names
 
     def style_params(self) -> StyleParams:

@@ -86,16 +86,21 @@ def maybe_expand_batch(size: int, active_fraction: float, plan: PlanConfig) -> i
     return size
 
 
-def batch_relation(samples: list, policy: PairPolicy) -> PairRelation:
+def batch_relation(poses, domain_ids, policy: PairPolicy | None = None) -> PairRelation:
     """Train-mode pair labels for a possibly mixed-domain batch.
 
+    ``poses`` (B, 2) and ``domain_ids`` (B,) are the batch's rows.
     Same-domain pairs follow the pose thresholds; cross-domain pairs are
-    negatives (different environments are never the same place).
+    negatives (different environments are never the same place). The older
+    form ``batch_relation(samples, policy)``, on ``PlaceSample``s, is what
+    ``benchmarks/child.py`` calls.
     """
-    poses = np.stack([s.pose for s in samples])
+    if policy is None:
+        samples, policy = poses, domain_ids
+        poses = np.stack([s.pose for s in samples])
+        domain_ids = np.array([s.domain_id for s in samples])
     dist = euclidean(poses, poses)
-    dom = np.array([s.domain_id for s in samples])
-    same = dom[:, None] == dom[None, :]
+    same = domain_ids[:, None] == domain_ids[None, :]
     positive = same & (dist < policy.pos_train)
     negative = (~same) | (same & (dist > policy.neg_train))
     np.fill_diagonal(positive, False)
@@ -192,6 +197,8 @@ def _train(
     # new-domain sample and buffer entry once, then gather rows per batch.
     pool = new_samples + buffer_entries
     pool_scans = np.stack([s.scan.points for s in pool])
+    pool_poses = np.stack([s.pose for s in pool])
+    pool_domains = np.array([s.domain_id for s in pool])
     teacher = encode(old_params, pool_scans, normalize) if distill else None
     # One set of (B, P, h) activation buffers for every batch of the step.
     work = TrainPass()
@@ -211,11 +218,10 @@ def _train(
         for rows in _epoch_batches(
             rng, len(new_samples), len(buffer_entries), batch_size, cfg.buffer.fraction
         ):
-            batch = [pool[i] for i in rows]
             scans = pool_scans[rows]
             e_new, cache = encode_with_cache(params, scans, normalize, work)
             e_old = teacher[rows] if distill else None
-            relation = batch_relation(batch, cfg.pairs)
+            relation = batch_relation(pool_poses[rows], pool_domains[rows], cfg.pairs)
             out = combined_loss(e_old, e_new, relation, loss, lam)
             if not np.isfinite(out.loss.value):
                 raise TrainingError(

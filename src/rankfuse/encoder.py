@@ -17,6 +17,24 @@ forwards stale, and ``backward`` raises ``UsageError`` on a stale cache
 rather than read overwritten buffers. ``backward`` only reads its cache, so
 it can run twice on one.
 
+The training pass works only where gradient flows, and keeps every bit of
+the dense pass (all points, row-major, gradient on every row):
+
+* The forward writes the second layer channel-major, (B, h, P), as
+  w2.T @ h1.T. Each output is the same products summed in the same order,
+  and argmax runs over contiguous points. The rectifier is applied to the
+  pooled values only, since it commutes with max.
+* Max pooling sends each channel's gradient to one winning point per scan,
+  PointNet's critical points: about 20 to 28 of 160 at the reference
+  shapes. So ``dh1 = da2 @ w2.T``, its mask and both bias sums run on the
+  winner rows alone. Every other row is +0.0, and numpy's row sums start
+  at +0.0, so leaving those rows out changes no bit. The two weight
+  products keep the full K = B·P, zero rows included, so BLAS splits K as
+  it does for the dense pass.
+* Whether BLAS gives a reordered product the dense bits depends on the
+  shape, since OpenBLAS runs other kernels for small products. Each (P, h)
+  is probed once, and the dense product runs where only it is exact.
+
 ``encode`` is the inference pass:
 it keeps no cache and runs the per-point layers in row chunks of about 4 MB
 per activation, so its memory stays bounded however many scans it embeds.
@@ -31,6 +49,7 @@ time, so save -> load -> encode is bit-exact.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
@@ -159,6 +178,35 @@ def encode(params: EncoderParams, scans, normalize: bool = True) -> np.ndarray:
     return _head(p, pooled, normalize)[0]
 
 
+@functools.cache  # a property of the process's BLAS, probed once per shape
+def _exact_layouts(pts: int, h: int) -> tuple[bool, bool]:
+    """Whether the training pass's two reordered products are exact at (P, h).
+
+    The forward computes w2.T @ h1.T where the dense pass computes h1 @ w2,
+    and the backward moves winner rows of da2 to other rows of a P-row
+    product. Both keep the bits when the BLAS kernel gives every output the
+    same operations. OpenBLAS 0.3.31's does at P=160, h=48 and at P=48,
+    h=16, but not at every shape: some h above 16 change the forward's bits,
+    and small products (P·h up to about 1200) with some h above 32 change
+    the backward's. A kernel's operations depend on the shapes, not on the
+    values, so random data tells.
+    """
+    rng = np.random.default_rng(0)
+    w = rng.uniform(-1.0, 1.0, (h, h))
+    forward = moved = True
+    # A kernel that orders or fuses a sum differently can still give the
+    # same bits: at (9, 53), one row in three shows it. So 16 scans and 32
+    # rows are tried, two at a time: arrays of at most 2·P·h floats keep the
+    # probe off the process's peak memory.
+    for _ in range(16):
+        a = rng.uniform(-1.0, 1.0, (2, pts, h))
+        cm = np.matmul(w.T, a.transpose(0, 2, 1)).transpose(0, 2, 1)
+        forward &= np.array_equal(cm, a @ w)
+        same = np.repeat(rng.uniform(-1.0, 1.0, (2, 1, h)), pts, axis=1) @ w.T
+        moved &= np.array_equal(same, np.broadcast_to(same[:, :1], same.shape))
+    return forward, moved
+
+
 class TrainPass:
     """The (B, P, h) buffers of one training step, reused by every batch.
 
@@ -204,18 +252,40 @@ def encode_with_cache(params: EncoderParams, scans, normalize: bool = True,
     p = params.astype(np.float64)
     work = TrainPass() if work is None else work
     work.generation += 1
-    h1, h2, _ = work.views(len(x), x.shape[1], p.hidden)
+    b, pts, h = len(x), x.shape[1], p.hidden
+    h1, scratch, _ = work.views(b, pts, h)
     np.matmul(x, p.w1, out=h1)
     h1 += p.b1
     np.maximum(h1, 0.0, out=h1)
-    np.matmul(h1, p.w2, out=h2)
-    h2 += p.b2
-    np.maximum(h2, 0.0, out=h2)
-    # argmax takes the first maximum: ties break to the lowest point index.
-    idx = np.argmax(h2, axis=1)
-    pooled = np.take_along_axis(h2, idx[:, None, :], axis=1)[:, 0, :]
+    if _exact_layouts(pts, h)[0]:
+        # Channel-major (B, h, P), so each channel's points are contiguous
+        # for argmax: the products and sums of h1 @ w2, transposed.
+        a2 = scratch.reshape(b, h, pts)
+        np.matmul(p.w2.T, h1.transpose(0, 2, 1), out=a2)
+        a2 += p.b2[:, None]
+    else:
+        np.matmul(h1, p.w2, out=scratch)
+        scratch += p.b2
+        a2 = scratch.transpose(0, 2, 1)
+    idx = np.argmax(a2, axis=2)
+    # argmax takes the first maximum, and the rectifier commutes with max. A
+    # channel whose maximum is <= 0 is 0 at every rectified point, so it
+    # pools the lowest point, index 0.
+    idx[np.take_along_axis(a2, idx[:, :, None], axis=2)[:, :, 0] <= 0.0] = 0
+    pooled = np.maximum(np.take_along_axis(a2, idx[:, :, None], axis=2)[:, :, 0], 0.0)
     e, z, norms = _head(p, pooled, normalize)
     return e, TrainCache(x, h1, idx, pooled, z, norms, work, work.generation)
+
+
+def _sum_rows(part: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """``full.sum(axis=0)`` from ``part``, the rows of ``full`` that may be nonzero.
+
+    The other rows of ``full`` are +0.0. numpy's axis-0 sum starts at +0.0
+    and adds whole rows in order, so a sum is never -0.0 and a +0.0 row
+    changes nothing. An (N, 1) sum is pairwise instead, so it runs on
+    ``full``.
+    """
+    return full.sum(axis=0) if part.shape[1] == 1 else part.sum(axis=0)
 
 
 def backward(params: EncoderParams, scans, upstream: np.ndarray, normalize: bool = True,
@@ -255,20 +325,43 @@ def backward(params: EncoderParams, scans, upstream: np.ndarray, normalize: bool
     # pre-activation is positive exactly where the pooled value is.
     b, pts, h = h1.shape
     _, da2, dh1 = cache.work.views(b, pts, h)
+    g = dpooled * (cache.pooled > 0.0)
     da2.fill(0.0)
-    np.put_along_axis(da2, cache.idx[:, None, :],
-                      (dpooled * (cache.pooled > 0.0))[:, None, :], axis=1)
+    np.put_along_axis(da2, cache.idx[:, None, :], g[:, None, :], axis=1)
     h1f = h1.reshape(b * pts, h)
     da2f = da2.reshape(b * pts, h)
-    dw2 = h1f.T @ da2f
-    db2 = da2f.sum(axis=0)
-    np.matmul(da2, p.w2.T, out=dh1)
-    dh1 *= h1 > 0.0  # h1 > 0 exactly where its pre-activation is
+    dw2 = h1f.T @ da2f  # the full K = B*P, so BLAS blocks it as a dense pass does
 
-    xf = x.reshape(b * pts, 3)
+    # Channel c of da2 holds g[:, c] only, one row per scan, in scan order.
+    db2 = _sum_rows(g, da2f)
     dh1f = dh1.reshape(b * pts, h)
-    dw1 = xf.T @ dh1f
-    db1 = dh1f.sum(axis=0)
+    if _exact_layouts(pts, h)[1]:
+        # dh1 = da2 @ w2.T is +0.0 but on the winner rows, so only they are
+        # multiplied, in chunks of P rows: each product has the shape of one
+        # scan's dense product, so BLAS picks the same kernel, and never a
+        # one-row gemv.
+        hit = np.zeros(b * pts, dtype=bool)  # ten times faster than np.unique here
+        hit[(np.arange(0, b * pts, pts)[:, None] + cache.idx).ravel()] = True
+        rows = np.flatnonzero(hit)
+        n = len(rows)
+        # The winner rows go to the front of dh1's buffer, padded with +0.0
+        # rows to whole chunks, and their products to the front of da2's,
+        # which dw2 has read.
+        m = -(-n // pts) * pts
+        gathered, d = dh1f[:m], da2f[:m]
+        np.take(da2f, rows, axis=0, out=gathered[:n])
+        gathered[n:] = 0.0
+        np.matmul(gathered.reshape(-1, pts, h), p.w2.T, out=d.reshape(-1, pts, h))
+        d = d[:n]
+        d *= h1f[rows] > 0.0  # h1 > 0 exactly where its pre-activation is
+        dh1.fill(0.0)
+        dh1f[rows] = d
+        db1 = _sum_rows(d, dh1f)
+    else:
+        np.matmul(da2, p.w2.T, out=dh1)
+        dh1 *= h1 > 0.0
+        db1 = dh1f.sum(axis=0)
+    dw1 = x.reshape(b * pts, 3).T @ dh1f  # the full K again
     return EncoderParams(w1=dw1, b1=db1, w2=dw2, b2=db2, w3=dw3, b3=db3)
 
 

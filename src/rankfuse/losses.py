@@ -380,6 +380,12 @@ def _unit(diff: np.ndarray) -> np.ndarray:
     return diff / max(float(np.linalg.norm(diff)), _DIST_FLOOR)
 
 
+def _units(diff: np.ndarray) -> np.ndarray:
+    """``_unit`` of each row, bit for bit: a (1, D) @ (D, 1) matmul is one ddot."""
+    norms = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0])
+    return diff / np.maximum(norms, _DIST_FLOOR)
+
+
 def triplet_loss(anchor, positive, negative, margin: float) -> LossValue:
     """Hinged triplet margin loss; grad rows are (anchor, positive, negative)."""
     a = np.asarray(anchor, dtype=np.float64)
@@ -431,19 +437,19 @@ def batch_hard_triplet(e, relation, margin: float) -> BatchTripletResult:
 
     anchors = np.flatnonzero(valid)
     n_valid = len(anchors)
-    total = 0.0
-    active = 0
-    for i in anchors:
-        hp, hn = int(hard_p[i]), int(hard_n[i])
-        hinge = d[i, hp] - d[i, hn] + margin
-        if hinge > 0.0:
-            total += hinge
-            active += 1
-            u_ap = _unit(v[i] - v[hp])
-            u_an = _unit(v[i] - v[hn])
-            grad[i] += (u_ap - u_an) / n_valid
-            grad[hp] -= u_ap / n_valid
-            grad[hn] += u_an / n_valid
+    hp, hn = hard_p[anchors], hard_n[anchors]
+    hinge = d[anchors, hp] - d[anchors, hn] + margin
+    on = hinge > 0.0
+    active = int(on.sum())
+    # The bits of a loop over active anchors: cumsum adds the hinges in
+    # order, each norm is one ddot (as np.linalg.norm of a row), and add.at
+    # applies the (anchor, positive, negative) updates in the loop's order;
+    # grad[hp] -= u equals grad[hp] += -u.
+    total = float(np.cumsum(hinge[on])[-1]) if active else 0.0
+    a, hp, hn = anchors[on], hp[on], hn[on]
+    u_ap, u_an = _units(v[a] - v[hp]), _units(v[a] - v[hn])
+    step = np.stack([(u_ap - u_an) / n_valid, -(u_ap / n_valid), u_an / n_valid], axis=1)
+    np.add.at(grad, np.stack([a, hp, hn], axis=1).ravel(), step.reshape(-1, v.shape[1]))
     return BatchTripletResult(
         loss=LossValue(value=total / n_valid, grad_new=grad),
         active_fraction=active / n_valid,

@@ -161,6 +161,19 @@ def test_results_are_identical_across_blas_thread_counts(tmp_path):
     assert hashlib.sha256(digests[0]).hexdigest() == SMOKE_RESULTS_SHA256
 
 
+BENCHMARKS = SMOKE.parent.parent / "benchmarks"
+
+
+def test_reference_short_results_match_the_benchmark_pin(tmp_path):
+    # The benchmark's reference_seed0 run, in-process: the training pass at
+    # the reference shapes (P=160, h=48), which the smoke config never reaches.
+    pinned = json.loads((BENCHMARKS / "pins.json").read_text())["reference_seed0"]["results"]
+    assert main(["run", "--config", str(BENCHMARKS / "configs" / "reference_short.yaml"),
+                 "--seed", "0", "--out", str(tmp_path)]) == 0
+    results = (tmp_path / "seed_0" / "results.json").read_bytes()
+    assert hashlib.sha256(results).hexdigest() == pinned
+
+
 @pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="needs at least two usable CPUs",
@@ -314,6 +327,21 @@ def test_infinite_config_value_exits_2(tmp_path, section, field):
     proc = cli("run", "--config", config, "--out", tmp_path / "out")
     assert proc.returncode == 2
     assert f"config error: {section}.{field}: must be finite, got inf" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("old, new, message", [
+    # Read as the string "yes", it used to fail in backward, naming the cache.
+    ("normalize: true", 'normalize: "yes"', "encoder.normalize: must be a boolean, got 'yes'"),
+    # YAML 1.1 reads 1e9 as a string; it used to fail comparing it with batch_start.
+    ("batch_cap: 32", "batch_cap: 1e9", "plan.batch_cap: must be an integer, got '1e9'"),
+])
+def test_wrongly_typed_config_value_exits_2(tmp_path, old, new, message):
+    config = tmp_path / "edited.yaml"
+    config.write_text(SMOKE.read_text().replace(old, new, 1))
+    proc = cli("run", "--config", config, "--out", tmp_path / "out")
+    assert proc.returncode == 2
+    assert f"config error: {message}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -108,6 +108,25 @@ def test_field_validation_messages():
         from_dict(_minimal(domains=[style]))
 
 
+def test_field_types_are_checked_before_ranges():
+    # Each int, float and bool field names itself and the value it got.
+    cases = [("encoder", "hidden", 2.5, "an integer"), ("encoder", "normalize", "yes", "a boolean"),
+             ("encoder", "points_per_scan", True, "an integer"), ("plan", "epochs", 1.5, "an integer"),
+             ("plan", "batch_cap", "1e9", "an integer"), ("plan", "lr_drop_epoch", "x", "an integer"),
+             ("plan", "lr", "1e-4", "a number"), ("loss", "margin", "0.2", "a number"),
+             ("loss", "rkd", 1, "a boolean"), ("buffer", "capacity", 2.5, "an integer"),
+             ("buffer", "enabled", "no", "a boolean")]
+    for section, name, value, kind in cases:
+        with pytest.raises(ConfigurationError,
+                           match=f"^{section}.{name}: must be {kind}, got {value!r}$"):
+            from_dict(_minimal(**{section: {name: value}}))
+    with pytest.raises(ConfigurationError,
+                       match="^domains\\[a\\].train_places: must be an integer, got 2.5$"):
+        from_dict(_minimal(domains=[{"name": "a", "seed": 1, "train_places": 2.5}]))
+    # An int is a number, and stays an int, so the config digest keeps it.
+    assert from_dict(_minimal(plan={"lr": 1})).plan.lr == 1
+
+
 def test_duplicate_domain_names_rejected():
     raw = _minimal()
     raw["domains"] = [

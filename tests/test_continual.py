@@ -78,7 +78,9 @@ def test_batch_expansion_rule():
 def test_batch_relation_cross_domain_is_negative(policy):
     a = tiny_domain(n_places=6, domain_id=0)
     b = tiny_domain(n_places=6, seed=9, domain_id=1)
-    rel = batch_relation(a + b, policy)
+    batch = a + b
+    rel = batch_relation(np.stack([s.pose for s in batch]),
+                         np.array([s.domain_id for s in batch]), policy)
     cross = np.zeros((12, 12), dtype=bool)
     cross[:6, 6:] = True
     cross[6:, :6] = True
@@ -89,12 +91,22 @@ def test_batch_relation_cross_domain_is_negative(policy):
 
 def test_batch_relation_same_domain_uses_thresholds(policy):
     samples = tiny_domain(n_places=30)
-    rel = batch_relation(samples, policy)
     poses = np.stack([s.pose for s in samples])
+    rel = batch_relation(poses, np.zeros(30, dtype=int), policy)
     dist = cdist(poses, poses)
     expected_pos = dist < policy.pos_train
     np.fill_diagonal(expected_pos, False)
     np.testing.assert_array_equal(rel.positive, expected_pos)
+
+
+def test_batch_relation_takes_samples_in_its_older_form(policy):
+    # benchmarks/child.py calls batch_relation(samples, policy).
+    batch = tiny_domain(n_places=8, domain_id=0) + tiny_domain(n_places=8, seed=9, domain_id=1)
+    rows = batch_relation(np.stack([s.pose for s in batch]),
+                          np.array([s.domain_id for s in batch]), policy)
+    old = batch_relation(batch, policy)
+    assert old.positive.tobytes() == rows.positive.tobytes()
+    assert old.negative.tobytes() == rows.negative.tobytes()
 
 
 # ---------------------------------------------------------------------------

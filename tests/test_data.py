@@ -264,8 +264,8 @@ def test_pose_distances_match_cdist():
 
 def test_label_pairs_train_band_is_unlabeled(policy):
     samples = tiny_domain(n_places=50)
-    rel = batch_relation(samples, policy)
     poses = np.stack([s.pose for s in samples])
+    rel = batch_relation(poses, np.zeros(50, dtype=int), policy)
     dist = cdist(poses, poses)
     band = (dist >= policy.pos_train) & (dist <= policy.neg_train)
     np.fill_diagonal(band, False)
@@ -294,7 +294,7 @@ def test_training_pairs_exist_at_reference_density(policy):
     # The protocol needs every anchor to have positives and negatives in-domain.
     spec = DomainSpec(seed=11, n_places=200, trajectory_length=900.0, style=TINY_STYLE)
     samples = generate_domain(spec, points_per_scan=16)
-    rel = batch_relation(samples, policy)
+    rel = batch_relation(np.stack([s.pose for s in samples]), np.zeros(200, dtype=int), policy)
     assert rel.positive.any(axis=1).all()
     assert rel.negative.any(axis=1).all()
 

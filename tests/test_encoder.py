@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankfuse import encoder as encoder_mod
 from rankfuse.encoder import (
     _ENCODE_BUDGET,
     _NORM_FLOOR,
     _chunk_bounds,
+    _exact_layouts,
     _head,
     AdamState,
     EncoderParams,
@@ -314,6 +316,66 @@ def test_lean_pass_matches_oracle_bytes(seed, b, pts, hidden, dim, quantize, cop
         expected = _oracle_bytes(params, x, upstream, normalize)
         assert _pass_bytes(params, x, upstream, normalize) == expected
         assert _pass_bytes(params, x, upstream, normalize, work) == expected
+
+
+def _edge_case(name):
+    """(params, scans, upstream) of one shape the winner-row pass must keep exact."""
+    rng = np.random.default_rng(21)
+    if name == "one point":  # every product of the pass is one row
+        params, x = init_params(21, 8, 5), _scans(6, 1, seed=21)
+    elif name == "one channel":  # an (N, 1) axis-0 sum is pairwise
+        base = init_params(21, 1, 5)  # a live channel, and b1 leaves h1 > 0 on some points
+        params = dataclasses.replace(base, w2=np.abs(base.w2), b1=np.array([0.1]))
+        x = _scans(40, 9, seed=21)
+    elif name == "one winner":  # every channel ties on every point, so all pick point 0
+        params, x = init_params(21, 8, 5), np.repeat(_scans(1, 1, seed=21), 9, axis=1)
+    elif name == "all dead":
+        # Every channel pools to 0, at point 0. Without normalization dpooled
+        # is negative everywhere, so every gradient that reaches da2 is -0.0.
+        base = init_params(21, 8, 5)
+        params = dataclasses.replace(base, b2=np.full(8, -100.0), w3=-np.abs(base.w3))
+        x = _scans(6, 9, seed=21)
+        return params, x, np.abs(rng.normal(size=(6, 5)))
+    else:  # the reference shape: biased weights, tied maxima and dead channels
+        params = _biased(init_params(21, H, D), seed=21)
+        x = _tied_scans(64, P, seed=21)
+    return params, x, rng.normal(size=(len(x), params.out_dim))
+
+
+@pytest.mark.parametrize("name", ["one point", "one channel", "one winner", "all dead",
+                                  "reference"])
+def test_winner_rows_match_oracle_bytes_at_edge_shapes(name):
+    params, x, upstream = _edge_case(name)
+    for normalize in (True, False):
+        expected = _oracle_bytes(params, x, upstream, normalize)
+        assert _pass_bytes(params, x, upstream, normalize) == expected
+        assert _pass_bytes(params, x, upstream, normalize, TrainPass()) == expected
+
+
+# Shapes at which OpenBLAS 0.3.31 on an AVX-512 Xeon gives a channel-major or
+# a moved-row product other bits than the dense one, so the probe must see it.
+# Elsewhere they are more exact cases.
+@pytest.mark.parametrize("b, pts, hidden", [(22, 5, 62), (12, 9, 53), (10, 24, 33), (8, 17, 28)])
+def test_pass_is_exact_where_blas_reorders_small_products(b, pts, hidden):
+    rng = np.random.default_rng(b * pts)
+    params = init_params(b + hidden, hidden, 7)
+    params = dataclasses.replace(params, b1=rng.normal(0.0, 0.3, hidden))
+    x = _scans(b, pts, seed=hidden)
+    upstream = rng.normal(size=(b, 7))
+    for normalize in (True, False):
+        assert _pass_bytes(params, x, upstream, normalize) == _oracle_bytes(
+            params, x, upstream, normalize)
+
+
+@pytest.mark.parametrize("forced", [(False, False), (False, True), (True, False)],
+                         ids=["dense", "dense-forward", "dense-backward"])
+def test_dense_products_give_the_same_bytes(forced, monkeypatch):
+    # Each layout the probe may pick, at the reference shape and a small one.
+    for name in ("reference", "all dead"):
+        params, x, upstream = _edge_case(name)
+        flags = tuple(a and b for a, b in zip(_exact_layouts(x.shape[1], params.hidden), forced))
+        monkeypatch.setattr(encoder_mod, "_exact_layouts", lambda pts, h, f=flags: f)
+        assert _pass_bytes(params, x, upstream, True) == _oracle_bytes(params, x, upstream, True)
 
 
 def test_pass_reuse_across_shapes_matches_fresh_pass():

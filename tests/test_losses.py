@@ -569,6 +569,101 @@ def test_batch_hard_relation_shape_checked(unit_rows):
         batch_hard_triplet(_unit_rows(4, 3), rel, margin=0.2)
 
 
+def oracle_batch_hard_triplet(e, relation, margin):
+    """Batch-hard mining as a loop over anchors: the byte oracle."""
+    v = np.asarray(e, dtype=np.float64)
+    d = pairwise_distances(v)
+    pos, neg = relation.positive, relation.negative
+    valid = pos.any(axis=1) & neg.any(axis=1)
+    grad = np.zeros_like(v)
+    if not valid.any():
+        return 0.0, grad, 0.0, 0, True
+    hard_p = np.argmax(np.where(pos, d, -np.inf), axis=1)
+    hard_n = np.argmin(np.where(neg, d, np.inf), axis=1)
+    anchors = np.flatnonzero(valid)
+    n_valid = len(anchors)
+    total = 0.0
+    active = 0
+    for i in anchors:
+        hp, hn = int(hard_p[i]), int(hard_n[i])
+        hinge = d[i, hp] - d[i, hn] + margin
+        if hinge > 0.0:
+            total += hinge
+            active += 1
+            u_ap = (v[i] - v[hp]) / max(float(np.linalg.norm(v[i] - v[hp])), 1e-12)
+            u_an = (v[i] - v[hn]) / max(float(np.linalg.norm(v[i] - v[hn])), 1e-12)
+            grad[i] += (u_ap - u_an) / n_valid
+            grad[hp] -= u_ap / n_valid
+            grad[hn] += u_an / n_valid
+    return total / n_valid, grad, active / n_valid, n_valid, False
+
+
+def _batch_hard_bytes(out):
+    return (np.float64(out.loss.value).tobytes(), out.loss.grad_new.tobytes(),
+            out.active_fraction, out.valid_anchors, out.no_valid_anchors)
+
+
+def _oracle_bytes(e, relation, margin):
+    value, grad, fraction, valid, none = oracle_batch_hard_triplet(e, relation, margin)
+    return np.float64(value).tobytes(), grad.tobytes(), fraction, valid, none
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    dim=st.integers(1, 33),
+    quantize=st.booleans(),
+    copies=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=8),
+    p_pos=st.sampled_from([0.0, 0.1, 0.4, 1.0]),
+    p_neg=st.sampled_from([0.0, 0.3, 1.0]),
+    margin=st.sampled_from([0.0, 1e-3, 0.2, 1.0, 10.0]),
+)
+def test_batch_hard_matches_loop_oracle_bytes(seed, n, dim, quantize, copies, p_pos, p_neg,
+                                              margin):
+    # Quantised and copied rows tie distances (and make zero differences);
+    # empty masks leave no valid anchor, and margin 0 leaves hinges inactive.
+    rng = np.random.default_rng(seed)
+    e = rng.normal(size=(n, dim))
+    if quantize:
+        e = np.round(e)
+    for src, dst in copies:
+        e[dst % n] = e[src % n]
+    pos = rng.random((n, n)) < p_pos
+    neg = ~pos & (rng.random((n, n)) < p_neg)
+    np.fill_diagonal(pos, False)
+    np.fill_diagonal(neg, False)
+    relation = PairRelation(positive=pos, negative=neg)
+    assert _batch_hard_bytes(batch_hard_triplet(e, relation, margin)) == _oracle_bytes(
+        e, relation, margin)
+
+
+@pytest.mark.parametrize("case", ["ties", "no valid anchor", "all inactive", "reference"])
+def test_batch_hard_oracle_cases(case):
+    rng = np.random.default_rng(31)
+    n, margin = 64, 0.2
+    e = _unit_rows(n, 32, seed=31)
+    pos = np.zeros((n, n), bool)
+    pos[np.arange(0, n, 2), np.arange(1, n, 2)] = True
+    pos |= pos.T
+    neg = ~pos
+    np.fill_diagonal(neg, False)
+    if case == "ties":  # rows 4k..4k+3 coincide: every mined distance ties
+        e = np.repeat(e[::4], 4, axis=0)
+    elif case == "no valid anchor":
+        pos[:] = False
+    elif case == "all inactive":  # positives coincide, negatives lie past the margin
+        e = np.repeat(e[::2], 2, axis=0)
+        margin = 0.0
+    else:
+        e = rng.normal(size=(n, 32))
+    relation = PairRelation(positive=pos, negative=neg)
+    out = batch_hard_triplet(e, relation, margin)
+    assert _batch_hard_bytes(out) == _oracle_bytes(e, relation, margin)
+    if case == "all inactive":
+        assert out.valid_anchors == n and out.active_fraction == 0.0
+
+
 def test_batch_hard_gradient_matches_finite_differences():
     e = _unit_rows(6, 5, seed=12)
     rel = _relation([(0, 1), (2, 3)], [(0, 4), (2, 5), (1, 5)], 6)
