@@ -35,8 +35,8 @@ from .evaluation import (
     results_dict,
     write_recall_csv,
 )
-from .losses import DIVERGENCES, LAMBDA_VARIANTS, sweep_workers
-# Config (and yaml), training and the gradient suite load in the verbs that run them.
+# Config (and yaml), the losses, training and the gradient suite load in the
+# verbs that run them.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,8 +79,9 @@ def _parser() -> argparse.ArgumentParser:
         metavar="NAME=on|off",
         help="flip terms: pr, rkd, dkd, buffer, fusion (repeatable, space-separable)",
     )
-    run.add_argument("--lambda-variant", choices=LAMBDA_VARIANTS, default=None)
-    run.add_argument("--divergence", choices=DIVERGENCES, default=None)
+    # The config checks both against the one list of each choice, in losses.
+    run.add_argument("--lambda-variant", default=None, help="override loss.lambda_variant")
+    run.add_argument("--divergence", default=None, help="override loss.divergence")
 
     ev = sub.add_parser("eval", help="evaluate saved snapshots on a corpus")
     ev.add_argument("--snapshot", action="append", required=True, help="snapshot file (repeatable)")
@@ -134,6 +135,7 @@ def _numpy_simd() -> dict:
 def cmd_run(args) -> int:
     from .config import config_digest
     from .continual import build_protocol_data, run_protocol
+    from .losses import sweep_workers
 
     cfg = _effective_config(args)
     digest = config_digest(cfg)

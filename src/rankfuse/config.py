@@ -43,21 +43,29 @@ def _require_seed(value, path: str):
     _require(ok, path, f"must be a non-negative integer, got {value!r}")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 _KINDS = {
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "float": ("a number", _is_number),
     "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "tuple": ("a list of numbers",
+              lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v))),
 }
 
 
-def _require_types(section, path: str):
+def _require_types(section, path: str, values: dict | None = None):
     # Before any range check, which would fail on a wrong type with a
     # message that names neither the field nor the cause. YAML 1.1 reads
     # 1e9 as a string; bool is an int subclass, but `true` is not a count.
+    # ``values`` are the raw fields of ``section``, a class, not yet built.
+    values = vars(section) if values is None else values
     for f in fields(section):
         kind = _KINDS.get(f.type)
-        if kind is not None:
-            value = getattr(section, f.name)
+        if kind is not None and f.name in values:
+            value = values[f.name]
             _require(kind[1](value), f"{path}.{f.name}", f"must be {kind[0]}, got {value!r}")
 
 
@@ -213,6 +221,8 @@ def _build(cls, raw: dict, path: str):
     for key in raw:
         if key not in known:
             raise ConfigurationError(f"{path}.{key}: unknown field")
+    if cls in (PairPolicy, StyleParams):  # data.py's classes check ranges, not types
+        _require_types(cls, path, raw)
     try:
         return cls(**raw)
     except TypeError as exc:

@@ -15,7 +15,7 @@ import functools
 import math
 import os
 import stat
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +112,10 @@ class StyleParams:
     axis_scale: tuple = (1.0, 1.0, 1.0)  # per-axis calibration scale
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "axis_scale" and not math.isfinite(value):
+                raise ConfigurationError(f"StyleParams.{f.name}: must be finite, got {value}")
         total = self.plane_weight + self.box_weight + self.clutter_weight
         if total <= 0 or min(self.plane_weight, self.box_weight, self.clutter_weight) < 0:
             raise ConfigurationError("StyleParams mixture weights must be non-negative and not all zero")
@@ -124,8 +128,10 @@ class StyleParams:
         if self.height_scale <= 0:
             raise ConfigurationError(f"StyleParams.height_scale must be > 0, got {self.height_scale}")
         scale = tuple(float(v) for v in self.axis_scale)
-        if len(scale) != 3 or min(scale) <= 0:
-            raise ConfigurationError(f"StyleParams.axis_scale needs 3 positive entries, got {self.axis_scale}")
+        if len(scale) != 3 or not all(math.isfinite(v) and v > 0 for v in scale):
+            raise ConfigurationError(
+                f"StyleParams.axis_scale needs 3 finite positive entries, got {self.axis_scale}"
+            )
         object.__setattr__(self, "axis_scale", scale)
 
 
@@ -481,16 +487,18 @@ def load_corpus(path: str | Path, domain_id: int = 0) -> list[PlaceSample]:
     The point count of the first scan fixes the corpus point count. A count
     mismatch, a non-finite pose or scan value, or an empty corpus is an
     ingestion error naming poses.csv, the line and the scan file (the first
-    bad line's). Scans are read into one buffer and checked as a whole.
+    bad line's). ``poses.csv`` is parsed first; then each scan file is read
+    straight into its row of one float32 buffer, which is checked, converted
+    and renormalized as a whole.
     """
     root = Path(path)
     poses_path = root / POSES_FILE
     if not poses_path.is_file():
         raise IngestionError(f"missing {POSES_FILE} in {root}")
 
-    kept: list[tuple] = []  # (where, scan file, sample id, x, y, bytes) per scan read
+    lines: list[tuple] = []  # (where, scan file, sample id, x, y) up to the first bad line
     seen_ids: set[int] = set()
-    fault = None  # a line's own fault waits until the scans before it are checked
+    fault = None  # the first bad line's fault waits until the scans before it are checked
     with open(poses_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -517,40 +525,61 @@ def load_corpus(path: str | Path, domain_id: int = 0) -> list[PlaceSample]:
                 if sample_id in seen_ids:
                     raise IngestionError(f"{where}: duplicate sample_id {sample_id}")
                 seen_ids.add(sample_id)
-                scan_file = row[3].strip()
-                path = os.path.join(root, scan_file)
-                try:  # non-blocking, so a FIFO cannot hang the open
-                    with open(path, "rb", opener=lambda p, f: os.open(p, f | os.O_NONBLOCK)) as scan:
-                        if not stat.S_ISREG(os.fstat(scan.fileno()).st_mode):
-                            raise IsADirectoryError  # a FIFO or a device is no scan file
-                        blob = scan.read()
-                except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError):
-                    raise IngestionError(f"{where}: missing scan file {scan_file}") from None
-                if not blob or len(blob) % 12:
-                    raise IngestionError(
-                        f"{where}: scan file {scan_file} has {len(blob) / 4:.12g} floats, not a multiple of 3"
-                    )
-                if kept and len(blob) != len(kept[0][-1]):
-                    raise IngestionError(
-                        f"{where}: scan file {scan_file} has {len(blob) // 12} points, "
-                        f"expected {len(kept[0][-1]) // 12}"
-                    )
-                kept.append((where, scan_file, sample_id, x, y, blob))
-        except IngestionError as exc:
+                lines.append((where, row[3].strip(), sample_id, x, y))
+        except (IngestionError, csv.Error, UnicodeDecodeError) as exc:
             fault = exc
-    if not kept:
+    buf, read, fault = _read_scans(root, lines, fault)
+    if not read:
         raise fault or IngestionError(f"{poses_path}: no samples after the header")
-    pts = np.frombuffer(b"".join(k[-1] for k in kept), dtype="<f4").astype(np.float64).reshape(len(kept), -1)
-    peaks = np.max(np.abs(pts), axis=1)
+    if fault is not None and not isinstance(fault, IngestionError):
+        raise fault  # a reader error, met before any scan file failed
+    scans = buf[:read]
+    # max(|x|) without a full |x| temporary; NaN propagates through both.
+    peaks = np.maximum(scans.max(axis=1), -scans.min(axis=1))
     bad = np.flatnonzero(~np.isfinite(peaks))
     if len(bad):
-        where, scan_file = kept[bad[0]][:2]
+        where, scan_file = lines[bad[0]][:2]
         raise IngestionError(f"{where}: scan file {scan_file} has non-finite values")
     if fault is not None:
         raise fault
+    pts = scans.astype(np.float64)
+    del buf, scans
     big = peaks > 1.0
     pts[big] /= peaks[big, None]
     return [
         PlaceSample(scan=PointScan(scan), pose=np.array([x, y]), domain_id=domain_id, sample_id=sid)
-        for scan, (_, _, sid, x, y, _) in zip(pts.reshape(len(kept), -1, 3), kept)
+        for scan, (_, _, sid, x, y) in zip(pts.reshape(read, -1, 3), lines)
     ]
+
+
+def _read_scans(root: Path, lines: list, fault):
+    """Read the scan file of each line into a row of one (lines, 3P) float32
+    buffer. Returns the buffer, how many scans were read, and the fault that
+    stopped the reading, or ``fault`` when every file was read."""
+    buf = None
+    for i, (where, scan_file, *_) in enumerate(lines):
+        try:  # non-blocking, so a FIFO cannot hang the open
+            fd = os.open(os.path.join(root, scan_file), os.O_RDONLY | os.O_NONBLOCK)
+            try:
+                st = os.fstat(fd)
+                if not stat.S_ISREG(st.st_mode):
+                    raise IsADirectoryError  # a FIFO or a device is no scan file
+                size = st.st_size
+                if buf is None and size and not size % 12:
+                    buf = np.empty((len(lines), size // 4), dtype="<f4")
+                if buf is not None and size == buf[i].nbytes:
+                    size = os.readv(fd, [buf[i]])  # less only if the file shrank meanwhile
+            finally:
+                os.close(fd)
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError):
+            return buf, i, IngestionError(f"{where}: missing scan file {scan_file}")
+        if not size or size % 12:
+            return buf, i, IngestionError(
+                f"{where}: scan file {scan_file} has {size / 4:.12g} floats, not a multiple of 3"
+            )
+        if size != buf[i].nbytes:
+            return buf, i, IngestionError(
+                f"{where}: scan file {scan_file} has {size // 12} points, "
+                f"expected {buf.shape[1] // 3}"
+            )
+    return buf, len(lines), fault

@@ -9,7 +9,9 @@ database; only rows that can reach a query's top n get the exact distance.
 The top n is found by selection: rows closer than the n-th smallest distance
 are in, and rows at exactly that distance fill the remaining slots. Only when
 those tied rows outnumber the slots and disagree on being true positives does
-that query fall back to a (distance, lowest sample_id) lexsort.
+that query fall back to a (distance, lowest sample_id) lexsort. Queries run in
+blocks sized by a fixed element budget; every step decides each query from its
+own row, so the blocks give the bits of one whole-matrix pass.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ RECALL_CSV = "recall_matrix.csv"
 # Query rows per distance chunk. On a 2-vCPU Xeon, 1000 x 1000 at D = 32 and
 # 64, chunks of 64 rows timed fastest, 32 within 10% and 16 or 128 slower.
 _DIST_ROWS = 64
+# (query, database) pairs per query block of recall_at_n: each of the block's
+# (rows, database) matrices holds at most this many elements.
+_QUERY_BUDGET = 131_072
 
 
 @dataclass
@@ -48,7 +53,7 @@ FORGETTING_MODES = ("printed", "from_t")
 
 def embed(snapshots, samples: list) -> np.ndarray:
     """Embed samples with each snapshot; two snapshots concatenate (fusion)."""
-    scans = np.stack([s.scan.points for s in samples])
+    scans = [s.scan.points for s in samples]  # encode stacks a chunk at a time
     return np.concatenate([encode(s.params, scans, normalize=s.normalize) for s in snapshots], axis=1)
 
 
@@ -59,7 +64,9 @@ def recall_at_n(
 
     Database rows rank by embedding distance, exact ties by lowest sample id.
     Queries with no true positive anywhere in the database are excluded from
-    the denominator and reported in ``excluded``.
+    the denominator and reported in ``excluded``. Queries run in blocks of
+    about ``_QUERY_BUDGET`` (query, database) pairs, so memory is bounded by a
+    block, not by the database; each query's hit depends on that query alone.
     """
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
@@ -69,10 +76,23 @@ def recall_at_n(
         raise UsageError("embeddings must be finite")
     q = np.asarray(q_emb, dtype=np.float64)
     db = np.asarray(db_emb, dtype=np.float64)
-    is_pos = euclidean(q_poses, db_poses) < pos_test
-    evaluated = int(is_pos.any(axis=1).sum())
-    excluded = len(q) - evaluated
+    q_poses, db_ids = np.asarray(q_poses), np.asarray(db_ids)
     top = min(n, len(db))
+    rows = max(1, _QUERY_BUDGET // max(len(db), 1))
+    evaluated = hits = 0
+    for lo in range(0, len(q), rows):
+        is_pos = euclidean(q_poses[lo : lo + rows], db_poses) < pos_test
+        evaluated += int(is_pos.any(axis=1).sum())
+        hits += _block_hits(q[lo : lo + rows], db, db_ids, is_pos, top)
+    if evaluated == 0:
+        raise UsageError("every query lacked a true positive in the database")
+    return RecallOutcome(
+        percent=100.0 * hits / evaluated, evaluated=evaluated, excluded=len(q) - evaluated
+    )
+
+
+def _block_hits(q, db, db_ids, is_pos, top: int) -> int:
+    """How many queries of a block find a true positive (``is_pos``) in their top."""
     cols = _screen(q, db, top)  # holds every row that can reach a query's top
     dists = euclidean(q, db, cols)
     is_pos = np.take_along_axis(is_pos, cols, axis=1)
@@ -88,13 +108,9 @@ def recall_at_n(
     # Some tied rows are positive, some not, and not all fit: the lowest
     # sample ids among them decide, so rank that query's candidates as a whole.
     for i in np.flatnonzero(~hit & (tied_pos > 0)):
-        order = np.lexsort((np.asarray(db_ids)[cols[i]], dists[i]))[:top]
+        order = np.lexsort((db_ids[cols[i]], dists[i]))[:top]
         hit[i] = is_pos[i, order].any()
-    if evaluated == 0:
-        raise UsageError("every query lacked a true positive in the database")
-    return RecallOutcome(
-        percent=100.0 * int(hit.sum()) / evaluated, evaluated=evaluated, excluded=excluded
-    )
+    return int(hit.sum())
 
 
 def _screen(q, db, top: int) -> np.ndarray:
@@ -102,7 +118,9 @@ def _screen(q, db, top: int) -> np.ndarray:
     distances, ``width`` being the most rows within 2 ``bound`` of a query's
     top-th. ``bound`` exceeds the Gram form's error plus the exact column sum's
     (with room for sqrt merging sums and for subnormal squares), so every row as
-    close as the exact top-th is a candidate; so is NaN or inf (overflow)."""
+    close as the exact top-th is a candidate; so is NaN or inf (overflow).
+    That holds for each query on its own, at any ``width`` as large as the
+    query needs, so a block of queries may take the width of its own rows."""
     f = np.finfo(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         nq = np.einsum("ij,ij->i", q, q)

@@ -114,14 +114,21 @@ def check_gradient(
 
 
 def _random_relation(rng, n):
+    """Pair labels of ``n`` rows that alternate between two 4 m squares 100 m
+    apart: under ``PairPolicy()`` a row's square-mates are positives (< 10 m)
+    and the other square's rows negatives (> 50 m), so with 3 rows or more
+    batch-hard mining has valid anchors."""
     # 14 uniforms a row, of which the pose takes 2: the draws that follow,
     # and so the suite's pinned output, depend on the count.
-    poses = rng.uniform(0.0, 100.0, (n, 14))[:, :2]
+    poses = rng.uniform(0.0, 4.0, (n, 14))[:, :2]
+    poses[1::2, 0] += 100.0
     return batch_relation(poses, np.zeros(n, dtype=int), PairPolicy())
 
 
-def gradcheck_suite(seed: int, batch: int, dim: int, points: int, corrupt: float = 0.0):
-    """FD-verify the encoder and every loss; ``corrupt`` is a negative control."""
+def _cases(seed: int, batch: int, dim: int, points: int) -> list:
+    """The suite's (name, fn, analytic gradient, input) cases."""
+    if batch < 3:
+        raise UsageError(f"batch must be >= 3, so that batch-hard mining has an anchor, got {batch}")
     rng = np.random.Generator(np.random.PCG64(seed))
     hidden = 6
     cases = []  # (name, fn, analytic gradient, input)
@@ -159,8 +166,12 @@ def gradcheck_suite(seed: int, batch: int, dim: int, points: int, corrupt: float
           for div in DIVERGENCES),
         ("combined", lambda v: combined_loss(e_old, v, relation, combined, lam=0.5).loss, e_new),
     ]
-    cases += [(name, lambda v, f=f: f(v).value, f(x).grad_new, x) for name, f, x in losses]
+    return cases + [(name, lambda v, f=f: f(v).value, f(x).grad_new, x) for name, f, x in losses]
 
+
+def gradcheck_suite(seed: int, batch: int, dim: int, points: int, corrupt: float = 0.0):
+    """FD-verify the encoder and every loss; ``corrupt`` is a negative control."""
     return GradCheckSuite(reports=[
-        check_gradient(fn, grad, x, name=name, corrupt=corrupt) for name, fn, grad, x in cases
+        check_gradient(fn, grad, x, name=name, corrupt=corrupt)
+        for name, fn, grad, x in _cases(seed, batch, dim, points)
     ])

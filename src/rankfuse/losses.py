@@ -45,7 +45,8 @@ _DIST_FLOOR = 1e-12
 # thread count.
 _CHUNK_BUDGET = 65_536
 
-# The one definition of each loss choice; config and cli import these.
+# The one definition of each loss choice: config checks its fields and the
+# `run` overrides against these.
 DIVERGENCES = ("skl", "kl", "js")
 LAMBDA_VARIANTS = ("literal", "incloud")
 RKD_NORMS = ("cubic", "quadratic")

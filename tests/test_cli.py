@@ -345,6 +345,30 @@ def test_wrongly_typed_config_value_exits_2(tmp_path, old, new, message):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("section, field, value, message", [
+    # Accepted silently before.
+    ("pairs", "pos_test", True, "pairs.pos_test: must be a number, got True"),
+    ("style", "yaw_jitter", True, "domains[0].style.yaw_jitter: must be a number, got True"),
+    # A ValueError traceback before.
+    ("style", "axis_scale", "abc",
+     "domains[0].style.axis_scale: must be a list of numbers, got 'abc'"),
+    # Exit 2 before, with a message that did not name the field.
+    ("style", "noise", "x", "domains[0].style.noise: must be a number, got 'x'"),
+])
+def test_wrongly_typed_pair_or_style_value_exits_2(tmp_path, section, field, value, message):
+    raw = yaml.safe_load(SMOKE.read_text())
+    table = raw.setdefault("pairs", {}) if section == "pairs" else {}
+    if section == "style":
+        raw["domains"][0]["style"] = table  # an inline style table
+    table[field] = value
+    config = tmp_path / "edited.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    proc = cli("gen-data", "--config", config, "--out", tmp_path / "out")
+    assert proc.returncode == 2
+    assert f"config error: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("verb, old, new, field", [
     ("run", "seeds: [0]", "seeds: [true]", "seeds[0]"),
     ("gen-data", "seed: 101", "seed: -1", "domains[plains].seed"),
@@ -362,8 +386,9 @@ def test_bad_config_seed_exits_2(tmp_path, verb, old, new, field):
 # gradcheck
 
 # sha256 of the `gradcheck --batch 4 --dim 6 --points 16` stdout; a change here
-# changes what the suite checks or what a gradient computes.
-GRADCHECK_SMALL_SHA256 = "fedf225660e6a69fb30162b88058849e0dea78875cf42bf9407e8d117d607cc1"
+# changes what the suite checks or what a gradient computes. Its batch-hard
+# and combined cases mine a relation with valid anchors.
+GRADCHECK_SMALL_SHA256 = "c09cc2b0c991bbbc106716ca189d237ffd1e91c78e40ee5bab33af5f0eb7cfb9"
 
 
 def test_gradcheck_passes_and_is_deterministic():
@@ -455,8 +480,8 @@ def test_eval_fused_pair(smoke_out, corpora):
 
 def test_cli_never_imports_scipy(smoke_out, corpora, tmp_path):
     # Import, single and fused eval, gen-data, run and gradcheck run without
-    # loading scipy. eval also leaves out the config (and yaml), training and
-    # gradient-check modules.
+    # loading scipy. eval also leaves out the config (and yaml), loss,
+    # training and gradient-check modules.
     out, _ = smoke_out
     snaps = [str(out / "seed_0" / f"step_{i}.snap") for i in (0, 1)]
     plains = corpora[0] / "plains"
@@ -468,7 +493,8 @@ main = rankfuse.cli.main
 where = ["--corpus", {str(plains / "db")!r}, "--queries", {str(plains / "query")!r}]
 assert main(["eval", "--snapshot", {snaps[1]!r}] + where) == 0
 assert main(["eval", "--fusion", "on", "--snapshot", {snaps[0]!r}, "--snapshot", {snaps[1]!r}] + where) == 0
-unused = {{"scipy", "yaml", "rankfuse.config", "rankfuse.continual", "rankfuse.gradcheck"}}
+unused = {{"scipy", "yaml", "rankfuse.config", "rankfuse.continual", "rankfuse.gradcheck",
+          "rankfuse.losses"}}
 assert not unused & set(sys.modules), sorted(unused & set(sys.modules))
 assert main(["gen-data", "--config", {str(SMOKE)!r}, "--out", {str(tmp_path)!r}]) == 0
 assert "scipy" not in sys.modules, "gen-data"

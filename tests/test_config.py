@@ -1,6 +1,8 @@
 """Config parsing, validation paths, digests, and command-line overrides."""
 
 import dataclasses
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -125,6 +127,32 @@ def test_field_types_are_checked_before_ranges():
         from_dict(_minimal(domains=[{"name": "a", "seed": 1, "train_places": 2.5}]))
     # An int is a number, and stays an int, so the config digest keeps it.
     assert from_dict(_minimal(plan={"lr": 1})).plan.lr == 1
+
+
+def test_pair_and_inline_style_types_are_checked_before_ranges():
+    def style(**fields):
+        return _minimal(domains=[{"name": "a", "seed": 1, "style": fields}])
+
+    cases = [(_minimal(pairs={"pos_test": True}), "pairs.pos_test", "a number", True),
+             (_minimal(pairs={"neg_train": "60"}), "pairs.neg_train", "a number", "60"),
+             (style(yaw_jitter=True), "domains\\[0\\].style.yaw_jitter", "a number", True),
+             (style(noise="x"), "domains\\[0\\].style.noise", "a number", "x"),
+             (style(axis_scale="abc"), "domains\\[0\\].style.axis_scale", "a list of numbers", "abc"),
+             (style(axis_scale=[1.0, "2", 1.0]), "domains\\[0\\].style.axis_scale",
+              "a list of numbers", [1.0, "2", 1.0])]
+    for raw, path, kind, value in cases:
+        with pytest.raises(ConfigurationError,
+                           match=f"^{path}: must be {kind}, got {re.escape(repr(value))}$"):
+            from_dict(raw)
+    # Right types still meet the range checks, under the config path: a
+    # NaN noise or an infinite yaw jitter used to reach the generator.
+    for fields, message in [({"axis_scale": [1.0, 2.0]}, "axis_scale needs 3 finite positive"),
+                            ({"axis_scale": [1.0, math.inf, 1.0]}, "axis_scale needs 3 finite"),
+                            ({"noise": math.nan}, "noise: must be finite, got nan"),
+                            ({"yaw_jitter": math.inf}, "yaw_jitter: must be finite, got inf")]:
+        with pytest.raises(ConfigurationError, match=f"^domains\\[0\\].style.{message}"):
+            from_dict(style(**fields))
+    assert from_dict(style(axis_scale=[1, 2, 3])).domains[0].style.axis_scale == (1.0, 2.0, 3.0)
 
 
 def test_duplicate_domain_names_rejected():

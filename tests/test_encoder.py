@@ -194,6 +194,29 @@ def test_encode_matches_training_forward_bit_for_bit(rows, make):
             np.testing.assert_array_equal(encode(weights, scans, normalize), expected)
 
 
+@pytest.mark.parametrize("pts", [P, 1])
+@pytest.mark.parametrize("tail", [0, 1, 2])
+def test_encode_on_a_list_of_scans_gives_the_array_bytes(pts, tail):
+    # A list is stacked one chunk at a time; with a 1-row tail the last chunk
+    # takes that row in. One row alone, and P = 1, run too.
+    size = max(2, _ENCODE_BUDGET // (pts * H))
+    params = make_snapshot(_biased(init_params(seed=5, hidden=H, dim=D), seed=5), 0, "", True).params
+    for rows in (1, 2 * size + tail):
+        scans = _tied_scans(rows, pts, seed=rows) if pts > 1 else _scans(rows, pts, seed=rows)
+        for normalize in (True, False):
+            expected = encode(params, scans, normalize).tobytes()
+            assert encode(params, list(scans), normalize).tobytes() == expected, rows
+
+
+def test_encode_refuses_a_list_of_unequal_scans():
+    # The last chunk's scans have one point fewer than the first chunk's.
+    scans = list(_scans(2 * CHUNK, P)) + list(_scans(CHUNK, P - 1))
+    with pytest.raises(UsageError, match="have 159 points, the first has 160"):
+        encode(init_params(seed=5, hidden=H, dim=D), scans)
+    with pytest.raises(UsageError, match=r"must be \(B, P, 3\)"):
+        encode(init_params(seed=5, hidden=H, dim=D), [])
+
+
 def test_encode_chunks_are_bounded_and_never_single_rows():
     for rows in range(0, 3 * CHUNK + 3):
         bounds = _chunk_bounds(rows, P, H)

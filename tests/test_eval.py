@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -284,6 +286,92 @@ def test_screened_recall_matches_lexsort_oracle(m, dim, scale, seed):
             continue
         out = recall_at_n(*args)
         assert (out.percent, out.evaluated, out.excluded) == expected, i
+
+
+def whole_matrix_recall(db_emb, db_poses, db_ids, q_emb, q_poses, pos_test, n):
+    """The byte oracle of the query blocks: recall_at_n as one pass over every
+    (query, database) pair, before it ran in blocks."""
+    q = np.asarray(q_emb, dtype=np.float64)
+    db = np.asarray(db_emb, dtype=np.float64)
+    is_pos = evaluation_mod.euclidean(q_poses, db_poses) < pos_test
+    evaluated = int(is_pos.any(axis=1).sum())
+    excluded = len(q) - evaluated
+    top = min(n, len(db))
+    cols = evaluation_mod._screen(q, db, top)
+    dists = evaluation_mod.euclidean(q, db, cols)
+    is_pos = np.take_along_axis(is_pos, cols, axis=1)
+    kth = np.partition(dists, top - 1, axis=1)[:, top - 1 : top]
+    closer = dists < kth
+    tied = dists == kth
+    n_tied = tied.sum(axis=1)
+    tied_pos = (tied & is_pos).sum(axis=1)
+    all_in = top - closer.sum(axis=1) == n_tied
+    hit = (closer & is_pos).any(axis=1) | ((tied_pos > 0) & (all_in | (tied_pos == n_tied)))
+    for i in np.flatnonzero(~hit & (tied_pos > 0)):
+        order = np.lexsort((np.asarray(db_ids)[cols[i]], dists[i]))[:top]
+        hit[i] = is_pos[i, order].any()
+    if evaluated == 0:
+        raise UsageError("every query lacked a true positive in the database")
+    return 100.0 * int(hit.sum()) / evaluated, evaluated, excluded
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    q=st.integers(1, 60),
+    dim=st.integers(1, 6),
+    levels=st.integers(1, 3),
+    budget=st.integers(1, 200),
+    copies=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_query_blocks_match_whole_matrix_oracle_bytes(m, q, dim, levels, budget, copies, seed):
+    # Grid embeddings tie exactly, copied rows duplicate database rows, and
+    # far poses exclude queries. A budget below the database size makes
+    # one-row blocks; any budget under q * m makes more than one block.
+    rng = np.random.default_rng(seed)
+    db_emb = rng.integers(0, levels + 1, (m, dim)) / levels
+    db_emb[rng.integers(0, m, copies)] = db_emb[rng.integers(0, m, copies)]
+    q_emb = np.concatenate([db_emb[rng.integers(0, m, q // 2)],
+                            rng.integers(0, levels + 1, (q - q // 2, dim)) / levels])
+    db_poses = 10.0 * rng.integers(0, 4, (m, 2))
+    q_poses = 10.0 * rng.integers(0, 6, (q, 2))
+    ids = rng.permutation(3 * m)[:m]
+    for n in sorted({1, 2, 5, m, m + 3}):
+        args = (db_emb, db_poses, ids, q_emb, q_poses, 15.0, n)
+        try:
+            expected = whole_matrix_recall(*args)
+        except UsageError:
+            expected = None
+        with mock.patch.object(evaluation_mod, "_QUERY_BUDGET", budget):
+            if expected is None:
+                with pytest.raises(UsageError, match="true positive"):
+                    recall_at_n(*args)
+                continue
+            out = recall_at_n(*args)
+        assert (out.percent, out.evaluated, out.excluded) == expected, n
+        assert out.percent.hex() == expected[0].hex()
+
+
+def test_recall_peak_memory_is_bounded_by_a_block():
+    # 2000 x 2000: one (query, database) float64 matrix is 32 MB, and the
+    # whole-matrix pass peaked at 72 MB. A block's matrices hold 131,072
+    # elements (1 MB) each; 8 MB leaves room for a few of them.
+    rng = np.random.default_rng(0)
+    m, dim = 2000, 32
+    db = rng.normal(size=(m, dim))
+    db /= np.linalg.norm(db, axis=1, keepdims=True)
+    q = db + rng.normal(scale=0.05, size=db.shape)
+    poses = np.cumsum(rng.uniform(0.0, 2.0, (m, 2)), axis=0)
+    q_poses = poses + rng.normal(scale=2.0, size=poses.shape)
+    tracemalloc.start()
+    try:
+        out = recall_at_n(db, poses, np.arange(m), q, q_poses, 25.0, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, peak
+    assert out.evaluated == m and out.percent > 90.0
 
 
 # ---------------------------------------------------------------------------

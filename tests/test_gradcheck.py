@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rankfuse import gradcheck
 from rankfuse.errors import UsageError
 from rankfuse.gradcheck import GradCheckSuite, check_gradient
 
@@ -57,3 +58,25 @@ def test_suite_aggregates_reports():
     assert not suite.passed
     assert len(suite.lines()) == 2
     assert GradCheckSuite(reports=[good]).passed
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_random_relation_has_valid_anchors(n):
+    # Each row with a square-mate has a positive and a negative.
+    for seed in range(5):
+        relation = gradcheck._random_relation(np.random.default_rng(seed), n)
+        valid = relation.positive.any(axis=1) & relation.negative.any(axis=1)
+        assert valid.sum() == n - (n == 3), (seed, valid)
+
+
+@pytest.mark.parametrize("batch, dim, points", [(5, 8, 32), (4, 6, 16)])
+def test_batch_hard_case_checks_a_nonzero_gradient(batch, dim, points):
+    # The CLI default and the pinned tier-1 case: batch-hard mining finds
+    # active triplets, so its check compares more than zeros.
+    cases = {name: grad for name, _, grad, _ in gradcheck._cases(0, batch, dim, points)}
+    assert np.count_nonzero(cases["batch_hard_triplet"]) > 0
+
+
+def test_suite_refuses_a_batch_without_anchors():
+    with pytest.raises(UsageError, match="batch must be >= 3"):
+        gradcheck.gradcheck_suite(0, 2, 8, 32)
