@@ -124,6 +124,18 @@ def _effective_config(args):
     )
 
 
+def _openblas_core() -> dict:
+    """``{"openblas_core": name}`` for a DYNAMIC_ARCH OpenBLAS under numpy, else ``{}``."""
+    import ctypes
+
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # its lookups search the BLAS it links
+    try:
+        corename = ctypes.CFUNCTYPE(ctypes.c_char_p)(("scipy_openblas_get_corename64_", lib))
+    except AttributeError:
+        return {}
+    return {"openblas_core": corename().decode()}
+
+
 def _numpy_simd() -> dict:
     """numpy's SIMD baseline and the dispatch targets it found on this CPU."""
     try:
@@ -148,10 +160,11 @@ def cmd_run(args) -> int:
         "seeds": list(cfg.seeds),
         "results": {},
         "wall_clock": {},
-        # Threads a soft-rank sweep runs on at the largest batch, and the SIMD
-        # kernels numpy picked: neither changes results.json.
+        # Threads a soft-rank sweep runs on at the largest batch, the SIMD kernels
+        # numpy picked and the BLAS core: none changes results.json.
         "rank_sweep_workers": sweep_workers(cfg.plan.batch_cap),
         "numpy_simd": _numpy_simd(),
+        **_openblas_core(),
     }
     agg = {"single": {"mean_recall_at_1": [], "forgetting": []},
            "fused": {"mean_recall_at_1": [], "forgetting": []}}
@@ -212,6 +225,13 @@ def cmd_run(args) -> int:
 # eval
 
 
+def _embed_corpus(snaps, path):
+    """A corpus's embeddings, poses and sample ids; its scans die on return."""
+    samples = load_corpus(path)
+    poses, ids = np.stack([s.pose for s in samples]), np.array([s.sample_id for s in samples])
+    return embed(snaps, samples), poses, ids
+
+
 def cmd_eval(args) -> int:
     fusion = args.fusion == "on"
     snaps = [load_snapshot(p) for p in args.snapshot]
@@ -235,18 +255,9 @@ def cmd_eval(args) -> int:
             return EXIT_DIGEST
 
     policy = PairPolicy(pos_test=args.pos_test)
-    database = load_corpus(args.corpus)
-    queries = load_corpus(args.queries)
-    db_emb = embed(snaps, database)
-    outcome = recall_at_n(
-        db_emb,
-        np.stack([s.pose for s in database]),
-        np.array([s.sample_id for s in database]),
-        embed(snaps, queries),
-        np.stack([s.pose for s in queries]),
-        policy.pos_test,
-        args.at,
-    )
+    db_emb, db_poses, db_ids = _embed_corpus(snaps, args.corpus)
+    q_emb, q_poses, _ = _embed_corpus(snaps, args.queries)
+    outcome = recall_at_n(db_emb, db_poses, db_ids, q_emb, q_poses, policy.pos_test, args.at)
     report = {
         "recall_at_n": outcome.percent,
         "n": args.at,
@@ -303,16 +314,9 @@ def main(argv=None) -> int:
     # addHandler skips a handler already attached, so repeated calls add one.
     logging.getLogger("rankfuse").addHandler(_WARNINGS)
     args = _parser().parse_args(argv)
+    verbs = {"run": cmd_run, "eval": cmd_eval, "gradcheck": cmd_gradcheck, "gen-data": cmd_gen_data}
     try:
-        if args.verb == "run":
-            return cmd_run(args)
-        if args.verb == "eval":
-            return cmd_eval(args)
-        if args.verb == "gradcheck":
-            return cmd_gradcheck(args)
-        if args.verb == "gen-data":
-            return cmd_gen_data(args)
-        raise UsageError(f"unknown verb {args.verb!r}")
+        return verbs[args.verb](args)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

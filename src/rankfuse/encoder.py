@@ -56,7 +56,6 @@ time, so save -> load -> encode is bit-exact.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import struct
 from dataclasses import dataclass
@@ -467,6 +466,8 @@ def unflatten_params(vec: np.ndarray, hidden: int, dim: int) -> EncoderParams:
 
 def params_digest(params: EncoderParams) -> str:
     """SHA-256 over the exact parameter bytes, declaration order."""
+    import hashlib  # here, so that eval (which computes no digest) never maps OpenSSL
+
     h = hashlib.sha256()
     for t in params.tensors():
         h.update(np.ascontiguousarray(t).tobytes())

@@ -1,6 +1,7 @@
 """End-to-end CLI runs through subprocesses: exit codes and on-disk artifacts."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import logging
@@ -10,6 +11,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ import yaml
 import rankfuse.cli
 import rankfuse.continual
 import rankfuse.evaluation
-from rankfuse.cli import main
+from rankfuse.cli import _openblas_core, main
 from rankfuse.config import config_digest, load_config
 from rankfuse.data import load_corpus
 from rankfuse.encoder import load_snapshot, save_snapshot
@@ -120,8 +122,11 @@ def test_run_log_wire_keys(smoke_out):
 def test_manifest_and_aggregate(smoke_out):
     out, _ = smoke_out
     manifest = json.loads((out / "manifest.json").read_text())
+    # openblas_core is there exactly when numpy's BLAS names its kernel core.
+    core = _openblas_core()
     assert set(manifest) == {"tool_version", "config_digest", "seeds", "results", "wall_clock",
-                             "rank_sweep_workers", "numpy_simd"}
+                             "rank_sweep_workers", "numpy_simd"} | set(core)
+    assert manifest.get("openblas_core") == core.get("openblas_core")
     assert manifest["seeds"] == [0]
     assert manifest["rank_sweep_workers"] == 1  # a batch of 32 is one chunk
     assert isinstance(manifest["numpy_simd"], dict)
@@ -172,6 +177,53 @@ def test_reference_short_results_match_the_benchmark_pin(tmp_path):
                  "--seed", "0", "--out", str(tmp_path)]) == 0
     results = (tmp_path / "seed_0" / "results.json").read_bytes()
     assert hashlib.sha256(results).hexdigest() == pinned
+
+
+# The instruction sets each forced OpenBLAS core needs from the CPU.
+CORE_FLAGS = {"Haswell": {"avx2", "fma"}, "Sandybridge": {"avx"}}
+
+
+def _cpu_flags() -> set:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return next((set(line.split(":", 1)[1].split()) for line in fh
+                         if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
+def _reference_short_run(out, core=None):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    if core is not None:
+        env["OPENBLAS_CORETYPE"] = core
+    proc = cli("run", "--config", BENCHMARKS / "configs" / "reference_short.yaml",
+               "--seed", 0, "--out", out, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return out / "seed_0"
+
+
+@pytest.fixture(scope="module")
+def default_core_run(tmp_path_factory):
+    return _reference_short_run(tmp_path_factory.mktemp("default_core"))
+
+
+@pytest.mark.skipif(not _openblas_core(),
+                    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS: no core-name symbol")
+@pytest.mark.parametrize("core", sorted(CORE_FLAGS))
+def test_reference_short_bytes_do_not_depend_on_the_blas_kernel(core, default_core_run, tmp_path):
+    # results.json and the float32 snapshots are the same under any OpenBLAS
+    # core; run_log.jsonl's float64 losses are not, and are not compared.
+    missing = CORE_FLAGS[core] - _cpu_flags()
+    if missing:
+        pytest.skip(f"this CPU lacks {', '.join(sorted(missing))}, which {core} kernels need")
+    seed_dir = _reference_short_run(tmp_path, core)
+    assert json.loads((tmp_path / "manifest.json").read_text())["openblas_core"] == core
+    pinned = json.loads((BENCHMARKS / "pins.json").read_text())["reference_seed0"]["results"]
+    assert hashlib.sha256((seed_dir / "results.json").read_bytes()).hexdigest() == pinned
+    snaps = sorted(p.name for p in default_core_run.glob("step_*.snap"))
+    assert snaps == sorted(p.name for p in seed_dir.glob("step_*.snap")) == ["step_0.snap", "step_1.snap"]
+    for name in snaps:
+        assert (seed_dir / name).read_bytes() == (default_core_run / name).read_bytes(), name
 
 
 @pytest.mark.skipif(
@@ -480,8 +532,8 @@ def test_eval_fused_pair(smoke_out, corpora):
 
 def test_cli_never_imports_scipy(smoke_out, corpora, tmp_path):
     # Import, single and fused eval, gen-data, run and gradcheck run without
-    # loading scipy. eval also leaves out the config (and yaml), loss,
-    # training and gradient-check modules.
+    # loading scipy. eval also leaves out hashlib (and so OpenSSL), the config
+    # (and yaml), loss, training and gradient-check modules.
     out, _ = smoke_out
     snaps = [str(out / "seed_0" / f"step_{i}.snap") for i in (0, 1)]
     plains = corpora[0] / "plains"
@@ -493,8 +545,8 @@ main = rankfuse.cli.main
 where = ["--corpus", {str(plains / "db")!r}, "--queries", {str(plains / "query")!r}]
 assert main(["eval", "--snapshot", {snaps[1]!r}] + where) == 0
 assert main(["eval", "--fusion", "on", "--snapshot", {snaps[0]!r}, "--snapshot", {snaps[1]!r}] + where) == 0
-unused = {{"scipy", "yaml", "rankfuse.config", "rankfuse.continual", "rankfuse.gradcheck",
-          "rankfuse.losses"}}
+unused = {{"hashlib", "_hashlib", "scipy", "yaml", "rankfuse.config", "rankfuse.continual",
+          "rankfuse.gradcheck", "rankfuse.losses"}}
 assert not unused & set(sys.modules), sorted(unused & set(sys.modules))
 assert main(["gen-data", "--config", {str(SMOKE)!r}, "--out", {str(tmp_path)!r}]) == 0
 assert "scipy" not in sys.modules, "gen-data"
@@ -508,6 +560,27 @@ assert "scipy" not in sys.modules, "gradcheck"
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("recall_at_n") == 2
     assert "seed 0:" in proc.stdout and "combined: ok" in proc.stdout
+
+
+def test_eval_holds_one_split_of_scans_at_a_time(smoke_out, corpora, monkeypatch):
+    # The database's float64 scans are garbage by the time the queries load:
+    # only its embeddings, poses and sample ids outlive its embedding.
+    out, _ = smoke_out
+    plains = corpora[0] / "plains"
+    scans, alive = [], []
+
+    def load(path):
+        if scans:
+            gc.collect()
+            alive.append(scans[0]() is not None)
+        samples = load_corpus(path)
+        scans.append(weakref.ref(samples[0].scan.points.base))
+        return samples
+
+    monkeypatch.setattr(rankfuse.cli, "load_corpus", load)
+    assert main(["eval", "--snapshot", str(out / "seed_0" / "step_1.snap"),
+                 "--corpus", str(plains / "db"), "--queries", str(plains / "query")]) == 0
+    assert alive == [False]
 
 
 def test_eval_three_snapshots_is_usage_error(smoke_out, corpora):
@@ -671,6 +744,31 @@ def test_eval_nan_pose_exits_2(smoke_out, corpora, db_copy):
     proc = _eval_on(smoke_out, root / "plains" / "db", db_copy)
     assert proc.returncode == 2
     assert f"{db_copy / 'poses.csv'} line 2: non-finite pose" in proc.stderr
+
+
+@pytest.mark.parametrize("fault", ["nan_scan", "missing"])
+def test_eval_query_side_fault_exits_2_after_the_database(smoke_out, corpora, tmp_path, fault):
+    # The queries load after the database is embedded; a bad query split
+    # still exits 2, names its file and writes no report.
+    out, _ = smoke_out
+    root, _ = corpora
+    queries = tmp_path / "query"
+    if fault == "nan_scan":
+        shutil.copytree(root / "plains" / "query", queries)
+        scan = queries / "scan_000002.f32"
+        pts = np.frombuffer(scan.read_bytes(), dtype="<f4").copy()
+        pts[0] = np.nan
+        scan.write_bytes(pts.tobytes())
+        named = f"{queries / 'poses.csv'} line 4: scan file scan_000002.f32 has non-finite values"
+    else:
+        named = f"missing poses.csv in {queries}"
+    report = tmp_path / "report"
+    proc = cli("eval", "--snapshot", out / "seed_0" / "step_1.snap", "--out", report,
+               "--corpus", root / "plains" / "db", "--queries", queries)
+    assert proc.returncode == 2
+    assert named in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (report / "eval.json").exists()
 
 
 def test_eval_header_only_corpus_exits_2(smoke_out, corpora, db_copy):
