@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import PairPolicy, load_corpus, save_corpus
+from .data import load_corpus, save_corpus
 from .encoder import load_snapshot
 from .errors import ConfigurationError, IngestionError, TrainingError, UsageError
 from .evaluation import (
@@ -63,6 +64,24 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _top_n(text: str) -> int:
+    """The type of ``--at``: an integer >= 1, checked before any corpus loads."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _radius(text: str) -> float:
+    """The type of ``--pos-test``: a finite number of meters > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rankfuse", description=__doc__.split("\n")[0])
     p.add_argument("--version", action="version", version=f"rankfuse {__version__}")
@@ -89,8 +108,8 @@ def _parser() -> argparse.ArgumentParser:
     ev.add_argument("--queries", required=True, help="query corpus directory")
     ev.add_argument("--fusion", choices=["on", "off"], default="off")
     ev.add_argument("--config", default=None, help="verify snapshots against this config")
-    ev.add_argument("--pos-test", type=float, default=25.0, help="positive radius, meters")
-    ev.add_argument("--at", type=int, default=1, help="N for Recall@N")
+    ev.add_argument("--pos-test", type=_radius, default=25.0, help="positive radius, meters")
+    ev.add_argument("--at", type=_top_n, default=1, help="N for Recall@N")
     ev.add_argument("--out", default=None, help="also write eval.json to this directory")
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient suite")
@@ -254,10 +273,9 @@ def cmd_eval(args) -> int:
                   file=sys.stderr)
             return EXIT_DIGEST
 
-    policy = PairPolicy(pos_test=args.pos_test)
     db_emb, db_poses, db_ids = _embed_corpus(snaps, args.corpus)
     q_emb, q_poses, _ = _embed_corpus(snaps, args.queries)
-    outcome = recall_at_n(db_emb, db_poses, db_ids, q_emb, q_poses, policy.pos_test, args.at)
+    outcome = recall_at_n(db_emb, db_poses, db_ids, q_emb, q_poses, args.pos_test, args.at)
     report = {
         "recall_at_n": outcome.percent,
         "n": args.at,

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import yaml
 
 from .data import STYLE_PRESETS, PairPolicy, StyleParams
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check, require, require_kind, rule
 from .evaluation import FORGETTING_MODES
 from .losses import DIVERGENCES, LAMBDA_VARIANTS, RKD_NORMS
 
@@ -24,169 +23,80 @@ SCHEMA_ID = "rankfuse/v1"
 _TOGGLE_NAMES = ("pr", "rkd", "dkd", "buffer", "fusion")
 
 
-def _require(cond: bool, path: str, msg: str):
-    if not cond:
-        raise ConfigurationError(f"{path}: {msg}")
-
-
-def _require_choice(value, choices: tuple, path: str):
-    _require(value in choices, path, f"must be one of {choices}, got {value!r}")
-
-
-def _require_finite(value, path: str):
-    _require(math.isfinite(value), path, f"must be finite, got {value!r}")
-
-
-def _require_seed(value, path: str):
-    # bool is an int subclass, but `true` is not a seed.
-    ok = isinstance(value, int) and not isinstance(value, bool) and value >= 0
-    _require(ok, path, f"must be a non-negative integer, got {value!r}")
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-_KINDS = {
-    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "float": ("a number", _is_number),
-    "bool": ("a boolean", lambda v: isinstance(v, bool)),
-    "tuple": ("a list of numbers",
-              lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v))),
-}
-
-
-def _require_types(section, path: str, values: dict | None = None):
-    # Before any range check, which would fail on a wrong type with a
-    # message that names neither the field nor the cause. YAML 1.1 reads
-    # 1e9 as a string; bool is an int subclass, but `true` is not a count.
-    # ``values`` are the raw fields of ``section``, a class, not yet built.
-    values = vars(section) if values is None else values
-    for f in fields(section):
-        kind = _KINDS.get(f.type)
-        if kind is not None and f.name in values:
-            value = values[f.name]
-            _require(kind[1](value), f"{path}.{f.name}", f"must be {kind[0]}, got {value!r}")
-
-
-# Each section validates its own fields on construction, so a config built by
-# from_dict, by apply_overrides (via replace) or directly is checked alike.
+# Each field declares its rule beside itself, and each section checks itself
+# on construction, so a config built by from_dict, by apply_overrides (via
+# replace) or directly is checked alike.
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    hidden: int = 24
-    dim: int = 32
-    normalize: bool = True
-    points_per_scan: int = 48
+    hidden: int = rule(24, min=1)
+    dim: int = rule(32, min=2)
+    normalize: bool = rule(True)
+    points_per_scan: int = rule(48, min=1)
 
     def __post_init__(self):
-        _require_types(self, "encoder")
-        _require(self.hidden >= 1, "encoder.hidden", f"must be >= 1, got {self.hidden}")
-        _require(self.dim >= 2, "encoder.dim", f"must be >= 2, got {self.dim}")
-        _require(
-            self.points_per_scan >= 1,
-            "encoder.points_per_scan",
-            f"must be >= 1, got {self.points_per_scan}",
-        )
+        check(self, "encoder")
 
 
 @dataclass(frozen=True)
 class LossConfig:
-    margin: float = 0.2
-    rank_temp: float = 0.1
-    dist_temp: float = 1.0
-    divergence: str = "skl"
-    rkd_norm: str = "cubic"
-    lambda_variant: str = "literal"
-    pr: bool = True
-    rkd: bool = True
-    dkd: bool = True
+    margin: float = rule(0.2, finite=True, min=0)
+    rank_temp: float = rule(0.1, finite=True, gt=0)
+    dist_temp: float = rule(1.0, finite=True, gt=0)
+    divergence: str = rule("skl", choices=DIVERGENCES)
+    rkd_norm: str = rule("cubic", choices=RKD_NORMS)
+    lambda_variant: str = rule("literal", choices=LAMBDA_VARIANTS)
+    pr: bool = rule(True)
+    rkd: bool = rule(True)
+    dkd: bool = rule(True)
+
+    _relations = ((None, lambda v: v["pr"] or v["rkd"] or v["dkd"], "all loss terms toggled off"),)
 
     def __post_init__(self):
-        _require_types(self, "loss")
-        for name in ("margin", "rank_temp", "dist_temp"):
-            _require_finite(getattr(self, name), f"loss.{name}")
-        _require(self.margin >= 0, "loss.margin", f"must be >= 0, got {self.margin}")
-        _require(self.rank_temp > 0, "loss.rank_temp", f"must be > 0, got {self.rank_temp}")
-        _require(self.dist_temp > 0, "loss.dist_temp", f"must be > 0, got {self.dist_temp}")
-        _require_choice(self.divergence, DIVERGENCES, "loss.divergence")
-        _require_choice(self.rkd_norm, RKD_NORMS, "loss.rkd_norm")
-        _require_choice(self.lambda_variant, LAMBDA_VARIANTS, "loss.lambda_variant")
-        _require(self.pr or self.rkd or self.dkd, "loss", "all loss terms toggled off")
+        check(self, "loss")
 
 
 @dataclass(frozen=True)
 class PlanConfig:
-    epochs: int = 60
-    batch_start: int = 16
-    batch_cap: int = 256
-    expansion_rate: float = 1.4
-    active_threshold: float = 0.7
-    lr: float = 1e-4
-    lr_drop_epoch: int = 30
-    lr_drop_factor: float = 0.1
-    weight_decay: float = 1e-3
+    epochs: int = rule(60, min=1)
+    batch_start: int = rule(16, min=2)
+    batch_cap: int = rule(256)
+    expansion_rate: float = rule(1.4, finite=True, gt=1)
+    active_threshold: float = rule(0.7, finite=True, min=0, max=1)
+    lr: float = rule(1e-4, finite=True, gt=0)
+    lr_drop_epoch: int = rule(30, min=0)
+    lr_drop_factor: float = rule(0.1, finite=True, gt=0)
+    weight_decay: float = rule(1e-3, finite=True, min=0)
+
+    _relations = (("batch_start", lambda v: v["batch_start"] <= v["batch_cap"],
+                   "start {batch_start} exceeds cap {batch_cap}"),)
 
     def __post_init__(self):
-        _require_types(self, "plan")
-        _require(self.epochs >= 1, "plan.epochs", f"must be >= 1, got {self.epochs}")
-        _require(
-            self.batch_start <= self.batch_cap,
-            "plan.batch_start",
-            f"start {self.batch_start} exceeds cap {self.batch_cap}",
-        )
-        _require(self.batch_start >= 2, "plan.batch_start", f"must be >= 2, got {self.batch_start}")
-        _require_finite(self.expansion_rate, "plan.expansion_rate")
-        _require(
-            self.expansion_rate > 1,
-            "plan.expansion_rate",
-            f"must be > 1, got {self.expansion_rate}",
-        )
-        _require(self.lr > 0, "plan.lr", f"must be > 0, got {self.lr}")
-        _require(self.weight_decay >= 0, "plan.weight_decay", f"must be >= 0, got {self.weight_decay}")
-        _require(
-            0.0 <= self.active_threshold <= 1.0,
-            "plan.active_threshold",
-            f"must be in [0, 1], got {self.active_threshold}",
-        )
+        check(self, "plan")
 
 
 @dataclass(frozen=True)
 class BufferConfig:
-    capacity: int = 256
-    fraction: float = 0.25
-    enabled: bool = True
+    capacity: int = rule(256, min=1)
+    fraction: float = rule(0.25, finite=True, gt=0, lt=1)
+    enabled: bool = rule(True)
 
     def __post_init__(self):
-        _require_types(self, "buffer")
-        _require(self.capacity >= 1, "buffer.capacity", f"must be >= 1, got {self.capacity}")
-        _require(
-            0.0 < self.fraction < 1.0,
-            "buffer.fraction",
-            f"must be in (0, 1), got {self.fraction}",
-        )
+        check(self, "buffer")
 
 
 @dataclass(frozen=True)
 class DomainConfig:
     name: str
-    seed: int
-    train_places: int = 400
-    test_places: int = 200
-    trajectory_length: float = 900.0
+    seed: int = rule(kind="seed")
+    train_places: int = rule(400, min=2)
+    test_places: int = rule(200, min=2)
+    trajectory_length: float = rule(900.0, finite=True, gt=0)
     style: str | StyleParams = "plains"
 
     def __post_init__(self):
-        path = f"domains[{self.name}]"
-        _require_seed(self.seed, f"{path}.seed")
-        length = self.trajectory_length
-        number = isinstance(length, (int, float)) and not isinstance(length, bool)
-        _require(number and math.isfinite(length) and length > 0, f"{path}.trajectory_length",
-                 f"must be a finite number > 0, got {length!r}")
-        _require_types(self, path)
-        _require(self.train_places >= 2, f"{path}.train_places", "must be >= 2")
-        _require(self.test_places >= 2, f"{path}.test_places", "must be >= 2")
+        check(self, f"domains[{self.name}]")
         self.style_params()  # validates preset names
 
     def style_params(self) -> StyleParams:
@@ -204,8 +114,8 @@ class ExperimentConfig:
     schema: str = SCHEMA_ID
     seeds: tuple = (0,)
     out_dir: str = "runs/out"
-    fusion: bool = True
-    forgetting_max: str = "printed"
+    fusion: bool = rule(True)
+    forgetting_max: str = rule("printed", choices=FORGETTING_MODES)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     pairs: PairPolicy = field(default_factory=PairPolicy)
     loss: LossConfig = field(default_factory=LossConfig)
@@ -213,27 +123,19 @@ class ExperimentConfig:
     buffer: BufferConfig = field(default_factory=BufferConfig)
     domains: tuple = ()
 
+    def __post_init__(self):
+        check(self, "")
+
 
 def _build(cls, raw: dict, path: str):
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: expected a mapping, got {type(raw).__name__}")
-    known = {f for f in cls.__dataclass_fields__}
-    for key in raw:
-        if key not in known:
-            raise ConfigurationError(f"{path}.{key}: unknown field")
-    if cls in (PairPolicy, StyleParams):  # data.py's classes check ranges, not types
-        _require_types(cls, path, raw)
+    # Checked under the config path: a data class built directly names itself.
+    check(cls, path, {**{f.name: f.default for f in fields(cls) if f.default is not MISSING}, **raw})
     try:
         return cls(**raw)
     except TypeError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
-    except ConfigurationError as exc:
-        # PairPolicy and StyleParams name a bad field "<class>.<field>": put
-        # its config path in place of the class name.
-        msg = str(exc)
-        if not msg.startswith(cls.__name__):
-            raise
-        raise ConfigurationError(path + msg[len(cls.__name__):]) from None
 
 
 def from_dict(raw: dict) -> ExperimentConfig:
@@ -245,12 +147,8 @@ def from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigurationError(f"config root: expected a mapping, got {type(raw).__name__}")
     raw = dict(raw)
     schema = raw.pop("schema", None)
-    _require(schema == SCHEMA_ID, "schema", f"expected {SCHEMA_ID!r}, got {schema!r}")
-
-    known_top = {f for f in ExperimentConfig.__dataclass_fields__}
-    for key in raw:
-        if key not in known_top:
-            raise ConfigurationError(f"{key}: unknown field")
+    require(schema == SCHEMA_ID, "schema", f"expected {SCHEMA_ID!r}, got {schema!r}")
+    check(ExperimentConfig, "", raw)
 
     enc = _build(EncoderConfig, raw.get("encoder", {}), "encoder")
     pairs = _build(PairPolicy, raw.get("pairs", {}), "pairs")
@@ -259,29 +157,26 @@ def from_dict(raw: dict) -> ExperimentConfig:
     buf = _build(BufferConfig, raw.get("buffer", {}), "buffer")
 
     seeds = raw.get("seeds", [0])
-    _require(
+    require(
         isinstance(seeds, (list, tuple)) and len(seeds) > 0,
         "seeds",
         "must be a non-empty list of integers",
     )
     for i, s in enumerate(seeds):
-        _require_seed(s, f"seeds[{i}]")
-
-    fusion = raw.get("fusion", True)
-    _require(isinstance(fusion, bool), "fusion", f"must be a boolean, got {fusion!r}")
-    fmode = raw.get("forgetting_max", "printed")
-    _require_choice(fmode, FORGETTING_MODES, "forgetting_max")
+        require_kind(s, "seed", f"seeds[{i}]")
 
     domains_raw = raw.get("domains", [])
-    _require(isinstance(domains_raw, list), "domains", "must be a list")
+    require(isinstance(domains_raw, list), "domains", "must be a list")
     domains = []
     names = set()
     for i, d in enumerate(domains_raw):
         if isinstance(d, dict) and isinstance(d.get("style"), dict):
             d = dict(d)
             d["style"] = _build(StyleParams, d["style"], f"domains[{i}].style")
-        dom = _build(DomainConfig, d, f"domains[{i}]")
-        _require(dom.name not in names, f"domains[{i}].name", f"duplicate name {dom.name!r}")
+        # A domain's own fields are named by its name, as DomainConfig names them.
+        name = d.get("name", i) if isinstance(d, dict) else i
+        dom = _build(DomainConfig, d, f"domains[{name}]")
+        require(dom.name not in names, f"domains[{i}].name", f"duplicate name {dom.name!r}")
         names.add(dom.name)
         domains.append(dom)
 
@@ -289,8 +184,8 @@ def from_dict(raw: dict) -> ExperimentConfig:
         schema=SCHEMA_ID,
         seeds=tuple(seeds),
         out_dir=str(raw.get("out_dir", "runs/out")),
-        fusion=fusion,
-        forgetting_max=fmode,
+        fusion=raw.get("fusion", True),
+        forgetting_max=raw.get("forgetting_max", "printed"),
         encoder=enc,
         pairs=pairs,
         loss=loss,

@@ -38,7 +38,7 @@ from .encoder import (
     params_digest,
     save_snapshot,
 )
-from .errors import ConfigurationError, TrainingError, UsageError
+from .errors import ConfigurationError, TrainingError, UsageError, check, rule
 from .evaluation import euclidean
 from .losses import (
     RelaxationSchedule,
@@ -59,17 +59,15 @@ RUN_LOG_NAME = "run_log.jsonl"
 class MemoryBuffer:
     """Fixed-capacity exemplar store, re-split equally per seen domain."""
 
-    capacity: int = 256
+    capacity: int = rule(256, min=1)
     entries: list = field(default_factory=list)
     seed: int = 0
 
+    _relations = (("entries", lambda v: len(v["entries"]) <= v["capacity"],
+                   "must hold at most capacity {capacity} entries"),)
+
     def __post_init__(self):
-        if self.capacity < 1:
-            raise ConfigurationError(f"buffer capacity must be >= 1, got {self.capacity}")
-        if len(self.entries) > self.capacity:
-            raise ConfigurationError(
-                f"buffer holds {len(self.entries)} entries over capacity {self.capacity}"
-            )
+        check(self, "MemoryBuffer")
 
 
 def lr_at(plan: PlanConfig, epoch: int) -> float:

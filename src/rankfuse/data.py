@@ -15,12 +15,12 @@ import functools
 import math
 import os
 import stat
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, IngestionError, UsageError
+from .errors import ConfigurationError, IngestionError, UsageError, check, rule
 
 DEFAULT_POINTS_PER_SCAN = 256
 
@@ -70,23 +70,15 @@ class PairPolicy:
     ``pos_test`` radius for ground truth.
     """
 
-    pos_train: float = 10.0
-    neg_train: float = 50.0
-    pos_test: float = 25.0
+    pos_train: float = rule(10.0, finite=True, gt=0)
+    neg_train: float = rule(50.0, finite=True)
+    pos_test: float = rule(25.0, finite=True, gt=0)
+
+    _relations = (("neg_train", lambda v: v["neg_train"] > v["pos_train"],
+                   "must exceed pos_train ({pos_train}), got {neg_train}"),)
 
     def __post_init__(self):
-        for name in ("pos_train", "neg_train", "pos_test"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"PairPolicy.{name}: must be finite, got {value}")
-        if not self.pos_train > 0:
-            raise ConfigurationError(f"PairPolicy.pos_train must be > 0, got {self.pos_train}")
-        if not self.neg_train > self.pos_train:
-            raise ConfigurationError(
-                f"PairPolicy.neg_train must exceed pos_train ({self.pos_train}), got {self.neg_train}"
-            )
-        if not self.pos_test > 0:
-            raise ConfigurationError(f"PairPolicy.pos_test must be > 0, got {self.pos_test}")
+        check(self, "PairPolicy")
 
 
 @dataclass(frozen=True)
@@ -98,41 +90,30 @@ class StyleParams:
     varying these fields is what produces domain shift.
     """
 
-    plane_weight: float = 0.5
-    box_weight: float = 0.3
-    clutter_weight: float = 0.2
-    landmark_density: float = 0.6  # landmarks per trajectory meter
-    visibility_radius: float = 40.0  # meters
-    noise: float = 0.02  # per-point jitter std, meters
-    yaw_jitter: float = 0.35  # per-scan heading jitter, radians
-    height_scale: float = 1.0  # multiplies landmark heights
-    sensor_yaw: float = 0.0  # fixed mount rotation about z, radians
-    sensor_tilt: float = 0.0  # fixed mount rotation about x, radians
-    sensor_z: float = 0.0  # fixed mount height offset, meters
-    axis_scale: tuple = (1.0, 1.0, 1.0)  # per-axis calibration scale
+    plane_weight: float = rule(0.5, finite=True, min=0)
+    box_weight: float = rule(0.3, finite=True, min=0)
+    clutter_weight: float = rule(0.2, finite=True, min=0)
+    landmark_density: float = rule(0.6, finite=True, gt=0)  # landmarks per trajectory meter
+    visibility_radius: float = rule(40.0, finite=True, gt=0)  # meters
+    noise: float = rule(0.02, finite=True, min=0)  # per-point jitter std, meters
+    yaw_jitter: float = rule(0.35, finite=True)  # per-scan heading jitter, radians
+    height_scale: float = rule(1.0, finite=True, gt=0)  # multiplies landmark heights
+    sensor_yaw: float = rule(0.0, finite=True)  # fixed mount rotation about z, radians
+    sensor_tilt: float = rule(0.0, finite=True)  # fixed mount rotation about x, radians
+    sensor_z: float = rule(0.0, finite=True)  # fixed mount height offset, meters
+    axis_scale: tuple = rule((1.0, 1.0, 1.0))  # per-axis calibration scale
+
+    _relations = (
+        (None, lambda v: v["plane_weight"] + v["box_weight"] + v["clutter_weight"] > 0,
+         "mixture weights must not all be zero"),
+        ("axis_scale", lambda v: len(v["axis_scale"]) == 3
+         and all(math.isfinite(x) and x > 0 for x in v["axis_scale"]),
+         "must be 3 finite numbers > 0, got {axis_scale}"),
+    )
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name != "axis_scale" and not math.isfinite(value):
-                raise ConfigurationError(f"StyleParams.{f.name}: must be finite, got {value}")
-        total = self.plane_weight + self.box_weight + self.clutter_weight
-        if total <= 0 or min(self.plane_weight, self.box_weight, self.clutter_weight) < 0:
-            raise ConfigurationError("StyleParams mixture weights must be non-negative and not all zero")
-        if self.landmark_density <= 0:
-            raise ConfigurationError(f"StyleParams.landmark_density must be > 0, got {self.landmark_density}")
-        if self.visibility_radius <= 0:
-            raise ConfigurationError(f"StyleParams.visibility_radius must be > 0, got {self.visibility_radius}")
-        if self.noise < 0:
-            raise ConfigurationError(f"StyleParams.noise must be >= 0, got {self.noise}")
-        if self.height_scale <= 0:
-            raise ConfigurationError(f"StyleParams.height_scale must be > 0, got {self.height_scale}")
-        scale = tuple(float(v) for v in self.axis_scale)
-        if len(scale) != 3 or not all(math.isfinite(v) and v > 0 for v in scale):
-            raise ConfigurationError(
-                f"StyleParams.axis_scale needs 3 finite positive entries, got {self.axis_scale}"
-            )
-        object.__setattr__(self, "axis_scale", scale)
+        check(self, "StyleParams")
+        object.__setattr__(self, "axis_scale", tuple(float(v) for v in self.axis_scale))
 
 
 # Contrasting structures and sensor rigs; sequential training across these
@@ -204,22 +185,14 @@ class DomainSpec:
     offsets, fresh per-scan yaw, and fresh jitter (database vs. query dates).
     """
 
-    seed: int
-    n_places: int
-    trajectory_length: float = 1000.0
+    seed: int = rule(kind="seed")
+    n_places: int = rule(min=2)
+    trajectory_length: float = rule(1000.0, finite=True, gt=0)
     style: StyleParams = field(default_factory=StyleParams)
-    session: int = 0
+    session: int = rule(0, min=0)
 
     def __post_init__(self):
-        if self.n_places < 2:
-            raise ConfigurationError(f"DomainSpec.n_places must be >= 2, got {self.n_places}")
-        if not (math.isfinite(self.trajectory_length) and self.trajectory_length > 0):
-            raise ConfigurationError(
-                "DomainSpec.trajectory_length must be a finite number > 0, "
-                f"got {self.trajectory_length}"
-            )
-        if self.session < 0:
-            raise ConfigurationError(f"DomainSpec.session must be >= 0, got {self.session}")
+        check(self, "DomainSpec")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, UsageError, check, rule
 
 if TYPE_CHECKING:  # config imports this module
     from .config import LossConfig
@@ -76,18 +76,11 @@ class RelaxationSchedule:
     10*(g/beta - 0.5). Both decrease strictly in the epoch g.
     """
 
-    total_epochs: float
-    variant: str = "literal"
+    total_epochs: float = rule(finite=True, min=1)
+    variant: str = rule("literal", choices=LAMBDA_VARIANTS)
 
     def __post_init__(self):
-        if self.variant not in LAMBDA_VARIANTS:
-            raise ConfigurationError(f"unknown relaxation variant {self.variant!r}")
-        if self.variant == "literal" and self.total_epochs <= 0.5:
-            raise ConfigurationError(
-                f"literal relaxation needs total_epochs > 0.5, got {self.total_epochs}"
-            )
-        if self.total_epochs < 1:
-            raise ConfigurationError(f"total_epochs must be >= 1, got {self.total_epochs}")
+        check(self, "RelaxationSchedule")
 
 
 def relaxation_weight(schedule: RelaxationSchedule, epoch: float) -> float:

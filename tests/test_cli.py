@@ -362,7 +362,8 @@ def test_bad_trajectory_length_exits_2(tmp_path, value):
                                                 f"trajectory_length: {value}", 1))
     proc = cli("gen-data", "--config", config, "--out", tmp_path / "out")
     assert proc.returncode == 2
-    assert "config error: domains[plains].trajectory_length: must be a finite number > 0" \
+    expect = {"-5.0": "> 0, got -5.0", ".nan": "finite, got nan", ".inf": "finite, got inf"}
+    assert f"config error: domains[plains].trajectory_length: must be {expect[value]}" \
         in proc.stderr
     assert "Traceback" not in proc.stderr
 
@@ -370,6 +371,8 @@ def test_bad_trajectory_length_exits_2(tmp_path, value):
 @pytest.mark.parametrize("section, field", [
     ("loss", "margin"), ("loss", "rank_temp"), ("loss", "dist_temp"),
     ("pairs", "neg_train"), ("pairs", "pos_test"),
+    # Accepted before, and trained on.
+    ("plan", "lr"), ("plan", "weight_decay"), ("plan", "lr_drop_factor"),
 ])
 def test_infinite_config_value_exits_2(tmp_path, section, field):
     raw = yaml.safe_load(SMOKE.read_text())
@@ -387,6 +390,8 @@ def test_infinite_config_value_exits_2(tmp_path, section, field):
     ("normalize: true", 'normalize: "yes"', "encoder.normalize: must be a boolean, got 'yes'"),
     # YAML 1.1 reads 1e9 as a string; it used to fail comparing it with batch_start.
     ("batch_cap: 32", "batch_cap: 1e9", "plan.batch_cap: must be an integer, got '1e9'"),
+    ("lambda_variant: incloud", "lambda_variant: 1e9",
+     "loss.lambda_variant: must be one of ('literal', 'incloud'), got '1e9'"),
 ])
 def test_wrongly_typed_config_value_exits_2(tmp_path, old, new, message):
     config = tmp_path / "edited.yaml"
@@ -642,6 +647,33 @@ def test_eval_missing_snapshot_exits_2(corpora, tmp_path):
                "--queries", root / "plains" / "query")
     assert proc.returncode == 2
     assert "not found" in proc.stderr
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--at", "0", "argument --at: expected an integer >= 1, got '0'"),
+    ("--at", "-1", "argument --at: expected an integer >= 1, got '-1'"),
+    ("--at", "x", "argument --at: expected an integer >= 1, got 'x'"),
+    ("--pos-test", "nan", "argument --pos-test: expected a finite number > 0, got 'nan'"),
+    ("--pos-test", "inf", "argument --pos-test: expected a finite number > 0, got 'inf'"),
+    ("--pos-test", "0", "argument --pos-test: expected a finite number > 0, got '0'"),
+    ("--pos-test", "x", "argument --pos-test: expected a finite number > 0, got 'x'"),
+])
+def test_eval_flags_are_checked_before_any_corpus_loads(smoke_out, corpora, tmp_path,
+                                                         monkeypatch, capsys, flag, value, message):
+    # A usage error used to cost a whole ingest: --at failed only in
+    # recall_at_n, after both splits were loaded and embedded.
+    out, _ = smoke_out
+    plains = corpora[0] / "plains"
+    loads = []
+    monkeypatch.setattr(rankfuse.cli, "load_corpus", lambda path: loads.append(path))
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--snapshot", str(out / "seed_0" / "step_1.snap"),
+              "--corpus", str(plains / "db"), "--queries", str(plains / "query"),
+              "--out", str(tmp_path), f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert loads == []
+    assert not (tmp_path / "eval.json").exists()
 
 
 def _eval_snapshot(corpora, snap):

@@ -1,5 +1,6 @@
 """Config parsing, validation paths, digests, and command-line overrides."""
 
+import copy
 import dataclasses
 import math
 import re
@@ -7,18 +8,24 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankfuse.config import (
     SCHEMA_ID,
+    BufferConfig,
     DomainConfig,
+    EncoderConfig,
     ExperimentConfig,
+    LossConfig,
+    PlanConfig,
     apply_overrides,
     config_digest,
     from_dict,
     load_config,
     parse_toggle_args,
 )
-from rankfuse.data import StyleParams
+from rankfuse.data import PairPolicy, StyleParams
 from rankfuse.errors import ConfigurationError
 
 REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.yaml"
@@ -91,11 +98,11 @@ def test_field_validation_messages():
             from_dict(_minimal(domains=[{"name": "a", "seed": seed, "style": "plains"}]))
     with pytest.raises(ConfigurationError, match="forgetting_max"):
         from_dict(_minimal(forgetting_max="always"))
-    # Pair thresholds and inline styles are checked by their data classes;
-    # the message names the config path, not the class.
-    with pytest.raises(ConfigurationError, match="^pairs.pos_train must be > 0, got 0.0$"):
+    # Pair thresholds and inline styles are checked by their data classes'
+    # rules; the message names the config path, not the class.
+    with pytest.raises(ConfigurationError, match="^pairs.pos_train: must be > 0, got 0.0$"):
         from_dict(_minimal(pairs={"pos_train": 0.0}))
-    with pytest.raises(ConfigurationError, match="^pairs.neg_train must exceed pos_train"):
+    with pytest.raises(ConfigurationError, match="^pairs.neg_train: must exceed pos_train"):
         from_dict(_minimal(pairs={"neg_train": 5.0}))
     for section, name in [("loss", "margin"), ("loss", "rank_temp"), ("loss", "dist_temp"),
                           ("pairs", "pos_train"), ("pairs", "neg_train"), ("pairs", "pos_test"),
@@ -106,7 +113,7 @@ def test_field_validation_messages():
                 from_dict(_minimal(**{section: {name: value}}))
     style = {"name": "a", "seed": 1, "style": {"noise": -1.0}}
     with pytest.raises(ConfigurationError,
-                       match="^domains\\[0\\].style.noise must be >= 0, got -1.0$"):
+                       match="^domains\\[0\\].style.noise: must be >= 0, got -1.0$"):
         from_dict(_minimal(domains=[style]))
 
 
@@ -129,6 +136,23 @@ def test_field_types_are_checked_before_ranges():
     assert from_dict(_minimal(plan={"lr": 1})).plan.lr == 1
 
 
+def test_plan_rates_and_lr_drop_are_bounded():
+    # Each was accepted before, from a file and built directly.
+    cases = [("lr", math.inf, "must be finite, got inf"), ("lr", 0.0, "must be > 0, got 0.0"),
+             ("weight_decay", math.inf, "must be finite, got inf"),
+             ("weight_decay", -1e-3, "must be >= 0, got -0.001"),
+             ("lr_drop_factor", -1.0, "must be > 0, got -1.0"),
+             ("lr_drop_factor", math.nan, "must be finite, got nan"),
+             ("lr_drop_epoch", -5, "must be >= 0, got -5")]
+    for name, value, message in cases:
+        match = f"^plan.{name}: {re.escape(message)}$"
+        with pytest.raises(ConfigurationError, match=match):
+            from_dict(_minimal(plan={name: value}))
+        with pytest.raises(ConfigurationError, match=match):
+            PlanConfig(**{name: value})
+    assert PlanConfig(lr_drop_epoch=0, weight_decay=0.0).lr_drop_epoch == 0
+
+
 def test_pair_and_inline_style_types_are_checked_before_ranges():
     def style(**fields):
         return _minimal(domains=[{"name": "a", "seed": 1, "style": fields}])
@@ -146,8 +170,8 @@ def test_pair_and_inline_style_types_are_checked_before_ranges():
             from_dict(raw)
     # Right types still meet the range checks, under the config path: a
     # NaN noise or an infinite yaw jitter used to reach the generator.
-    for fields, message in [({"axis_scale": [1.0, 2.0]}, "axis_scale needs 3 finite positive"),
-                            ({"axis_scale": [1.0, math.inf, 1.0]}, "axis_scale needs 3 finite"),
+    for fields, message in [({"axis_scale": [1.0, 2.0]}, "axis_scale: must be 3 finite numbers > 0"),
+                            ({"axis_scale": [1.0, math.inf, 1.0]}, "axis_scale: must be 3 finite"),
                             ({"noise": math.nan}, "noise: must be finite, got nan"),
                             ({"yaw_jitter": math.inf}, "yaw_jitter: must be finite, got inf")]:
         with pytest.raises(ConfigurationError, match=f"^domains\\[0\\].style.{message}"):
@@ -180,9 +204,11 @@ def test_domain_config_checks_its_own_fields():
         DomainConfig(name="a", seed=1, test_places=1)
     with pytest.raises(ConfigurationError, match="domains\\[a\\].style: unknown preset"):
         DomainConfig(name="a", seed=1, style="metropolis")
-    for length in (-5.0, 0.0, float("nan"), float("inf"), True, "900"):
+    for length, message in [(-5.0, "> 0, got -5.0"), (0.0, "> 0, got 0.0"),
+                            (float("nan"), "finite, got nan"), (float("inf"), "finite, got inf"),
+                            (True, "a number, got True"), ("900", "a number, got '900'")]:
         with pytest.raises(ConfigurationError,
-                           match="domains\\[a\\].trajectory_length: must be a finite number > 0"):
+                           match=f"^domains\\[a\\].trajectory_length: must be {message}$"):
             DomainConfig(name="a", seed=1, trajectory_length=length)
 
 
@@ -232,6 +258,129 @@ def test_digest_ignores_out_dir():
     cfg = load_config(SMOKE)
     relocated = dataclasses.replace(cfg, out_dir="somewhere/else")
     assert config_digest(relocated) == config_digest(cfg)
+
+
+# sha256 config digests of every committed config, taken before the rules were
+# declared beside the fields: checking converts nothing, so none may move.
+CONFIG_DIGESTS = {
+    "benchmarks/configs/quick/reference_short.yaml":
+        "9f973b207444dbc815d826fdc252d1b50427dea294347cfe595c9a3a294d0e00",
+    "benchmarks/configs/quick/retrieval_eval.yaml":
+        "38f1a8c04a7b251e1b2d1e19c63dcc70aa0382066d1db7c15f7901c7134ec3e2",
+    "benchmarks/configs/quick/wide_batch_distill.yaml":
+        "a638203f6ed17900daf378aced15007c2c2bb1506a3643b791b35d2cb830c297",
+    "benchmarks/configs/reference_short.yaml":
+        "1bb0e8e298c6614527404a5a09332cca98a0541dffe6306d93e01bc08f166fa6",
+    "benchmarks/configs/retrieval_eval.yaml":
+        "9f4cb8447e944fc84915cb94ad15d544f9d940e2f3cc31b677f1da17d8ac3e6c",
+    "benchmarks/configs/wide_batch_distill.yaml":
+        "2004c22d6200f9cc433fbc83087f03d888bc34b15e97c175ea7ba8cecc8ac551",
+    "configs/reference.yaml": "24c88401afa7af25fd337c7d6ed2c082e05bc1dd27c65245629149513075415b",
+    "configs/smoke.yaml": "a6495ee3b4e07314f531450ecae1c55ae600d7b047f62a50258dc9803af96e1f",
+}
+
+
+def test_config_digests_are_pinned():
+    root = REFERENCE.parent.parent
+    found = sorted(p.relative_to(root).as_posix()
+                   for d in ("configs", "benchmarks/configs") for p in (root / d).rglob("*.yaml"))
+    assert found == sorted(CONFIG_DIGESTS)
+    for name, digest in CONFIG_DIGESTS.items():
+        assert config_digest(load_config(root / name)) == digest, name
+
+
+# ---------------------------------------------------------------------------
+# Declared rules
+
+# Where each class's fields sit in a parsed smoke config, and the path its
+# messages carry: the first domain is "plains", and an inline style is named
+# by the domain's index.
+_PLACES = [(ExperimentConfig, (), ""), (EncoderConfig, ("encoder",), "encoder."),
+           (PairPolicy, ("pairs",), "pairs."), (LossConfig, ("loss",), "loss."),
+           (PlanConfig, ("plan",), "plan."), (BufferConfig, ("buffer",), "buffer."),
+           (DomainConfig, ("domains", 0), "domains[plains]."),
+           (StyleParams, ("domains", 0, "style"), "domains[0].style.")]
+_NOT_OF_KIND = {"int": ["8", 2.5, [1]], "seed": ["8", 2.5, -1], "float": ["0.5", [0.5], None],
+                "bool": ["yes", 1, None], "tuple": ["abc", [1.0, "2", 1.0], 1.0]}
+
+
+def _declared():
+    """(place, path, kind, rule) for each field that declares a rule."""
+    return [(where + (f.name,), prefix + f.name, f.metadata["rule"].get("kind", f.type),
+             f.metadata["rule"])
+            for cls, where, prefix in _PLACES for f in dataclasses.fields(cls)
+            if "rule" in f.metadata]
+
+
+def test_declared_rules_cover_the_bounded_fields():
+    # Written out by hand, so that an empty schema cannot pass the test below.
+    bounded = {path for _, path, _, rule in _declared()
+               if {"min", "gt", "max", "lt"} & set(rule)}
+    assert bounded == {
+        "encoder.hidden", "encoder.dim", "encoder.points_per_scan", "pairs.pos_train",
+        "pairs.pos_test", "loss.margin", "loss.rank_temp", "loss.dist_temp", "plan.epochs",
+        "plan.batch_start", "plan.expansion_rate", "plan.active_threshold", "plan.lr",
+        "plan.lr_drop_epoch", "plan.lr_drop_factor", "plan.weight_decay", "buffer.capacity",
+        "buffer.fraction", "domains[plains].train_places", "domains[plains].test_places",
+        "domains[plains].trajectory_length", "domains[0].style.plane_weight",
+        "domains[0].style.box_weight", "domains[0].style.clutter_weight",
+        "domains[0].style.landmark_density", "domains[0].style.visibility_radius",
+        "domains[0].style.noise", "domains[0].style.height_scale",
+    }
+    kinds = {path: kind for _, path, kind, _ in _declared()}
+    assert kinds["domains[plains].seed"] == "seed" and kinds["loss.pr"] == "bool"
+    assert {path for _, path, _, rule in _declared() if "choices" in rule} == {
+        "forgetting_max", "loss.divergence", "loss.rkd_norm", "loss.lambda_variant"}
+
+
+def _past(rule, kind):
+    """A value just past each bound the rule declares."""
+    nudge = (lambda b, d: b + d) if kind == "int" else (lambda b, d: math.nextafter(b, d * math.inf))
+    past = {"min": lambda b: nudge(b, -1), "gt": lambda b: b,
+            "max": lambda b: nudge(b, 1), "lt": lambda b: b}
+    return [step(rule[key]) for key, step in past.items() if key in rule]
+
+
+def _bad_values(kind, rule):
+    """A strategy of values the rule must refuse: wrong types, bools for
+    numbers, YAML 1.1 exponent strings, NaN and infinities, and values past
+    each declared bound (the nearest ones among them)."""
+    fixed = ["1e9", math.nan, math.inf, -math.inf, *_past(rule, kind), *_NOT_OF_KIND.get(kind, [])]
+    if kind in ("int", "seed", "float"):
+        fixed.append(True)
+    beyond = {"int": {"min": lambda b: st.integers(max_value=b - 1),
+                      "max": lambda b: st.integers(min_value=b + 1)},
+              "float": {"min": lambda b: st.floats(max_value=b, exclude_max=True),
+                        "gt": lambda b: st.floats(max_value=b),
+                        "max": lambda b: st.floats(min_value=b, exclude_min=True),
+                        "lt": lambda b: st.floats(min_value=b)}}.get(kind, {})
+    strategies = [st.sampled_from(fixed)]
+    strategies += [past(rule[key]) for key, past in beyond.items() if key in rule]
+    if "choices" in rule:
+        strategies += [st.sampled_from([3, True, None]),
+                       st.text().filter(lambda t: t not in rule["choices"])]
+    return st.one_of(strategies)
+
+
+_SMOKE_RAW = yaml.safe_load(SMOKE.read_text())
+
+
+@pytest.mark.parametrize("where, path, kind, rule",
+                         _declared(), ids=[path for _, path, _, _ in _declared()])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_each_declared_rule_rejects_a_bad_value_by_its_path(where, path, kind, rule, data):
+    value = data.draw(_bad_values(kind, rule))
+    raw = copy.deepcopy(_SMOKE_RAW)
+    if "style" in where:
+        raw["domains"][0]["style"] = {}  # an inline style table
+    table = raw
+    for key in where[:-1]:
+        table = table[key] if isinstance(key, int) else table.setdefault(key, {})
+    table[where[-1]] = value
+    with pytest.raises(ConfigurationError) as exc:
+        from_dict(raw)
+    assert str(exc.value).startswith(f"{path}: "), (value, str(exc.value))
 
 
 # ---------------------------------------------------------------------------

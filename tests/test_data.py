@@ -234,6 +234,9 @@ def test_style_params_validation():
         StyleParams(axis_scale=(1.0, 1.0))
     with pytest.raises(ConfigurationError):
         StyleParams(axis_scale=(1.0, -1.0, 1.0))
+    # Built directly, a style checks types as a config does.
+    with pytest.raises(ConfigurationError, match="^StyleParams.noise: must be a number, got True$"):
+        StyleParams(noise=True)
 
 
 def test_domain_spec_validation():
@@ -245,10 +248,17 @@ def test_domain_spec_validation():
         DomainSpec(seed=1, n_places=10, session=-1)
     # A spec built directly, not through a config, stops here and not later
     # in generate_domain.
-    for length in (math.nan, math.inf, -math.inf, -5.0):
-        with pytest.raises(ConfigurationError, match="^DomainSpec.trajectory_length must be "
-                                                     "a finite number > 0, got "):
+    for length, message in [(math.nan, "finite, got nan"), (math.inf, "finite, got inf"),
+                            (-math.inf, "finite, got -inf"), (-5.0, "> 0, got -5.0")]:
+        with pytest.raises(ConfigurationError,
+                           match=f"^DomainSpec.trajectory_length: must be {message}$"):
             DomainSpec(seed=1, n_places=4, trajectory_length=length)
+    # A negative seed used to end in numpy's ValueError; a bool or a string
+    # was accepted.
+    for seed in (-1, True, "1"):
+        with pytest.raises(ConfigurationError,
+                           match=f"^DomainSpec.seed: must be a non-negative integer, got {seed!r}$"):
+            DomainSpec(seed=seed, n_places=4)
 
 
 # ---------------------------------------------------------------------------
@@ -446,3 +456,6 @@ def test_pair_policy_validation():
         PairPolicy(pos_train=10.0, neg_train=5.0)
     with pytest.raises(ConfigurationError):
         PairPolicy(pos_test=-1.0)
+    # A bare TypeError before.
+    with pytest.raises(ConfigurationError, match="^PairPolicy.pos_test: must be a number, got '25'$"):
+        PairPolicy(pos_test="25")
