@@ -170,13 +170,15 @@ def from_dict(raw: dict) -> ExperimentConfig:
     domains = []
     names = set()
     for i, d in enumerate(domains_raw):
+        # A domain is named by its name, as DomainConfig names it, or else by
+        # its index.
+        name = d.get("name") if isinstance(d, dict) else None
+        where = f"domains[{name if isinstance(name, str) else i}]"
         if isinstance(d, dict) and isinstance(d.get("style"), dict):
             d = dict(d)
-            d["style"] = _build(StyleParams, d["style"], f"domains[{i}].style")
-        # A domain's own fields are named by its name, as DomainConfig names them.
-        name = d.get("name", i) if isinstance(d, dict) else i
-        dom = _build(DomainConfig, d, f"domains[{name}]")
-        require(dom.name not in names, f"domains[{i}].name", f"duplicate name {dom.name!r}")
+            d["style"] = _build(StyleParams, d["style"], f"{where}.style")
+        dom = _build(DomainConfig, d, where)
+        require(dom.name not in names, f"{where}.name", f"duplicate name {dom.name!r}")
         names.add(dom.name)
         domains.append(dom)
 

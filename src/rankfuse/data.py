@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, IngestionError, UsageError, check, rule
+from .errors import IngestionError, UsageError, check, rule
 
 DEFAULT_POINTS_PER_SCAN = 256
 
@@ -356,8 +356,9 @@ def generate_domain(
     per-scan order, then one transform of the picked points. Every kept point
     gets the operations of a scan-by-scan build, so the bytes are the same.
     """
-    if points_per_scan < 1:
-        raise ConfigurationError(f"points_per_scan must be >= 1, got {points_per_scan}")
+    from .config import EncoderConfig  # config imports this module
+
+    check(EncoderConfig, "encoder", {"points_per_scan": points_per_scan}, relations=False)
 
     world = _build_world(spec.seed, spec.trajectory_length, spec.style)
     style = spec.style

@@ -17,23 +17,16 @@ forwards stale, and ``backward`` raises ``UsageError`` on a stale cache
 rather than read overwritten buffers. ``backward`` only reads its cache, so
 it can run twice on one.
 
-The training pass works only where gradient flows, and keeps every bit of
-the dense pass (all points, row-major, gradient on every row):
+Both passes compute the second layer channel-major, (B, h, P), as
+w2.T @ h1.T, so each channel's points are contiguous for the max and its
+arg-max. The rectifier is applied to the pooled values only, since it
+commutes with max.
 
-* The forward writes the second layer channel-major, (B, h, P), as
-  w2.T @ h1.T. Each output is the same products summed in the same order,
-  and argmax runs over contiguous points. The rectifier is applied to the
-  pooled values only, since it commutes with max.
-* Max pooling sends each channel's gradient to one winning point per scan,
-  PointNet's critical points: about 20 to 28 of 160 at the reference
-  shapes. So ``dh1 = da2 @ w2.T``, its mask and both bias sums run on the
-  winner rows alone. Every other row is +0.0, and numpy's row sums start
-  at +0.0, so leaving those rows out changes no bit. The two weight
-  products keep the full K = B·P, zero rows included, so BLAS splits K as
-  it does for the dense pass.
-* Whether BLAS gives a reordered product the dense bits depends on the
-  shape, since OpenBLAS runs other kernels for small products. Each (P, h)
-  is probed once, and the dense product runs where only it is exact.
+Max pooling sends each channel's gradient to one winning point per scan,
+PointNet's critical points: about 20 to 28 of 160 at the reference shapes.
+So the backward works on the winner rows of the flattened (B·P, h) layer
+alone: the gradient of the second layer's output, both weight products and
+both bias sums. No (B, P, h) array is filled in the backward.
 
 ``encode`` is the inference pass:
 it keeps no cache and runs the per-point layers in row chunks of about 512 KB
@@ -55,7 +48,6 @@ time, so save -> load -> encode is bit-exact.
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -63,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, TrainingError, UsageError
+from .errors import TrainingError, UsageError, check
 
 _SNAP_MAGIC = b"RFSN"
 _SNAP_VERSION = 1
@@ -118,8 +110,9 @@ class ModelSnapshot:
 
 def init_params(seed: int, hidden: int, dim: int) -> EncoderParams:
     """Variance-scaled uniform weights (Glorot), zero biases; pure in seed."""
-    if hidden < 1 or dim < 1:
-        raise ConfigurationError(f"hidden and dim must be >= 1, got ({hidden}, {dim})")
+    from .config import EncoderConfig  # config imports this module, through evaluation
+
+    check(EncoderConfig, "encoder", {"hidden": hidden, "dim": dim}, relations=False)
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def glorot(fan_in, fan_out):
@@ -178,7 +171,7 @@ def encode(params: EncoderParams, scans, normalize: bool = True) -> np.ndarray:
     b1 = np.tile(p.b1, (pts, 1))  # pre-tiled, see the module docstring
     # One buffer per layer serves every chunk: no allocation per chunk.
     rows = max(np.diff(bounds), default=0)
-    h1_buf, h2_buf = np.empty((2, rows, pts, p.hidden))
+    h1_buf, h2_buf = np.empty((rows, pts, p.hidden)), np.empty((rows, p.hidden, pts))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         x = _stack_scans(scans[lo:hi])
         if x.shape[1] != pts:
@@ -187,39 +180,11 @@ def encode(params: EncoderParams, scans, normalize: bool = True) -> np.ndarray:
         np.matmul(x, p.w1, out=h1)
         h1 += b1
         np.maximum(h1, 0.0, out=h1)
-        np.max(np.matmul(h1, p.w2, out=h2), axis=1, out=pooled[lo:hi])
+        np.matmul(p.w2.T, h1.transpose(0, 2, 1), out=h2)  # channel-major, as in training
+        np.max(h2, axis=2, out=pooled[lo:hi])
     pooled += p.b2
     np.maximum(pooled, 0.0, out=pooled)
     return _head(p, pooled, normalize)[0]
-
-
-@functools.cache  # a property of the process's BLAS, probed once per shape
-def _exact_layouts(pts: int, h: int) -> tuple[bool, bool]:
-    """Whether the training pass's two reordered products are exact at (P, h).
-
-    The forward computes w2.T @ h1.T where the dense pass computes h1 @ w2,
-    and the backward moves winner rows of da2 to other rows of a P-row
-    product. Both keep the bits when the BLAS kernel gives every output the
-    same operations. OpenBLAS 0.3.31's does at P=160, h=48 and at P=48,
-    h=16, but not at every shape: some h above 16 change the forward's bits,
-    and small products (P·h up to about 1200) with some h above 32 change
-    the backward's. A kernel's operations depend on the shapes, not on the
-    values, so random data tells.
-    """
-    rng = np.random.default_rng(0)
-    w = rng.uniform(-1.0, 1.0, (h, h))
-    forward = moved = True
-    # A kernel that orders or fuses a sum differently can still give the
-    # same bits: at (9, 53), one row in three shows it. So 16 scans and 32
-    # rows are tried, two at a time: arrays of at most 2·P·h floats keep the
-    # probe off the process's peak memory.
-    for _ in range(16):
-        a = rng.uniform(-1.0, 1.0, (2, pts, h))
-        cm = np.matmul(w.T, a.transpose(0, 2, 1)).transpose(0, 2, 1)
-        forward &= np.array_equal(cm, a @ w)
-        same = np.repeat(rng.uniform(-1.0, 1.0, (2, 1, h)), pts, axis=1) @ w.T
-        moved &= np.array_equal(same, np.broadcast_to(same[:, :1], same.shape))
-    return forward, moved
 
 
 class TrainPass:
@@ -232,14 +197,15 @@ class TrainPass:
 
     def __init__(self):
         self.generation = 0
-        self._bufs = (np.empty(0), np.empty(0), np.empty(0))
+        self._bufs = (np.empty(0), np.empty(0))
 
     def views(self, b: int, pts: int, h: int):
-        """(h1, scratch, dh1) views of shape (b, pts, h)."""
+        """Views of h1, (b, pts, h), and of the channel-major a2, (b, h, pts)."""
         n = b * pts * h
         if n > self._bufs[0].size:
             self._bufs = tuple(np.empty(n) for _ in self._bufs)
-        return tuple(buf[:n].reshape(b, pts, h) for buf in self._bufs)
+        h1, a2 = (buf[:n] for buf in self._bufs)
+        return h1.reshape(b, pts, h), a2.reshape(b, h, pts)
 
 
 @dataclass(frozen=True)
@@ -268,20 +234,12 @@ def encode_with_cache(params: EncoderParams, scans, normalize: bool = True,
     work = TrainPass() if work is None else work
     work.generation += 1
     b, pts, h = len(x), x.shape[1], p.hidden
-    h1, scratch, _ = work.views(b, pts, h)
+    h1, a2 = work.views(b, pts, h)
     np.matmul(x, p.w1, out=h1)
     h1 += np.tile(p.b1, (pts, 1))  # pre-tiled, see the module docstring
     np.maximum(h1, 0.0, out=h1)
-    if _exact_layouts(pts, h)[0]:
-        # Channel-major (B, h, P), so each channel's points are contiguous
-        # for argmax: the products and sums of h1 @ w2, transposed.
-        a2 = scratch.reshape(b, h, pts)
-        np.matmul(p.w2.T, h1.transpose(0, 2, 1), out=a2)
-        a2 += np.tile(p.b2[:, None], (1, pts))
-    else:
-        np.matmul(h1, p.w2, out=scratch)
-        scratch += np.tile(p.b2, (pts, 1))
-        a2 = scratch.transpose(0, 2, 1)
+    np.matmul(p.w2.T, h1.transpose(0, 2, 1), out=a2)
+    a2 += np.tile(p.b2[:, None], (1, pts))
     idx = np.argmax(a2, axis=2)
     # argmax takes the first maximum, and the rectifier commutes with max. A
     # channel whose maximum is <= 0 is 0 at every rectified point, so it
@@ -290,17 +248,6 @@ def encode_with_cache(params: EncoderParams, scans, normalize: bool = True,
     pooled = np.maximum(np.take_along_axis(a2, idx[:, :, None], axis=2)[:, :, 0], 0.0)
     e, z, norms = _head(p, pooled, normalize)
     return e, TrainCache(x, h1, idx, pooled, z, norms, work, work.generation)
-
-
-def _sum_rows(part: np.ndarray, full: np.ndarray) -> np.ndarray:
-    """``full.sum(axis=0)`` from ``part``, the rows of ``full`` that may be nonzero.
-
-    The other rows of ``full`` are +0.0. numpy's axis-0 sum starts at +0.0
-    and adds whole rows in order, so a sum is never -0.0 and a +0.0 row
-    changes nothing. An (N, 1) sum is pairwise instead, so it runs on
-    ``full``.
-    """
-    return full.sum(axis=0) if part.shape[1] == 1 else part.sum(axis=0)
 
 
 def backward(params: EncoderParams, scans, upstream: np.ndarray, normalize: bool = True,
@@ -337,46 +284,22 @@ def backward(params: EncoderParams, scans, upstream: np.ndarray, normalize: bool
     dpooled = dz @ p.w3.T
 
     # Only the pooled point of each channel gets gradient, and its
-    # pre-activation is positive exactly where the pooled value is.
+    # pre-activation is positive exactly where the pooled value is. So da2,
+    # the gradient of the second layer's output, is zero but on the winner
+    # rows: ``rows`` lists them in ascending order, and ``inv`` gives each
+    # (scan, channel)'s place among them.
     b, pts, h = h1.shape
-    _, da2, dh1 = cache.work.views(b, pts, h)
     g = dpooled * (cache.pooled > 0.0)
-    da2.fill(0.0)
-    np.put_along_axis(da2, cache.idx[:, None, :], g[:, None, :], axis=1)
-    h1f = h1.reshape(b * pts, h)
-    da2f = da2.reshape(b * pts, h)
-    dw2 = h1f.T @ da2f  # the full K = B*P, so BLAS blocks it as a dense pass does
-
-    # Channel c of da2 holds g[:, c] only, one row per scan, in scan order.
-    db2 = _sum_rows(g, da2f)
-    dh1f = dh1.reshape(b * pts, h)
-    if _exact_layouts(pts, h)[1]:
-        # dh1 = da2 @ w2.T is +0.0 but on the winner rows, so only they are
-        # multiplied, in chunks of P rows: each product has the shape of one
-        # scan's dense product, so BLAS picks the same kernel, and never a
-        # one-row gemv.
-        hit = np.zeros(b * pts, dtype=bool)  # ten times faster than np.unique here
-        hit[(np.arange(0, b * pts, pts)[:, None] + cache.idx).ravel()] = True
-        rows = np.flatnonzero(hit)
-        n = len(rows)
-        # The winner rows go to the front of dh1's buffer, padded with +0.0
-        # rows to whole chunks, and their products to the front of da2's,
-        # which dw2 has read.
-        m = -(-n // pts) * pts
-        gathered, d = dh1f[:m], da2f[:m]
-        np.take(da2f, rows, axis=0, out=gathered[:n])
-        gathered[n:] = 0.0
-        np.matmul(gathered.reshape(-1, pts, h), p.w2.T, out=d.reshape(-1, pts, h))
-        d = d[:n]
-        d *= h1f[rows] > 0.0  # h1 > 0 exactly where its pre-activation is
-        dh1.fill(0.0)
-        dh1f[rows] = d
-        db1 = _sum_rows(d, dh1f)
-    else:
-        np.matmul(da2, p.w2.T, out=dh1)
-        dh1 *= h1 > 0.0
-        db1 = dh1f.sum(axis=0)
-    dw1 = x.reshape(b * pts, 3).T @ dh1f  # the full K again
+    rows, inv = np.unique((np.arange(0, b * pts, pts)[:, None] + cache.idx).ravel(),
+                          return_inverse=True)
+    da2 = np.zeros((len(rows), h))
+    da2[inv.reshape(b, h), np.arange(h)] = g
+    h1w = h1.reshape(b * pts, h)[rows]
+    dw2 = h1w.T @ da2
+    db2 = da2.sum(axis=0)
+    d = (da2 @ p.w2.T) * (h1w > 0.0)  # h1 > 0 exactly where its pre-activation is
+    db1 = d.sum(axis=0)
+    dw1 = x.reshape(b * pts, 3)[rows].T @ d
     return EncoderParams(w1=dw1, b1=db1, w2=dw2, b2=db2, w3=dw3, b3=db3)
 
 

@@ -69,13 +69,16 @@ def require_kind(value, kind: str, path: str):
     require(test(value), path, f"must be {name}, got {value!r}")
 
 
-def check(obj, path: str, values=None):
+def check(obj, path: str, values=None, relations: bool = True):
     """Check a dataclass's ``values`` (by default the instance's own): refuse
     a name that is not a field, then check each field's rule, in field order:
-    kind, then finiteness, then bounds and choices. Then check the class's
-    cross-field ``_relations``, each a (field or None, test of the values,
-    message formatted with the values). Messages read
-    ``<path>.<field>: must be ...``; an empty path is the root.
+    kind, then finiteness, then bounds and choices. Then, unless
+    ``relations`` is false, check the class's cross-field ``_relations``,
+    each a (field or None, test of the values, message formatted with the
+    values). Messages read ``<path>.<field>: must be ...``; an empty path is
+    the root. A public function checks an argument that a config field also
+    holds as ``check(Section, "section", {"field": value}, relations=False)``,
+    so that it refuses what the config refuses, with the config's message.
     """
     values = vars(obj) if values is None else values
     known = {f.name for f in fields(obj)}
@@ -96,5 +99,5 @@ def check(obj, path: str, values=None):
                 require(holds(value, r[key]), where, f"must be {sign} {r[key]}, got {value!r}")
         if "choices" in r:
             require(value in r["choices"], where, f"must be one of {r['choices']}, got {value!r}")
-    for name, holds, msg in getattr(obj, "_relations", ()):
+    for name, holds, msg in getattr(obj, "_relations", ()) if relations else ():
         require(holds(values), ".".join(filter(None, (path, name))), msg.format_map(values))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import encode
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, UsageError, check
 
 RESULTS_FILE = "results.json"
 RECALL_CSV = "recall_matrix.csv"
@@ -179,8 +179,9 @@ def forgetting_score(recall_matrix: np.ndarray, mode: str = "printed") -> Forget
     t_total = r.shape[0]
     if t_total < 2:
         raise UsageError("forgetting needs at least 2 tasks")
-    if mode not in FORGETTING_MODES:
-        raise ConfigurationError(f"forgetting_max must be one of {FORGETTING_MODES}, got {mode!r}")
+    from .config import ExperimentConfig  # config imports this module
+
+    check(ExperimentConfig, "", {"forgetting_max": mode}, relations=False)
     drops = []
     for t in range(t_total - 1):
         if mode == "printed":

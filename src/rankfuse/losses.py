@@ -14,8 +14,10 @@ per thread; each row gets the same operations on the same inputs at any
 thread count, so the bytes do not depend on it. The helper threads call
 only numpy, which releases the GIL, and are joined before the sweep returns.
 
-The sigmoid is ``1 / (1 + exp(-x))`` with libm's ``exp``, as scipy's
-``expit`` computes it, without importing scipy (see ``sigmoid``).
+The sigmoid runs numpy's ``exp`` on contiguous buffers, so it takes the
+SIMD loop where the CPU has one (see ``sigmoid``). That moves the last bit
+of float64 losses and gradients with the CPU, but not the float32 snapshots
+or ``results.json``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError, check, rule
+from .errors import UsageError, check, rule
 
 if TYPE_CHECKING:  # config imports this module
     from .config import LossConfig
@@ -37,10 +39,10 @@ _PROB_FLOOR = 1e-12
 _DIST_FLOOR = 1e-12
 # Chunk size bound for the O(N^3) soft-rank sweeps (floats per chunk): 512 KB
 # per buffer, so both buffers fit in a 2 MB L2 cache. Measured on a Xeon at
-# one BLAS thread, per ranking_distill_loss call: whole 16-row batches take
-# 0.13 ms at any budget; at n=64, 16-row chunks 3.7 ms against 4.6 ms (1 row)
-# and 4.7 ms (64 rows); at n=256, 1-row chunks 213 ms against 231 ms (4 rows)
-# and 240 ms (30 rows). Each sweep thread owns one pair of buffers, and
+# one BLAS thread and one sweep thread, per ranking_distill_loss call: at
+# n=64, 16-row chunks 3.4 ms against 6.1 ms (1 row) and 4.6 ms (64 rows); at
+# n=256, 1-row chunks 151-170 ms against 192 ms (4 rows) and 241 ms (16
+# rows). Each sweep thread owns one pair of buffers, and
 # threads take whole chunks, so the chunk boundaries never depend on the
 # thread count.
 _CHUNK_BUDGET = 65_536
@@ -99,17 +101,15 @@ def relaxation_weight(schedule: RelaxationSchedule, epoch: float) -> float:
 # Similarity and soft ranking
 
 
-def sigmoid(x, tau: float, out=None, scratch=None):
+def sigmoid(x, tau: float, out=None):
     """Logistic 1/(1+exp(-v)) of v = x/tau, saturating to 0 and 1 silently.
 
-    Each element equals ``1.0 / (1.0 + math.exp(-v))`` bit for bit, as
-    scipy's ``expit`` does. numpy's SIMD ``exp`` differs from libm's in the
-    last bit on about 2% of inputs; its scalar loop, which calls libm
-    ``exp``, runs when the input view has a negative stride and the output
-    is contiguous. So -x/tau is written back to front into ``scratch`` and
-    read through a reversed view. ``out`` (which may be ``x``) must be a
-    C-contiguous float64 array of x's shape; ``scratch``, a C-contiguous
-    float64 array of at least ``x.size`` elements, is allocated if not given.
+    Each element equals numpy's ``1 / (1 + np.exp(-v))`` on a contiguous
+    array, bit for bit: ``exp`` runs in place on the contiguous ``out``, so
+    numpy takes its SIMD loop where the CPU has one, and its libm loop
+    elsewhere. The two differ in the last bit on a few percent of inputs,
+    by at most about 5e-16 relative. ``out`` (which may be ``x``) must be a
+    C-contiguous float64 array of x's shape.
     """
     if tau <= 0:
         raise UsageError(f"tau must be > 0, got {tau}")
@@ -119,16 +119,9 @@ def sigmoid(x, tau: float, out=None, scratch=None):
     if not (out.flags.c_contiguous and out.dtype == np.float64 and out.shape == x.shape):
         raise UsageError(f"sigmoid out must be a C-contiguous float64 array of shape {x.shape}")
     flat = out.reshape(-1)  # a view: out is contiguous
-    if scratch is None:
-        scratch = np.empty(flat.size)
-    elif not (scratch.flags.c_contiguous and scratch.dtype == np.float64
-              and scratch.size >= flat.size):
-        raise UsageError(f"sigmoid scratch must be a C-contiguous float64 array "
-                         f"of at least {flat.size} elements")
-    back = scratch.reshape(-1)[: flat.size][::-1]
-    np.divide(x.reshape(-1), -tau, out=back)  # x / -tau == -(x / tau) exactly
+    np.divide(x.reshape(-1), -tau, out=flat)  # x / -tau == -(x / tau) exactly
     with np.errstate(over="ignore"):
-        np.exp(back, out=flat)
+        np.exp(flat, out=flat)
     np.add(flat, 1.0, out=flat)
     np.divide(1.0, flat, out=flat)
     return out if out.ndim else out[()]
@@ -197,13 +190,12 @@ def _sweep_rows(S, tau, r_ref, scale, step, starts, r, ds):
     n = S.shape[0]
     diag = np.arange(n)
     g_buf = np.empty((step, n, n))
-    s_buf = np.empty_like(g_buf)
     p_buf = None if r_ref is None else np.empty_like(g_buf)
     for start in starts:
         rows = S[start : start + step]
         g = g_buf[: len(rows)]
         np.subtract(rows[:, None, :], rows[:, :, None], out=g)  # [q, i, j]
-        sigmoid(g, tau, out=g, scratch=s_buf)
+        sigmoid(g, tau, out=g)
         g[:, diag, diag] = 0.0
         rc = r[start : start + step]
         np.add(1.0, g.sum(axis=2), out=rc)
@@ -214,9 +206,7 @@ def _sweep_rows(S, tau, r_ref, scale, step, starts, r, ds):
         p = p_buf[: len(rows)]
         np.subtract(1.0, g, out=p)
         np.multiply(g, p, out=p)  # d sigmoid; 0 on the zeroed diagonal
-        ds[start : start + step] = (
-            np.einsum("qi,qik->qk", tc, p) - tc * p.sum(axis=2)
-        ) / tau
+        ds[start : start + step] = ((tc[:, None, :] @ p)[:, 0, :] - tc * p.sum(axis=2)) / tau
 
 
 def _rank_sweep(S: np.ndarray, tau: float, r_ref=None, scale: float = 0.0):
@@ -280,8 +270,9 @@ def ranking_distill_loss(e_old, e_new, tau: float, norm: str = "cubic") -> LossV
     vo, vn = _vectors(e_old), _vectors(e_new)
     if vo.shape != vn.shape:
         raise UsageError(f"batch shape mismatch: old {vo.shape} vs new {vn.shape}")
-    if norm not in RKD_NORMS:
-        raise ConfigurationError(f"rkd norm must be one of {RKD_NORMS}, got {norm!r}")
+    from .config import LossConfig  # config imports this module
+
+    check(LossConfig, "loss", {"rkd_norm": norm}, relations=False)
     n = vo.shape[0]
     s_old = similarity_matrix(vo)
     s_new = similarity_matrix(vn)
@@ -342,8 +333,9 @@ def distribution_distill_loss(e_old, e_new, temp: float, divergence: str = "skl"
     divergence functions above. ``kl`` is KL(old || new); ``js`` and ``skl``
     are symmetric in their arguments.
     """
-    if divergence not in DIVERGENCES:
-        raise ConfigurationError(f"divergence must be one of {DIVERGENCES}, got {divergence!r}")
+    from .config import LossConfig  # config imports this module
+
+    check(LossConfig, "loss", {"divergence": divergence}, relations=False)
     vo, vn = _vectors(e_old), _vectors(e_new)
     if vo.shape != vn.shape:
         raise UsageError(f"batch shape mismatch: old {vo.shape} vs new {vn.shape}")

@@ -4,12 +4,17 @@
 calls package functions by name. A refactor that renames one does not fail
 the benchmark: the tracer lists the target as absent and a layer case reads
 0. These tests fail instead. Both files are only read, never imported as
-modules of the benchmark.
+modules of the benchmark, and the layer cases run once in a subprocess that
+writes nothing under ``benchmarks/``.
 """
 
 import ast
 import importlib
+import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import rankfuse.cli
@@ -71,3 +76,25 @@ def test_every_name_child_calls_exists():
 
 def test_cli_names_no_training_entry_point():
     assert [name for name in TRAINING_NAMES if hasattr(rankfuse.cli, name)] == []
+
+
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): (p.stat().st_size, p.stat().st_mtime_ns)
+            for p in root.rglob("*")}
+
+
+def test_every_layer_case_runs(tmp_path):
+    # A name that resolves can still change its call form: then the case
+    # catches the TypeError, lists it as absent and reads 0.
+    before = _tree(BENCH)
+    report = tmp_path / "layers.json"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, str(BENCH / "child.py"), "--report", str(report),
+                           "layers", "--seed", "0", "--quick"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(report.read_text())
+    assert out["absent"] == []
+    assert len(out["layers"]) == 13
+    assert {name: ms for name, ms in out["layers"].items() if not ms > 0} == {}
+    assert _tree(BENCH) == before

@@ -226,6 +226,48 @@ def test_reference_short_bytes_do_not_depend_on_the_blas_kernel(core, default_co
         assert (seed_dir / name).read_bytes() == (default_core_run / name).read_bytes(), name
 
 
+# numpy's AVX-512 dispatch targets, which hold its SIMD float64 exp; without
+# them numpy's exp calls libm's.
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def _avx512_skip_reason():
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        return "this numpy has no numpy._core._multiarray_umath to name its SIMD targets"
+    missing = [t for t in AVX512_TARGETS if t not in umath.__cpu_dispatch__]
+    if missing:
+        return f"this numpy dispatches to no {', '.join(missing)}"
+    missing = [t for t in AVX512_TARGETS if not umath.__cpu_features__.get(t)]
+    if missing:
+        return f"this CPU lacks {', '.join(missing)}, so numpy's exp already calls libm"
+    return None
+
+
+@pytest.mark.skipif(_avx512_skip_reason() is not None, reason=str(_avx512_skip_reason()))
+def test_reference_short_bytes_do_not_depend_on_numpys_simd_target(default_core_run, tmp_path):
+    # The sigmoid's exp takes numpy's AVX-512 loop by default, and libm's with
+    # those targets disabled; the two differ in the last bit of some floats.
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS))
+    probe = subprocess.run(
+        [sys.executable, "-c", "import math, numpy as np\n"
+         "v = np.random.default_rng(0).normal(0.0, 8.0, 65536)\n"
+         "print(np.exp(v).tobytes() == np.array([math.exp(e) for e in v]).tobytes())"],
+        capture_output=True, text=True, env=env)
+    assert probe.stdout.strip() == "True", probe.stderr  # the libm path really ran
+    proc = cli("run", "--config", BENCHMARKS / "configs" / "reference_short.yaml",
+               "--seed", 0, "--out", tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    seed_dir = tmp_path / "seed_0"
+    pinned = json.loads((BENCHMARKS / "pins.json").read_text())["reference_seed0"]["results"]
+    assert hashlib.sha256((seed_dir / "results.json").read_bytes()).hexdigest() == pinned
+    snaps = sorted(p.name for p in default_core_run.glob("step_*.snap"))
+    assert snaps == sorted(p.name for p in seed_dir.glob("step_*.snap")) == ["step_0.snap", "step_1.snap"]
+    for name in snaps:
+        assert (seed_dir / name).read_bytes() == (default_core_run / name).read_bytes(), name
+
+
 @pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="needs at least two usable CPUs",
@@ -402,15 +444,22 @@ def test_wrongly_typed_config_value_exits_2(tmp_path, old, new, message):
     assert "Traceback" not in proc.stderr
 
 
+# A style case's ID names its domain by the index of the YAML list entry it
+# edits; the message names it by its name.
 @pytest.mark.parametrize("section, field, value, message", [
     # Accepted silently before.
     ("pairs", "pos_test", True, "pairs.pos_test: must be a number, got True"),
-    ("style", "yaw_jitter", True, "domains[0].style.yaw_jitter: must be a number, got True"),
+    pytest.param("style", "yaw_jitter", True,
+                 "domains[plains].style.yaw_jitter: must be a number, got True",
+                 id="style-yaw_jitter-True-domains[0].style.yaw_jitter: must be a number, got True"),
     # A ValueError traceback before.
-    ("style", "axis_scale", "abc",
-     "domains[0].style.axis_scale: must be a list of numbers, got 'abc'"),
+    pytest.param("style", "axis_scale", "abc",
+                 "domains[plains].style.axis_scale: must be a list of numbers, got 'abc'",
+                 id="style-axis_scale-abc-domains[0].style.axis_scale: "
+                    "must be a list of numbers, got 'abc'"),
     # Exit 2 before, with a message that did not name the field.
-    ("style", "noise", "x", "domains[0].style.noise: must be a number, got 'x'"),
+    pytest.param("style", "noise", "x", "domains[plains].style.noise: must be a number, got 'x'",
+                 id="style-noise-x-domains[0].style.noise: must be a number, got 'x'"),
 ])
 def test_wrongly_typed_pair_or_style_value_exits_2(tmp_path, section, field, value, message):
     raw = yaml.safe_load(SMOKE.read_text())

@@ -6,6 +6,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -25,8 +26,11 @@ from rankfuse.config import (
     load_config,
     parse_toggle_args,
 )
-from rankfuse.data import PairPolicy, StyleParams
+from rankfuse.data import STYLE_PRESETS, DomainSpec, PairPolicy, StyleParams, generate_domain
+from rankfuse.encoder import init_params
 from rankfuse.errors import ConfigurationError
+from rankfuse.evaluation import forgetting_score
+from rankfuse.losses import distribution_distill_loss, ranking_distill_loss
 
 REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.yaml"
 SMOKE = Path(__file__).resolve().parent.parent / "configs" / "smoke.yaml"
@@ -113,7 +117,7 @@ def test_field_validation_messages():
                 from_dict(_minimal(**{section: {name: value}}))
     style = {"name": "a", "seed": 1, "style": {"noise": -1.0}}
     with pytest.raises(ConfigurationError,
-                       match="^domains\\[0\\].style.noise: must be >= 0, got -1.0$"):
+                       match="^domains\\[a\\].style.noise: must be >= 0, got -1.0$"):
         from_dict(_minimal(domains=[style]))
 
 
@@ -153,16 +157,54 @@ def test_plan_rates_and_lr_drop_are_bounded():
     assert PlanConfig(lr_drop_epoch=0, weight_decay=0.0).lr_drop_epoch == 0
 
 
+def _direct_calls():
+    """(config section or None, field, call taking the field's value) for
+    each public function that checks an argument by a config field's rule."""
+    e = np.eye(3)
+    spec = DomainSpec(seed=1, n_places=2, style=STYLE_PRESETS["plains"])
+    return [("encoder", "hidden", lambda v: init_params(0, v, 8)),
+            ("encoder", "dim", lambda v: init_params(0, 8, v)),
+            ("encoder", "points_per_scan", lambda v: generate_domain(spec, points_per_scan=v)),
+            (None, "forgetting_max", lambda v: forgetting_score(np.eye(2), mode=v)),
+            ("loss", "rkd_norm", lambda v: ranking_distill_loss(e, e, 0.1, norm=v)),
+            ("loss", "divergence", lambda v: distribution_distill_loss(e, e, 1.0, divergence=v))]
+
+
+@pytest.mark.parametrize("section, name, call", _direct_calls(),
+                         ids=[name for _, name, _ in _direct_calls()])
+def test_direct_calls_refuse_what_the_config_refuses(section, name, call):
+    # The same values, refused with the same message, and the bound itself
+    # accepted by both.
+    bad = {"hidden": [0, -1, 2.5, True], "dim": [1, 0, 2.5], "points_per_scan": [0, -3, 1.5],
+           "forgetting_max": ["always", 3], "rkd_norm": ["linear", None],
+           "divergence": ["tv", "KL"]}[name]
+    edge = {"hidden": 1, "dim": 2, "points_per_scan": 1, "forgetting_max": "from_t",
+            "rkd_norm": "quadratic", "divergence": "js"}[name]
+
+    def raw(value):
+        return _minimal(**({section: {name: value}} if section else {name: value}))
+
+    for value in bad:
+        with pytest.raises(ConfigurationError) as from_config:
+            from_dict(raw(value))
+        with pytest.raises(ConfigurationError) as direct:
+            call(value)
+        assert str(direct.value) == str(from_config.value), value
+        assert str(direct.value).startswith(f"{section + '.' if section else ''}{name}: must be ")
+    from_dict(raw(edge))
+    call(edge)
+
+
 def test_pair_and_inline_style_types_are_checked_before_ranges():
     def style(**fields):
         return _minimal(domains=[{"name": "a", "seed": 1, "style": fields}])
 
     cases = [(_minimal(pairs={"pos_test": True}), "pairs.pos_test", "a number", True),
              (_minimal(pairs={"neg_train": "60"}), "pairs.neg_train", "a number", "60"),
-             (style(yaw_jitter=True), "domains\\[0\\].style.yaw_jitter", "a number", True),
-             (style(noise="x"), "domains\\[0\\].style.noise", "a number", "x"),
-             (style(axis_scale="abc"), "domains\\[0\\].style.axis_scale", "a list of numbers", "abc"),
-             (style(axis_scale=[1.0, "2", 1.0]), "domains\\[0\\].style.axis_scale",
+             (style(yaw_jitter=True), "domains\\[a\\].style.yaw_jitter", "a number", True),
+             (style(noise="x"), "domains\\[a\\].style.noise", "a number", "x"),
+             (style(axis_scale="abc"), "domains\\[a\\].style.axis_scale", "a list of numbers", "abc"),
+             (style(axis_scale=[1.0, "2", 1.0]), "domains\\[a\\].style.axis_scale",
               "a list of numbers", [1.0, "2", 1.0])]
     for raw, path, kind, value in cases:
         with pytest.raises(ConfigurationError,
@@ -174,7 +216,7 @@ def test_pair_and_inline_style_types_are_checked_before_ranges():
                             ({"axis_scale": [1.0, math.inf, 1.0]}, "axis_scale: must be 3 finite"),
                             ({"noise": math.nan}, "noise: must be finite, got nan"),
                             ({"yaw_jitter": math.inf}, "yaw_jitter: must be finite, got inf")]:
-        with pytest.raises(ConfigurationError, match=f"^domains\\[0\\].style.{message}"):
+        with pytest.raises(ConfigurationError, match=f"^domains\\[a\\].style.{message}"):
             from_dict(style(**fields))
     assert from_dict(style(axis_scale=[1, 2, 3])).domains[0].style.axis_scale == (1.0, 2.0, 3.0)
 
@@ -185,8 +227,18 @@ def test_duplicate_domain_names_rejected():
         {"name": "a", "seed": 1, "style": "plains"},
         {"name": "a", "seed": 2, "style": "depot"},
     ]
-    with pytest.raises(ConfigurationError, match="duplicate"):
+    with pytest.raises(ConfigurationError, match="^domains\\[a\\].name: duplicate name 'a'$"):
         from_dict(raw)
+
+
+def test_a_domain_without_a_string_name_is_named_by_its_index():
+    # Its style's fields and its own carry the same path.
+    for name in ({}, {"name": 7}):
+        with pytest.raises(ConfigurationError, match="^domains\\[1\\].style.noise: must be >= 0"):
+            from_dict(_minimal(domains=[{"name": "a", "seed": 1},
+                                        {**name, "seed": 2, "style": {"noise": -1.0}}]))
+    with pytest.raises(ConfigurationError, match="^domains\\[0\\].seed: must be a non-negative"):
+        from_dict(_minimal(domains=[{"name": 7, "seed": -1}]))
 
 
 def test_unknown_style_preset_rejected():
@@ -293,13 +345,13 @@ def test_config_digests_are_pinned():
 # Declared rules
 
 # Where each class's fields sit in a parsed smoke config, and the path its
-# messages carry: the first domain is "plains", and an inline style is named
-# by the domain's index.
+# messages carry: the first domain is "plains", and its inline style is named
+# by the domain's name too.
 _PLACES = [(ExperimentConfig, (), ""), (EncoderConfig, ("encoder",), "encoder."),
            (PairPolicy, ("pairs",), "pairs."), (LossConfig, ("loss",), "loss."),
            (PlanConfig, ("plan",), "plan."), (BufferConfig, ("buffer",), "buffer."),
            (DomainConfig, ("domains", 0), "domains[plains]."),
-           (StyleParams, ("domains", 0, "style"), "domains[0].style.")]
+           (StyleParams, ("domains", 0, "style"), "domains[plains].style.")]
 _NOT_OF_KIND = {"int": ["8", 2.5, [1]], "seed": ["8", 2.5, -1], "float": ["0.5", [0.5], None],
                 "bool": ["yes", 1, None], "tuple": ["abc", [1.0, "2", 1.0], 1.0]}
 
@@ -322,10 +374,10 @@ def test_declared_rules_cover_the_bounded_fields():
         "plan.batch_start", "plan.expansion_rate", "plan.active_threshold", "plan.lr",
         "plan.lr_drop_epoch", "plan.lr_drop_factor", "plan.weight_decay", "buffer.capacity",
         "buffer.fraction", "domains[plains].train_places", "domains[plains].test_places",
-        "domains[plains].trajectory_length", "domains[0].style.plane_weight",
-        "domains[0].style.box_weight", "domains[0].style.clutter_weight",
-        "domains[0].style.landmark_density", "domains[0].style.visibility_radius",
-        "domains[0].style.noise", "domains[0].style.height_scale",
+        "domains[plains].trajectory_length", "domains[plains].style.plane_weight",
+        "domains[plains].style.box_weight", "domains[plains].style.clutter_weight",
+        "domains[plains].style.landmark_density", "domains[plains].style.visibility_radius",
+        "domains[plains].style.noise", "domains[plains].style.height_scale",
     }
     kinds = {path: kind for _, path, kind, _ in _declared()}
     assert kinds["domains[plains].seed"] == "seed" and kinds["loss.pr"] == "bool"
@@ -365,8 +417,14 @@ def _bad_values(kind, rule):
 _SMOKE_RAW = yaml.safe_load(SMOKE.read_text())
 
 
+def _case_id(where, path):
+    """A case's ID: its message path, except that an inline style's fields
+    are named by the index of the YAML list entry that the case edits."""
+    return f"domains[0].style.{where[-1]}" if "style" in where else path
+
+
 @pytest.mark.parametrize("where, path, kind, rule",
-                         _declared(), ids=[path for _, path, _, _ in _declared()])
+                         _declared(), ids=[_case_id(w, path) for w, path, _, _ in _declared()])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_each_declared_rule_rejects_a_bad_value_by_its_path(where, path, kind, rule, data):
