@@ -191,30 +191,27 @@ def cmd_run(args) -> int:
     t_data = time.perf_counter()
     data = build_protocol_data(cfg)
     data_seconds = time.perf_counter() - t_data
+    task_names = [d.name for d in cfg.domains]
     for seed in cfg.seeds:
         seed_dir = out_root / f"seed_{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
-        run = run_protocol(cfg, seed, data, out_dir=seed_dir, digest=digest)
+        snapshots, step_seconds = run_protocol(cfg, seed, data, out_dir=seed_dir, digest=digest)
         t1 = time.perf_counter()
-        emb = embed_protocol(run)
-        single = evaluate_protocol(run, emb, fusion=False, forgetting_max=cfg.forgetting_max)
-        fused = (
-            evaluate_protocol(run, emb, fusion=True, forgetting_max=cfg.forgetting_max)
-            if cfg.fusion
-            else None
-        )
+        emb = embed_protocol(snapshots, data)
+        single = evaluate_protocol(emb, cfg, fusion=False)
+        fused = evaluate_protocol(emb, cfg, fusion=True) if cfg.fusion else None
         t2 = time.perf_counter()
         headline = fused if fused is not None else single
         results = results_dict(headline, single, fused, seed, digest)
         (seed_dir / RESULTS_FILE).write_text(dump_results(results), encoding="utf-8")
-        write_recall_csv(headline.recall_matrix, run.domain_names, seed_dir / RECALL_CSV)
+        write_recall_csv(headline.recall_matrix, task_names, seed_dir / RECALL_CSV)
         manifest["results"][str(seed)] = str(seed_dir / RESULTS_FILE)
         manifest["wall_clock"][str(seed)] = {
             "data_seconds": data_seconds,
             "train_seconds": t1 - t0,
             "eval_seconds": t2 - t1,
-            "per_step_seconds": run.step_seconds,
+            "per_step_seconds": step_seconds,
         }
         data_seconds = 0.0
         agg["single"]["mean_recall_at_1"].append(single.mean_recall_at_1)

@@ -156,7 +156,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
     plan = _build(PlanConfig, raw.get("plan", {}), "plan")
     buf = _build(BufferConfig, raw.get("buffer", {}), "buffer")
 
-    seeds = raw.get("seeds", [0])
+    seeds = raw.get("seeds", ExperimentConfig.seeds)
     require(
         isinstance(seeds, (list, tuple)) and len(seeds) > 0,
         "seeds",
@@ -185,9 +185,9 @@ def from_dict(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(
         schema=SCHEMA_ID,
         seeds=tuple(seeds),
-        out_dir=str(raw.get("out_dir", "runs/out")),
-        fusion=raw.get("fusion", True),
-        forgetting_max=raw.get("forgetting_max", "printed"),
+        out_dir=str(raw.get("out_dir", ExperimentConfig.out_dir)),
+        fusion=raw.get("fusion", ExperimentConfig.fusion),
+        forgetting_max=raw.get("forgetting_max", ExperimentConfig.forgetting_max),
         encoder=enc,
         pairs=pairs,
         loss=loss,
@@ -203,6 +203,8 @@ def load_config(path: str) -> ExperimentConfig:
             raw = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or bytes that are not text
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config file {path}: {exc}")
     return from_dict(raw if raw is not None else {})

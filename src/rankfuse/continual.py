@@ -12,7 +12,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -119,20 +119,9 @@ class EpochRecord:
     active_fraction: float
 
     def as_json(self) -> str:
-        return json.dumps(
-            {
-                "step": self.step,
-                "epoch": self.epoch,
-                "lr": self.lr,
-                "lambda": self.lam,
-                "batch_size": self.batch_size,
-                "loss_pr": self.loss_pr,
-                "loss_rkd": self.loss_rkd,
-                "loss_dkd": self.loss_dkd,
-                "active_fraction": self.active_fraction,
-            },
-            sort_keys=True,
-        )
+        d = asdict(self)
+        d["lambda"] = d.pop("lam")
+        return json.dumps(d, sort_keys=True)
 
 
 @dataclass
@@ -355,24 +344,6 @@ def write_run_log(records: list, path) -> None:
 # Whole-protocol driver
 
 
-@dataclass
-class ProtocolRun:
-    """A completed sequential run: snapshots plus the splits to evaluate them."""
-
-    domain_names: tuple
-    snapshots: list
-    db_splits: list
-    query_splits: list
-    policy: PairPolicy
-    records: list = field(default_factory=list)
-    lambda_calls_per_step: list = field(default_factory=list)
-    step_seconds: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if len(self.snapshots) > len(self.domain_names):
-            raise UsageError("more snapshots than domains")
-
-
 def build_protocol_data(cfg: ExperimentConfig):
     """Generate train/database/query splits for every configured domain.
 
@@ -398,27 +369,22 @@ def build_protocol_data(cfg: ExperimentConfig):
 
 def run_protocol(
     cfg: ExperimentConfig, seed: int, data, out_dir=None, digest: str = ""
-) -> ProtocolRun:
+) -> tuple[list, list]:
     """Train sequentially over the configured domains and save artifacts.
 
     ``data`` is the (train, db, query) triple of ``build_protocol_data(cfg)``.
     It does not depend on the seed, so callers build it once per config.
+    Returns the snapshot of each step and the seconds each step took.
     """
-    train, db, query = data
-    names = tuple(d.name for d in cfg.domains)
-
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        log_path = out / RUN_LOG_NAME
-        log_path.unlink(missing_ok=True)
+        (out / RUN_LOG_NAME).unlink(missing_ok=True)
 
     buffer = MemoryBuffer(capacity=cfg.buffer.capacity, seed=seed) if cfg.buffer.enabled else None
     snapshots = []
-    all_records = []
-    lambda_calls = []
     step_seconds = []
-    for t, samples in enumerate(train):
+    for t, samples in enumerate(data[0]):  # the train splits
         t0 = time.perf_counter()
         if t == 0:
             result = train_first_step(samples, cfg, seed, config_digest=digest)
@@ -427,21 +393,10 @@ def run_protocol(
                 snapshots[-1], samples, buffer, cfg, t, seed, config_digest=digest
             )
         snapshots.append(result.snapshot)
-        all_records.extend(result.records)
-        lambda_calls.append(result.lambda_calls)
         step_seconds.append(time.perf_counter() - t0)
         if buffer is not None:
             buffer = update_buffer(buffer, samples, step_index=t)
         if out is not None:
             save_snapshot(result.snapshot, out / f"step_{t}.snap")
             write_run_log(result.records, out / RUN_LOG_NAME)
-    return ProtocolRun(
-        domain_names=names,
-        snapshots=snapshots,
-        db_splits=db,
-        query_splits=query,
-        policy=cfg.pairs,
-        records=all_records,
-        lambda_calls_per_step=lambda_calls,
-        step_seconds=step_seconds,
-    )
+    return snapshots, step_seconds

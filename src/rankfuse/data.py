@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import os
 import stat
@@ -459,11 +460,11 @@ def load_corpus(path: str | Path, domain_id: int = 0) -> list[PlaceSample]:
     """Load a corpus directory, renormalizing out-of-range scans to [-1, 1].
 
     The point count of the first scan fixes the corpus point count. A count
-    mismatch, a non-finite pose or scan value, or an empty corpus is an
-    ingestion error naming poses.csv, the line and the scan file (the first
-    bad line's). ``poses.csv`` is parsed first; then each scan file is read
-    straight into its row of one float32 buffer, which is checked, converted
-    and renormalized as a whole.
+    mismatch, a non-finite pose or scan value, bytes that are not UTF-8 or
+    CSV, or an empty corpus is an ingestion error naming poses.csv, the line
+    and the scan file (the first bad line's). ``poses.csv`` is parsed first;
+    then each scan file is read straight into its row of one float32 buffer,
+    which is checked, converted and renormalized as a whole.
     """
     root = Path(path)
     poses_path = root / POSES_FILE
@@ -473,40 +474,49 @@ def load_corpus(path: str | Path, domain_id: int = 0) -> list[PlaceSample]:
     lines: list[tuple] = []  # (where, scan file, sample id, x, y) up to the first bad line
     seen_ids: set[int] = set()
     fault = None  # the first bad line's fault waits until the scans before it are checked
-    with open(poses_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{poses_path}: empty file") from None
+    try:
+        raw = poses_path.read_bytes()
+    except OSError as exc:
+        raise IngestionError(f"cannot read {poses_path}: {exc.strerror}") from None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:  # the lines before the undecodable one still count
+        head = raw[: raw.rfind(b"\n", 0, exc.start) + 1]
+        text = head.decode("utf-8")
+        lineno = head.count(b"\n") + 1
+        fault = IngestionError(f"{poses_path} line {lineno}: not UTF-8 text ({exc.reason})")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise fault or IngestionError(f"{poses_path}: empty file")
         if [h.strip() for h in header] != _CSV_HEADER:
             raise IngestionError(f"{poses_path} line 1: expected header {','.join(_CSV_HEADER)}")
-        try:
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                where = f"{poses_path} line {lineno}"
-                if len(row) != 4:
-                    raise IngestionError(f"{where}: expected 4 fields, got {len(row)}")
-                try:
-                    sample_id = int(row[0])
-                    x = float(row[1])
-                    y = float(row[2])
-                except ValueError as exc:
-                    raise IngestionError(f"{where}: {exc}") from None
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise IngestionError(f"{where}: non-finite pose ({row[1]}, {row[2]})")
-                if sample_id in seen_ids:
-                    raise IngestionError(f"{where}: duplicate sample_id {sample_id}")
-                seen_ids.add(sample_id)
-                lines.append((where, row[3].strip(), sample_id, x, y))
-        except (IngestionError, csv.Error, UnicodeDecodeError) as exc:
-            fault = exc
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            where = f"{poses_path} line {lineno}"
+            if len(row) != 4:
+                raise IngestionError(f"{where}: expected 4 fields, got {len(row)}")
+            try:
+                sample_id = int(row[0])
+                x = float(row[1])
+                y = float(row[2])
+            except ValueError as exc:
+                raise IngestionError(f"{where}: {exc}") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise IngestionError(f"{where}: non-finite pose ({row[1]}, {row[2]})")
+            if sample_id in seen_ids:
+                raise IngestionError(f"{where}: duplicate sample_id {sample_id}")
+            seen_ids.add(sample_id)
+            lines.append((where, row[3].strip(), sample_id, x, y))
+    except IngestionError as exc:
+        fault = exc
+    except csv.Error as exc:
+        fault = IngestionError(f"{poses_path} line {reader.line_num}: {exc}")
     buf, read, fault = _read_scans(root, lines, fault)
     if not read:
         raise fault or IngestionError(f"{poses_path}: no samples after the header")
-    if fault is not None and not isinstance(fault, IngestionError):
-        raise fault  # a reader error, met before any scan file failed
     scans = buf[:read]
     # max(|x|) without a full |x| temporary; NaN propagates through both.
     peaks = np.maximum(scans.max(axis=1), -scans.min(axis=1))
@@ -545,7 +555,7 @@ def _read_scans(root: Path, lines: list, fault):
                     size = os.readv(fd, [buf[i]])  # less only if the file shrank meanwhile
             finally:
                 os.close(fd)
-        except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError):
+        except (OSError, ValueError):  # no such file, a directory, a name too long, ...
             return buf, i, IngestionError(f"{where}: missing scan file {scan_file}")
         if not size or size % 12:
             return buf, i, IngestionError(

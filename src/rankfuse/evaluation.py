@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import encode
-from .errors import ConfigurationError, UsageError, check
+from .errors import UsageError, check
 
 RESULTS_FILE = "results.json"
 RECALL_CSV = "recall_matrix.csv"
@@ -205,51 +205,42 @@ class ProtocolEvaluation:
     fused: bool
 
 
-def embed_protocol(run) -> dict:
-    """Embed every database and query split once per snapshot.
+def embed_protocol(snapshots, data) -> list:
+    """Embed the database and query split of each trained task once per snapshot.
 
-    Returns ``{(l, t, "db" | "q"): rows}`` for snapshot l and task t. Single
-    and fused evaluation both read these; fused rows concatenate them.
+    ``data`` is the (train, db, query) triple the snapshots were trained on.
+    Returns, for each task t, a (db, query) pair of splits, each a (poses,
+    sample ids, rows) triple whose ``rows[l]`` is snapshot l's embedding.
+    Single and fused evaluation both read these; fused rows concatenate them.
     """
-    t_total = len(run.snapshots)
-    if t_total == 0:
+    if not snapshots:
         raise UsageError("protocol run has no snapshots")
-    for i in range(t_total):
-        if i >= len(run.db_splits) or not run.db_splits[i]:
-            raise ConfigurationError(f"missing database split for domain {run.domain_names[i]}")
-        if i >= len(run.query_splits) or not run.query_splits[i]:
-            raise ConfigurationError(f"missing query split for domain {run.domain_names[i]}")
-    emb = {}
-    for l, snap in enumerate(run.snapshots):
-        for t in range(t_total):
-            emb[(l, t, "db")] = embed((snap,), run.db_splits[t])
-            emb[(l, t, "q")] = embed((snap,), run.query_splits[t])
-    return emb
+
+    def split(samples):
+        poses, ids = np.stack([s.pose for s in samples]), np.array([s.sample_id for s in samples])
+        return poses, ids, [embed((snap,), samples) for snap in snapshots]
+
+    _, db, query = data
+    return [(split(db[t]), split(query[t])) for t in range(len(snapshots))]
 
 
-def evaluate_protocol(
-    run, emb: dict, fusion: bool, forgetting_max: str = "printed"
-) -> ProtocolEvaluation:
+def evaluate_protocol(emb: list, cfg, fusion: bool) -> ProtocolEvaluation:
     """Fill R[l][t] for every training step l and task t, zero-shot included.
 
-    ``emb`` is ``embed_protocol(run)``. With fusion on, row 0 uses snapshot 0
-    alone and row l >= 1 concatenates the step l-1 and step l embeddings.
+    ``emb`` is ``embed_protocol(snapshots, data)``; ``cfg`` gives the positive
+    radius ``pairs.pos_test`` and ``forgetting_max``. With fusion on, row 0
+    uses snapshot 0 alone and row l >= 1 concatenates the step l-1 and step l
+    embeddings.
     """
-    t_total = len(run.snapshots)
-    db_poses = [np.stack([s.pose for s in split]) for split in run.db_splits]
-    db_ids = [np.array([s.sample_id for s in split]) for split in run.db_splits]
-    q_poses = [np.stack([s.pose for s in split]) for split in run.query_splits]
-
+    t_total = len(emb)
     r = np.zeros((t_total, t_total))
     cells = []
     for l in range(t_total):
-        rows = (l,) if not fusion or l == 0 else (l - 1, l)
-        for t in range(t_total):
-            db_e = np.concatenate([emb[(i, t, "db")] for i in rows], axis=1)
-            q_e = np.concatenate([emb[(i, t, "q")] for i in rows], axis=1)
-            outcome = recall_at_n(
-                db_e, db_poses[t], db_ids[t], q_e, q_poses[t], run.policy.pos_test, 1
-            )
+        steps = (l,) if not fusion or l == 0 else (l - 1, l)
+        for t, ((db_poses, db_ids, db_rows), (q_poses, _, q_rows)) in enumerate(emb):
+            db_e = np.concatenate([db_rows[i] for i in steps], axis=1)
+            q_e = np.concatenate([q_rows[i] for i in steps], axis=1)
+            outcome = recall_at_n(db_e, db_poses, db_ids, q_e, q_poses, cfg.pairs.pos_test, 1)
             r[l, t] = outcome.percent
             cells.append(
                 {
@@ -261,7 +252,7 @@ def evaluate_protocol(
                     "embedding_dim": int(db_e.shape[1]),
                 }
             )
-    report = forgetting_score(r, mode=forgetting_max) if t_total >= 2 else None
+    report = forgetting_score(r, mode=cfg.forgetting_max) if t_total >= 2 else None
     return ProtocolEvaluation(
         recall_matrix=r,
         mean_recall_at_1=float(r[t_total - 1].mean()),

@@ -67,7 +67,6 @@ class BatchTripletResult:
     loss: LossValue
     active_fraction: float
     valid_anchors: int
-    no_valid_anchors: bool
 
 
 @dataclass(frozen=True)
@@ -413,7 +412,6 @@ def batch_hard_triplet(e, relation, margin: float) -> BatchTripletResult:
             loss=LossValue(value=0.0, grad_new=grad),
             active_fraction=0.0,
             valid_anchors=0,
-            no_valid_anchors=True,
         )
 
     masked_pos = np.where(pos, d, -np.inf)
@@ -440,7 +438,6 @@ def batch_hard_triplet(e, relation, margin: float) -> BatchTripletResult:
         loss=LossValue(value=total / n_valid, grad_new=grad),
         active_fraction=active / n_valid,
         valid_anchors=n_valid,
-        no_valid_anchors=False,
     )
 
 
@@ -455,7 +452,6 @@ class CombinedLossResult:
     rkd_value: float
     dkd_value: float
     active_fraction: float
-    no_valid_anchors: bool
 
 
 def combined_loss(e_old, e_new, relation, loss: LossConfig, lam: float) -> CombinedLossResult:
@@ -472,13 +468,11 @@ def combined_loss(e_old, e_new, relation, loss: LossConfig, lam: float) -> Combi
     grad = np.zeros_like(vn)
     pr_value = rkd_value = dkd_value = 0.0
     active_fraction = 0.0
-    no_valid = False
 
     if loss.pr:
         pr = batch_hard_triplet(e_new, relation, loss.margin)
         pr_value = pr.loss.value
         active_fraction = pr.active_fraction
-        no_valid = pr.no_valid_anchors
         grad += pr.loss.grad_new
     if loss.rkd:
         rkd = ranking_distill_loss(e_old, e_new, loss.rank_temp, norm=loss.rkd_norm)
@@ -496,5 +490,4 @@ def combined_loss(e_old, e_new, relation, loss: LossConfig, lam: float) -> Combi
         rkd_value=rkd_value,
         dkd_value=dkd_value,
         active_fraction=active_fraction,
-        no_valid_anchors=no_valid,
     )

@@ -251,15 +251,11 @@ def comparative():
         assert (vcfg.domains, vcfg.encoder) == (cfg.domains, cfg.encoder)
         per_seed, fusion_evals = [], []
         for seed in cfg.seeds:
-            run = run_protocol(vcfg, seed, data)
-            emb = embed_protocol(run)
-            per_seed.append(
-                evaluate_protocol(run, emb, fusion=False, forgetting_max=cfg.forgetting_max)
-            )
+            snapshots, _ = run_protocol(vcfg, seed, data)
+            emb = embed_protocol(snapshots, data)
+            per_seed.append(evaluate_protocol(emb, vcfg, fusion=False))
             if name in ("base", "full"):
-                fusion_evals.append(
-                    evaluate_protocol(run, emb, fusion=True, forgetting_max=cfg.forgetting_max)
-                )
+                fusion_evals.append(evaluate_protocol(emb, vcfg, fusion=True))
         singles[name] = per_seed
         if fusion_evals:
             fused[name] = fusion_evals

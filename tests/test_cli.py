@@ -356,6 +356,28 @@ def test_missing_config_exits_2(tmp_path):
     assert "error" in proc.stderr
 
 
+@pytest.mark.parametrize("verb", ["run", "eval"])
+@pytest.mark.parametrize("fault", ["undecodable", "directory"])
+def test_unreadable_config_exits_2(smoke_out, corpora, tmp_path, verb, fault):
+    config = tmp_path / "bad.yaml"
+    if fault == "undecodable":
+        config.write_bytes(SMOKE.read_bytes() + b"# \xff\n")
+        named = f"cannot read config file {config}: 'utf-8' codec can't decode byte 0xff"
+    else:
+        config.mkdir()
+        named = f"cannot read config file {config}: [Errno 21] Is a directory"
+    if verb == "run":
+        proc = cli("run", "--config", config, "--out", tmp_path / "out")
+    else:
+        out, _ = smoke_out
+        plains = corpora[0] / "plains"
+        proc = cli("eval", "--snapshot", out / "seed_0" / "step_1.snap", "--config", config,
+                   "--corpus", plains / "db", "--queries", plains / "query")
+    assert proc.returncode == 2
+    assert named in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_bad_toggle_exits_2(tmp_path):
     proc = cli("run", "--config", SMOKE, "--out", tmp_path, "--toggle", "rkd=maybe")
     assert proc.returncode == 2
@@ -859,3 +881,64 @@ def test_eval_header_only_corpus_exits_2(smoke_out, corpora, db_copy):
     proc = _eval_on(smoke_out, db_copy, root / "plains" / "query")
     assert proc.returncode == 2
     assert f"{db_copy / 'poses.csv'}: no samples" in proc.stderr
+
+
+@pytest.mark.parametrize("fault", ["undecodable", "oversize_field"])
+def test_eval_unreadable_poses_exits_2(smoke_out, corpora, db_copy, fault):
+    root, _ = corpora
+    poses = db_copy / "poses.csv"
+    raw = poses.read_bytes()
+    if fault == "undecodable":  # line 2 starts at byte 24
+        poses.write_bytes(raw[:40] + b"\xff" + raw[41:])
+        named = f"{poses} line 2: not UTF-8 text"
+    else:
+        poses.write_bytes(raw + b"30,1.0,2.0," + b"x" * 140_000 + b"\n")
+        named = f"{poses} line 32: field larger than field limit"
+    proc = _eval_on(smoke_out, db_copy, root / "plains" / "query")
+    assert proc.returncode == 2
+    assert named in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# The file boundary: every file the CLI reads, made a directory, given bad
+# bytes (undecodable text, or binary cut short) or taken away, exits 2 with
+# a message that names it. Each entry: the verb that reads the file, and how
+# its bytes go bad.
+_BOUNDARY_FILES = {
+    "config": ("run", lambda raw: b"\xff" + raw),
+    "poses": ("eval", lambda raw: raw[:40] + b"\xff" + raw[41:]),
+    "scan": ("eval", lambda raw: raw[:-4]),
+    "snapshot": ("eval", lambda raw: raw[:-4]),
+}
+
+
+@pytest.mark.parametrize("form", ["directory", "bad_bytes", "missing"])
+@pytest.mark.parametrize("target", sorted(_BOUNDARY_FILES))
+def test_every_input_file_fails_at_the_boundary(smoke_out, corpora, tmp_path, target, form):
+    out, _ = smoke_out
+    root, _ = corpora
+    db = shutil.copytree(root / "plains" / "db", tmp_path / "db")
+    snap = shutil.copy(out / "seed_0" / "step_1.snap", tmp_path / "step_1.snap")
+    config = shutil.copy(SMOKE, tmp_path / "smoke.yaml")
+    path, named = {
+        "config": (config, [str(config)]),
+        "poses": (db / "poses.csv", [str(db), "poses.csv"]),
+        "scan": (db / "scan_000002.f32", [str(db / "poses.csv"), "scan_000002.f32"]),
+        "snapshot": (snap, [str(snap)]),
+    }[target]
+    verb, damage = _BOUNDARY_FILES[target]
+    raw = path.read_bytes()
+    path.unlink()
+    if form == "directory":
+        path.mkdir()
+    elif form == "bad_bytes":
+        path.write_bytes(damage(raw))
+    if verb == "run":
+        proc = cli("run", "--config", config, "--out", tmp_path / "out")
+    else:
+        proc = cli("eval", "--snapshot", snap, "--corpus", db,
+                   "--queries", root / "plains" / "query")
+    assert proc.returncode == 2, proc.stderr
+    for text in named:
+        assert text in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -299,24 +299,23 @@ def test_write_run_log_appends_jsonl(tmp_path):
 
 def test_run_protocol_produces_artifacts(tmp_path):
     cfg = load_config(SMOKE)
-    run = run_protocol(cfg, 0, build_protocol_data(cfg), out_dir=tmp_path, digest="d")
-    assert len(run.snapshots) == 2
-    assert run.snapshots[0].step_index == 0 and run.snapshots[1].step_index == 1
+    snapshots, step_seconds = run_protocol(
+        cfg, 0, build_protocol_data(cfg), out_dir=tmp_path, digest="d"
+    )
+    assert len(snapshots) == 2
+    assert snapshots[0].step_index == 0 and snapshots[1].step_index == 1
     assert (tmp_path / "step_0.snap").is_file()
     assert (tmp_path / "step_1.snap").is_file()
     assert (tmp_path / "run_log.jsonl").is_file()
-    assert len(run.step_seconds) == 2
-    assert run.lambda_calls_per_step[0] == 0
-    assert run.lambda_calls_per_step[1] > 0
-    assert len(run.db_splits) == 2 and len(run.query_splits) == 2
+    assert len(step_seconds) == 2
 
 
 def test_run_protocol_rerun_is_identical(tmp_path):
     cfg = load_config(SMOKE)
     data = build_protocol_data(cfg)
-    a = run_protocol(cfg, 0, data, out_dir=tmp_path / "a", digest="d")
-    b = run_protocol(cfg, 0, data, out_dir=tmp_path / "b", digest="d")
-    for sa, sb in zip(a.snapshots, b.snapshots):
+    a, _ = run_protocol(cfg, 0, data, out_dir=tmp_path / "a", digest="d")
+    b, _ = run_protocol(cfg, 0, data, out_dir=tmp_path / "b", digest="d")
+    for sa, sb in zip(a, b):
         assert params_digest(sa.params) == params_digest(sb.params)
     assert (tmp_path / "a" / "run_log.jsonl").read_bytes() == (
         tmp_path / "b" / "run_log.jsonl"

@@ -403,6 +403,14 @@ def test_load_corpus_scan_entry_naming_a_directory_is_missing(tmp_path):
         load_corpus(out)
 
 
+def test_load_corpus_scan_entry_naming_no_possible_file_is_missing(tmp_path):
+    out = save_corpus(tiny_domain(n_places=3, points=8), tmp_path / "long")
+    text = (out / "poses.csv").read_text()
+    (out / "poses.csv").write_text(text.replace("scan_000001.f32", "x" * 300))
+    with pytest.raises(IngestionError, match=r"line 3: missing scan file x{300}$"):
+        load_corpus(out)
+
+
 def test_load_corpus_size_messages(tmp_path):
     out = save_corpus(tiny_domain(n_places=3, points=8), tmp_path / "size")
     scan2 = out / "scan_000002.f32"
@@ -447,6 +455,54 @@ def test_load_corpus_rejects_header_only_corpus(tmp_path):
     out = save_corpus([], tmp_path / "empty")
     with pytest.raises(IngestionError, match=r"poses\.csv: no samples"):
         load_corpus(out)
+
+
+@pytest.mark.parametrize("n_places, line", [(4, 3), (200, 150)])
+def test_load_corpus_rejects_undecodable_poses(tmp_path, n_places, line):
+    # Deep in a file the byte sits past the reader's first decoded chunk.
+    out = save_corpus(tiny_domain(n_places=n_places, points=8), tmp_path / "bytes")
+    lines = (out / "poses.csv").read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1].replace(b",", b"\xff,", 1)
+    (out / "poses.csv").write_bytes(b"\n".join(lines))
+    with pytest.raises(IngestionError, match=rf"poses\.csv line {line}: not UTF-8 text"):
+        load_corpus(out)
+
+
+def test_load_corpus_reports_a_bad_line_before_an_undecodable_one(tmp_path):
+    out = save_corpus(tiny_domain(n_places=5, points=8), tmp_path / "order")
+    (out / "scan_000001.f32").unlink()
+    (out / "poses.csv").write_bytes((out / "poses.csv").read_bytes() + b"\xff\n")
+    with pytest.raises(IngestionError, match=r"line 3: missing scan file scan_000001\.f32"):
+        load_corpus(out)
+
+
+def test_load_corpus_rejects_an_oversize_field(tmp_path):
+    out = save_corpus(tiny_domain(n_places=3, points=8), tmp_path / "wide")
+    with open(out / "poses.csv", "a", encoding="utf-8") as fh:
+        fh.write("3,1.0,2.0," + "x" * 140_000 + "\n")
+    with pytest.raises(IngestionError, match=r"poses\.csv line 5: field larger than field limit"):
+        load_corpus(out)
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    out = save_corpus(tiny_domain(n_places=4, points=8), tmp_path_factory.mktemp("flip"))
+    return out, (out / "poses.csv").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(0, 2**16), st.integers(1, 255)),
+                      min_size=1, max_size=4))
+def test_load_corpus_raises_only_ingestion_errors_on_flipped_poses_bytes(small_corpus, flips):
+    out, raw = small_corpus
+    damaged = bytearray(raw)
+    for at, mask in flips:
+        damaged[at % len(raw)] ^= mask
+    (out / "poses.csv").write_bytes(bytes(damaged))
+    try:
+        load_corpus(out)
+    except IngestionError:
+        pass
 
 
 def test_pair_policy_validation():

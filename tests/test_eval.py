@@ -452,16 +452,19 @@ def test_fusing_distinct_snapshots_changes_embedding_dim(db_samples):
 def smoke_run(tmp_path_factory):
     cfg = load_config(SMOKE)
     out = tmp_path_factory.mktemp("run")
-    return run_protocol(cfg, 0, build_protocol_data(cfg), out_dir=out, digest="d")
+    data = build_protocol_data(cfg)
+    snapshots, _ = run_protocol(cfg, 0, data, out_dir=out, digest="d")
+    return cfg, data, snapshots
 
 
 @pytest.fixture(scope="module")
 def smoke_emb(smoke_run):
-    return embed_protocol(smoke_run)
+    _, data, snapshots = smoke_run
+    return embed_protocol(snapshots, data)
 
 
 def test_evaluate_protocol_matrix_layout(smoke_run, smoke_emb):
-    ev = evaluate_protocol(smoke_run, smoke_emb, fusion=False)
+    ev = evaluate_protocol(smoke_emb, smoke_run[0], fusion=False)
     assert ev.recall_matrix.shape == (2, 2)
     # Zero-shot cell: task 1 scored by the step-0 model before training on it.
     assert np.isfinite(ev.recall_matrix[0, 1])
@@ -472,28 +475,16 @@ def test_evaluate_protocol_matrix_layout(smoke_run, smoke_emb):
 
 
 def test_evaluate_protocol_fused_rows(smoke_run, smoke_emb):
-    ev = evaluate_protocol(smoke_run, smoke_emb, fusion=True)
+    ev = evaluate_protocol(smoke_emb, smoke_run[0], fusion=True)
     dims = {(c["step"], c["task"]): c["embedding_dim"] for c in ev.cells}
     assert dims[(0, 0)] == 16  # row 0: first snapshot alone
     assert dims[(1, 0)] == 32  # row 1: steps 0 and 1 concatenated
     assert ev.fused
 
 
-def test_evaluate_protocol_missing_split_names_domain(smoke_run):
-    broken = dataclasses.replace(smoke_run, query_splits=[smoke_run.query_splits[0], []])
-    with pytest.raises(ConfigurationError, match=smoke_run.domain_names[1]):
-        embed_protocol(broken)
-
-
 def test_evaluate_protocol_single_step_has_no_forgetting(smoke_run):
-    one = dataclasses.replace(
-        smoke_run,
-        snapshots=smoke_run.snapshots[:1],
-        db_splits=smoke_run.db_splits[:1],
-        query_splits=smoke_run.query_splits[:1],
-        domain_names=smoke_run.domain_names[:1],
-    )
-    ev = evaluate_protocol(one, embed_protocol(one), fusion=False)
+    cfg, data, snapshots = smoke_run
+    ev = evaluate_protocol(embed_protocol(snapshots[:1], data), cfg, fusion=False)
     assert ev.recall_matrix.shape == (1, 1)
     assert ev.forgetting is None
 
@@ -503,8 +494,8 @@ def test_evaluate_protocol_single_step_has_no_forgetting(smoke_run):
 
 
 def test_results_dict_layout(smoke_run, smoke_emb):
-    single = evaluate_protocol(smoke_run, smoke_emb, fusion=False)
-    fused = evaluate_protocol(smoke_run, smoke_emb, fusion=True)
+    single = evaluate_protocol(smoke_emb, smoke_run[0], fusion=False)
+    fused = evaluate_protocol(smoke_emb, smoke_run[0], fusion=True)
     d = results_dict(fused, single, fused, seed=0, config_digest="abc")
     assert set(d) == {"recall_matrix", "mean_recall_at_1", "forgetting", "per_step_details"}
     assert d["recall_matrix"] == [[float(v) for v in row] for row in fused.recall_matrix]
@@ -517,7 +508,7 @@ def test_results_dict_layout(smoke_run, smoke_emb):
 
 
 def test_results_dict_single_mode(smoke_run, smoke_emb):
-    single = evaluate_protocol(smoke_run, smoke_emb, fusion=False)
+    single = evaluate_protocol(smoke_emb, smoke_run[0], fusion=False)
     d = results_dict(single, single, None, seed=3, config_digest="abc")
     assert d["per_step_details"]["headline_mode"] == "single"
     assert d["per_step_details"]["fused"] is None
@@ -525,7 +516,7 @@ def test_results_dict_single_mode(smoke_run, smoke_emb):
 
 
 def test_dump_results_is_canonical(smoke_run, smoke_emb):
-    single = evaluate_protocol(smoke_run, smoke_emb, fusion=False)
+    single = evaluate_protocol(smoke_emb, smoke_run[0], fusion=False)
     d = results_dict(single, single, None, seed=0, config_digest="abc")
     text = dump_results(d)
     assert text == dump_results(json.loads(text))  # stable under roundtrip

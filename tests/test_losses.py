@@ -528,14 +528,14 @@ def test_batch_hard_reduces_to_single_triplet():
     assert out.loss.value == pytest.approx(0.1, abs=1e-12)
     assert out.valid_anchors == 1
     assert out.active_fraction == 1.0
-    assert not out.no_valid_anchors
+    assert out.valid_anchors != 0
 
 
 def test_batch_hard_no_valid_anchor_flag():
     e = _unit_rows(4, 3)
     rel = _relation([], [(0, 1)], 4)
     out = batch_hard_triplet(e, rel, margin=0.2)
-    assert out.no_valid_anchors
+    assert out.valid_anchors == 0
     assert out.loss.value == 0.0
     assert out.active_fraction == 0.0
     np.testing.assert_array_equal(out.loss.grad_new, 0.0)
@@ -601,7 +601,7 @@ def oracle_batch_hard_triplet(e, relation, margin):
 
 def _batch_hard_bytes(out):
     return (np.float64(out.loss.value).tobytes(), out.loss.grad_new.tobytes(),
-            out.active_fraction, out.valid_anchors, out.no_valid_anchors)
+            out.active_fraction, out.valid_anchors, out.valid_anchors == 0)
 
 
 def _oracle_bytes(e, relation, margin):
