@@ -6,8 +6,9 @@ Verbs:
   gradcheck  finite-difference verification of every analytic gradient
   gen-data   write synthetic corpora in the on-disk format
 
-Exit codes: 0 success; 2 invalid config, usage or corpus input; 3 training
-abort; 4 snapshot/config digest mismatch; 5 gradient check failure.
+Exit codes: 0 success; 2 invalid config, usage or corpus input, or an output
+directory that cannot be made; 3 training abort; 4 snapshot/config digest
+mismatch; 5 gradient check failure.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _top_n(text: str) -> int:
-    """The type of ``--at``: an integer >= 1, checked before any corpus loads."""
+def _positive_int(text: str) -> int:
+    """The type of ``eval --at`` and ``gradcheck --points``: an integer >= 1,
+    checked before any work."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
@@ -109,20 +111,30 @@ def _parser() -> argparse.ArgumentParser:
     ev.add_argument("--fusion", choices=["on", "off"], default="off")
     ev.add_argument("--config", default=None, help="verify snapshots against this config")
     ev.add_argument("--pos-test", type=_radius, default=25.0, help="positive radius, meters")
-    ev.add_argument("--at", type=_top_n, default=1, help="N for Recall@N")
+    ev.add_argument("--at", type=_positive_int, default=1, help="N for Recall@N")
     ev.add_argument("--out", default=None, help="also write eval.json to this directory")
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     gc.add_argument("--seed", type=_seed, default=0, help="seed of the random inputs")
     gc.add_argument("--batch", type=int, default=5)
     gc.add_argument("--dim", type=int, default=8)
-    gc.add_argument("--points", type=int, default=32)
+    gc.add_argument("--points", type=_positive_int, default=32)
     gc.add_argument("--corrupt", type=float, default=0.0, help=argparse.SUPPRESS)
 
     gd = sub.add_parser("gen-data", help="write synthetic corpora to disk")
     gd.add_argument("--config", required=True, help="experiment config (YAML)")
     gd.add_argument("--out", default=None, help="output directory override")
     return p
+
+
+def _out_dir(path) -> Path:
+    """Make an output directory; one that cannot be made is a usage error naming it."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make output directory {out}: {exc.strerror}") from None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +182,7 @@ def cmd_run(args) -> int:
 
     cfg = _effective_config(args)
     digest = config_digest(cfg)
-    out_root = Path(cfg.out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
+    out_root = _out_dir(cfg.out_dir)
 
     manifest = {
         "tool_version": __version__,
@@ -193,8 +204,7 @@ def cmd_run(args) -> int:
     data_seconds = time.perf_counter() - t_data
     task_names = [d.name for d in cfg.domains]
     for seed in cfg.seeds:
-        seed_dir = out_root / f"seed_{seed}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
+        seed_dir = _out_dir(out_root / f"seed_{seed}")
         t0 = time.perf_counter()
         snapshots, step_seconds = run_protocol(cfg, seed, data, out_dir=seed_dir, digest=digest)
         t1 = time.perf_counter()
@@ -203,7 +213,7 @@ def cmd_run(args) -> int:
         fused = evaluate_protocol(emb, cfg, fusion=True) if cfg.fusion else None
         t2 = time.perf_counter()
         headline = fused if fused is not None else single
-        results = results_dict(headline, single, fused, seed, digest)
+        results = results_dict(single, fused, seed, digest)
         (seed_dir / RESULTS_FILE).write_text(dump_results(results), encoding="utf-8")
         write_recall_csv(headline.recall_matrix, task_names, seed_dir / RECALL_CSV)
         manifest["results"][str(seed)] = str(seed_dir / RESULTS_FILE)
@@ -270,6 +280,7 @@ def cmd_eval(args) -> int:
                   file=sys.stderr)
             return EXIT_DIGEST
 
+    out = _out_dir(args.out) if args.out else None
     db_emb, db_poses, db_ids = _embed_corpus(snaps, args.corpus)
     q_emb, q_poses, _ = _embed_corpus(snaps, args.queries)
     outcome = recall_at_n(db_emb, db_poses, db_ids, q_emb, q_poses, args.pos_test, args.at)
@@ -283,9 +294,7 @@ def cmd_eval(args) -> int:
         "snapshots": [str(p) for p in args.snapshot],
     }
     text = dump_results(report)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "eval.json").write_text(text, encoding="utf-8")
     print(text, end="")
     return EXIT_OK
@@ -298,12 +307,12 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .gradcheck import gradcheck_suite
 
-    suite = gradcheck_suite(args.seed, args.batch, args.dim, args.points, corrupt=args.corrupt)
-    for line in suite.lines():
-        print(line)
-    if suite.passed:
+    reports = gradcheck_suite(args.seed, args.batch, args.dim, args.points, corrupt=args.corrupt)
+    for report in reports:
+        print(report.line())
+    offenders = [r.name for r in reports if not r.passed]
+    if not offenders:
         return EXIT_OK
-    offenders = [r.name for r in suite.reports if not r.passed]
     print(f"gradient check failed: {', '.join(offenders)}", file=sys.stderr)
     return EXIT_GRADCHECK
 
@@ -316,11 +325,11 @@ def cmd_gen_data(args) -> int:
     from .continual import build_protocol_data
 
     cfg = _effective_config(args)
-    out_root = Path(cfg.out_dir) / "corpora"
+    out_root = _out_dir(Path(cfg.out_dir) / "corpora")
     train, db, query = build_protocol_data(cfg)
     for i, dom in enumerate(cfg.domains):
         for name, split in (("train", train), ("db", db), ("query", query)):
-            save_corpus(split[i], out_root / dom.name / name)
+            save_corpus(split[i], _out_dir(out_root / dom.name / name))
         print(f"domain {dom.name}: wrote train/db/query under {out_root / dom.name}")
     return EXIT_OK
 

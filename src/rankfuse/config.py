@@ -164,6 +164,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
     )
     for i, s in enumerate(seeds):
         require_kind(s, "seed", f"seeds[{i}]")
+        require(s not in seeds[:i], f"seeds[{i}]", f"duplicate seed {s}")
 
     domains_raw = raw.get("domains", [])
     require(isinstance(domains_raw, list), "domains", "must be a list")

@@ -12,12 +12,12 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, PlanConfig
+from .config import BufferConfig, ExperimentConfig, PlanConfig
 from .data import (
     DomainSpec,
     PairPolicy,
@@ -38,13 +38,9 @@ from .encoder import (
     params_digest,
     save_snapshot,
 )
-from .errors import ConfigurationError, TrainingError, UsageError, check, rule
+from .errors import ConfigurationError, TrainingError, UsageError, check
 from .evaluation import euclidean
-from .losses import (
-    RelaxationSchedule,
-    combined_loss,
-    relaxation_weight,
-)
+from .losses import combined_loss, relaxation_weight
 
 log = logging.getLogger(__name__)
 
@@ -53,21 +49,6 @@ _BUFFER_TAG = 0xBF
 _INIT_TAG = 0x1A
 
 RUN_LOG_NAME = "run_log.jsonl"
-
-
-@dataclass
-class MemoryBuffer:
-    """Fixed-capacity exemplar store, re-split equally per seen domain."""
-
-    capacity: int = rule(256, min=1)
-    entries: list = field(default_factory=list)
-    seed: int = 0
-
-    _relations = (("entries", lambda v: len(v["entries"]) <= v["capacity"],
-                   "must hold at most capacity {capacity} entries"),)
-
-    def __post_init__(self):
-        check(self, "MemoryBuffer")
 
 
 def lr_at(plan: PlanConfig, epoch: int) -> float:
@@ -171,11 +152,6 @@ def _train(
     distill = old is not None and (loss.rkd or loss.dkd)
     old_params = old.params if old is not None else None
     old_digest = params_digest(old_params) if old_params is not None else None
-    schedule = (
-        RelaxationSchedule(total_epochs=plan.epochs, variant=loss.lambda_variant)
-        if distill
-        else None
-    )
 
     # With at least one new-domain sample, every epoch forms a batch.
     if not new_samples:
@@ -196,7 +172,7 @@ def _train(
     for epoch in range(plan.epochs):
         lr = lr_at(plan, epoch)
         if distill:
-            lam = relaxation_weight(schedule, epoch)
+            lam = relaxation_weight(epoch, plan.epochs, loss.lambda_variant)
             lambda_calls += 1
         else:
             lam = 0.0
@@ -260,59 +236,52 @@ def train_first_step(
 def train_continual_step(
     old: ModelSnapshot,
     samples: list,
-    buffer: MemoryBuffer | None,
+    buffer: list,
     cfg: ExperimentConfig,
     step_index: int,
     seed: int,
     config_digest: str = "",
 ) -> StepResult:
-    """One incremental step: new model warm-started from old, old frozen."""
+    """One incremental step: new model warm-started from old, old frozen.
+
+    ``buffer`` is the replay list of ``update_buffer``; an empty one means
+    no replay.
+    """
     if step_index < 1:
         raise UsageError(f"continual step requires step_index >= 1, got {step_index}")
-    if buffer is not None and not buffer.entries:
-        raise ConfigurationError(f"empty replay buffer at step {step_index}")
-    if buffer is not None:
-        current = {s.domain_id for s in buffer.entries if s.domain_id >= step_index}
-        if current:
-            raise ConfigurationError(
-                f"buffer holds samples from current/future domains {sorted(current)}"
-            )
-    return _train(
-        old.params,
-        old,
-        samples,
-        list(buffer.entries) if buffer is not None else [],
-        cfg,
-        step_index,
-        seed,
-        config_digest,
-    )
+    current = {s.domain_id for s in buffer if s.domain_id >= step_index}
+    if current:
+        raise ConfigurationError(
+            f"buffer holds samples from current/future domains {sorted(current)}"
+        )
+    return _train(old.params, old, samples, buffer, cfg, step_index, seed, config_digest)
 
 
 def update_buffer(
-    buffer: MemoryBuffer, completed_samples: list, step_index: int
-) -> MemoryBuffer:
-    """Re-split capacity equally over all seen domains and refill.
+    buffer: list, completed_samples: list, capacity: int, seed: int, step_index: int
+) -> list:
+    """Re-split ``capacity`` equally over all seen domains and refill.
 
     Floor division with the remainder going to the earliest domains; kept
     entries are a uniform subsample, the completed domain contributes a
-    uniform draw. Deterministic in (buffer.seed, step_index).
+    uniform draw. Deterministic in (seed, step_index).
     """
+    check(BufferConfig, "buffer", {"capacity": capacity}, relations=False)
     if not completed_samples:
         raise UsageError("update_buffer needs the completed domain's samples")
     rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([buffer.seed, _BUFFER_TAG, step_index]))
+        np.random.PCG64(np.random.SeedSequence([seed, _BUFFER_TAG, step_index]))
     )
     new_domain = completed_samples[0].domain_id
     by_domain = {}
-    for s in buffer.entries:
+    for s in buffer:
         by_domain.setdefault(s.domain_id, []).append(s)
     if new_domain in by_domain:
         raise UsageError(f"domain {new_domain} already present in buffer")
     domains = sorted(by_domain) + [new_domain]
 
     n = len(domains)
-    base, extra = divmod(buffer.capacity, n)
+    base, extra = divmod(capacity, n)
     quotas = {d: base + (1 if i < extra else 0) for i, d in enumerate(domains)}
 
     kept = []
@@ -331,7 +300,7 @@ def update_buffer(
             continue
         picks = rng.choice(len(pool), size=quota, replace=False)
         kept.extend(pool[i] for i in sorted(picks))
-    return MemoryBuffer(capacity=buffer.capacity, entries=kept, seed=buffer.seed)
+    return kept
 
 
 def write_run_log(records: list, path) -> None:
@@ -381,7 +350,7 @@ def run_protocol(
         out.mkdir(parents=True, exist_ok=True)
         (out / RUN_LOG_NAME).unlink(missing_ok=True)
 
-    buffer = MemoryBuffer(capacity=cfg.buffer.capacity, seed=seed) if cfg.buffer.enabled else None
+    buffer = []
     snapshots = []
     step_seconds = []
     for t, samples in enumerate(data[0]):  # the train splits
@@ -394,8 +363,8 @@ def run_protocol(
             )
         snapshots.append(result.snapshot)
         step_seconds.append(time.perf_counter() - t0)
-        if buffer is not None:
-            buffer = update_buffer(buffer, samples, step_index=t)
+        if cfg.buffer.enabled:
+            buffer = update_buffer(buffer, samples, cfg.buffer.capacity, seed, step_index=t)
         if out is not None:
             save_snapshot(result.snapshot, out / f"step_{t}.snap")
             write_run_log(result.records, out / RUN_LOG_NAME)

@@ -202,7 +202,6 @@ class ProtocolEvaluation:
     mean_recall_at_1: float
     forgetting: ForgettingReport | None  # None when T < 2
     cells: list  # per (step, task) dicts with counts
-    fused: bool
 
 
 def embed_protocol(snapshots, data) -> list:
@@ -258,7 +257,6 @@ def evaluate_protocol(emb: list, cfg, fusion: bool) -> ProtocolEvaluation:
         mean_recall_at_1=float(r[t_total - 1].mean()),
         forgetting=report,
         cells=cells,
-        fused=fusion,
     )
 
 
@@ -276,12 +274,10 @@ def _mode_dict(ev: ProtocolEvaluation) -> dict:
 
 
 def results_dict(
-    headline: ProtocolEvaluation,
-    single: ProtocolEvaluation,
-    fused: ProtocolEvaluation | None,
-    seed: int,
-    config_digest: str,
+    single: ProtocolEvaluation, fused: ProtocolEvaluation | None, seed: int, config_digest: str
 ) -> dict:
+    """The results.json layout; the fused evaluation, when there is one, is the headline."""
+    headline = fused if fused is not None else single
     d = _mode_dict(headline)
     return {
         "recall_matrix": d["recall_matrix"],
@@ -290,7 +286,7 @@ def results_dict(
         "per_step_details": {
             "seed": seed,
             "config_digest": config_digest,
-            "headline_mode": "fused" if headline.fused else "single",
+            "headline_mode": "fused" if fused is not None else "single",
             "single": _mode_dict(single),
             "fused": _mode_dict(fused) if fused is not None else None,
             "cells": headline.cells,

@@ -11,7 +11,7 @@ trains with; ``rankfuse gradcheck`` and acceptance criterion 1 call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,18 +43,6 @@ class GradCheckReport:
             f"{self.name}: {status} max_rel_err={self.max_rel_error:.3e} "
             f"checked={self.checked} kinks_skipped={self.skipped_kinks}"
         )
-
-
-@dataclass
-class GradCheckSuite:
-    reports: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.reports)
-
-    def lines(self) -> list:
-        return [r.line() for r in self.reports]
 
 
 def check_gradient(
@@ -169,9 +157,10 @@ def _cases(seed: int, batch: int, dim: int, points: int) -> list:
     return cases + [(name, lambda v, f=f: f(v).value, f(x).grad_new, x) for name, f, x in losses]
 
 
-def gradcheck_suite(seed: int, batch: int, dim: int, points: int, corrupt: float = 0.0):
-    """FD-verify the encoder and every loss; ``corrupt`` is a negative control."""
-    return GradCheckSuite(reports=[
+def gradcheck_suite(seed: int, batch: int, dim: int, points: int, corrupt: float = 0.0) -> list:
+    """FD-verify the encoder and every loss, one ``GradCheckReport`` each;
+    ``corrupt`` is a negative control."""
+    return [
         check_gradient(fn, grad, x, name=name, corrupt=corrupt)
         for name, fn, grad, x in _cases(seed, batch, dim, points)
-    ])
+    ]

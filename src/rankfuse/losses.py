@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import UsageError, check, rule
+from .errors import UsageError, check
 
 if TYPE_CHECKING:  # config imports this module
     from .config import LossConfig
@@ -69,27 +69,20 @@ class BatchTripletResult:
     valid_anchors: int
 
 
-@dataclass(frozen=True)
-class RelaxationSchedule:
-    """Epoch-decayed weight on the distillation terms.
+def relaxation_weight(epoch: float, total_epochs: int, variant: str) -> float:
+    """Distillation weight at a given epoch; in (0, 1), strictly decreasing.
 
     ``literal`` uses exponent 10*g/(beta - 0.5); ``incloud`` uses
-    10*(g/beta - 0.5). Both decrease strictly in the epoch g.
+    10*(g/beta - 0.5), for epoch g of beta = ``total_epochs``.
     """
+    from .config import LossConfig, PlanConfig  # config imports this module
 
-    total_epochs: float = rule(finite=True, min=1)
-    variant: str = rule("literal", choices=LAMBDA_VARIANTS)
-
-    def __post_init__(self):
-        check(self, "RelaxationSchedule")
-
-
-def relaxation_weight(schedule: RelaxationSchedule, epoch: float) -> float:
-    """Distillation weight at a given epoch; in (0, 1), strictly decreasing."""
-    g, beta = float(epoch), float(schedule.total_epochs)
+    check(PlanConfig, "plan", {"epochs": total_epochs}, relations=False)
+    check(LossConfig, "loss", {"lambda_variant": variant}, relations=False)
+    g, beta = float(epoch), float(total_epochs)
     if not 0.0 <= g <= beta:
         raise UsageError(f"epoch {g} outside [0, {beta}]")
-    if schedule.variant == "literal":
+    if variant == "literal":
         x = -10.0 * g / (beta - 0.5)
     else:
         x = -10.0 * (g / beta - 0.5)

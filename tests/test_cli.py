@@ -510,6 +510,34 @@ def test_bad_config_seed_exits_2(tmp_path, verb, old, new, field):
     assert "Traceback" not in proc.stderr
 
 
+def test_duplicate_config_seed_exits_2(tmp_path):
+    config = tmp_path / "edited.yaml"
+    config.write_text(SMOKE.read_text().replace("seeds: [0]", "seeds: [0, 0]", 1))
+    proc = cli("run", "--config", config, "--out", tmp_path / "out")
+    assert proc.returncode == 2
+    assert "config error: seeds[1]: duplicate seed 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "gen-data", "eval"])
+def test_out_naming_a_file_exits_2(smoke_out, tmp_path, verb):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    if verb == "eval":
+        # Missing corpora: the output directory is made before any corpus loads.
+        argv = ("eval", "--snapshot", smoke_out[0] / "seed_0" / "step_1.snap",
+                "--corpus", tmp_path / "db", "--queries", tmp_path / "query")
+    else:
+        argv = (verb, "--config", SMOKE)
+    proc = cli(*argv, "--out", taken)
+    assert proc.returncode == 2
+    named = taken / "corpora" if verb == "gen-data" else taken
+    assert f"usage error: cannot make output directory {named}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert taken.read_text() == "not a directory\n"
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 
@@ -528,6 +556,14 @@ def test_gradcheck_passes_and_is_deterministic():
     assert all(": ok " in line for line in lines)
     assert a.stdout == b.stdout
     assert hashlib.sha256(a.stdout.encode()).hexdigest() == GRADCHECK_SMALL_SHA256
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_gradcheck_points_below_one_exits_2(value):
+    proc = cli("gradcheck", "--points", value)
+    assert proc.returncode == 2
+    assert f"argument --points: expected an integer >= 1, got '{value}'" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_gradcheck_corrupt_control_exits_5():

@@ -26,11 +26,12 @@ from rankfuse.config import (
     load_config,
     parse_toggle_args,
 )
+from rankfuse.continual import update_buffer
 from rankfuse.data import STYLE_PRESETS, DomainSpec, PairPolicy, StyleParams, generate_domain
 from rankfuse.encoder import init_params
 from rankfuse.errors import ConfigurationError
 from rankfuse.evaluation import forgetting_score
-from rankfuse.losses import distribution_distill_loss, ranking_distill_loss
+from rankfuse.losses import distribution_distill_loss, ranking_distill_loss, relaxation_weight
 
 REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.yaml"
 SMOKE = Path(__file__).resolve().parent.parent / "configs" / "smoke.yaml"
@@ -162,12 +163,16 @@ def _direct_calls():
     each public function that checks an argument by a config field's rule."""
     e = np.eye(3)
     spec = DomainSpec(seed=1, n_places=2, style=STYLE_PRESETS["plains"])
+    samples = generate_domain(spec, points_per_scan=4)
     return [("encoder", "hidden", lambda v: init_params(0, v, 8)),
             ("encoder", "dim", lambda v: init_params(0, 8, v)),
             ("encoder", "points_per_scan", lambda v: generate_domain(spec, points_per_scan=v)),
             (None, "forgetting_max", lambda v: forgetting_score(np.eye(2), mode=v)),
             ("loss", "rkd_norm", lambda v: ranking_distill_loss(e, e, 0.1, norm=v)),
-            ("loss", "divergence", lambda v: distribution_distill_loss(e, e, 1.0, divergence=v))]
+            ("loss", "divergence", lambda v: distribution_distill_loss(e, e, 1.0, divergence=v)),
+            ("loss", "lambda_variant", lambda v: relaxation_weight(0, 10, v)),
+            ("plan", "epochs", lambda v: relaxation_weight(0, v, "literal")),
+            ("buffer", "capacity", lambda v: update_buffer([], samples, v, 0, 0))]
 
 
 @pytest.mark.parametrize("section, name, call", _direct_calls(),
@@ -177,9 +182,11 @@ def test_direct_calls_refuse_what_the_config_refuses(section, name, call):
     # accepted by both.
     bad = {"hidden": [0, -1, 2.5, True], "dim": [1, 0, 2.5], "points_per_scan": [0, -3, 1.5],
            "forgetting_max": ["always", 3], "rkd_norm": ["linear", None],
-           "divergence": ["tv", "KL"]}[name]
+           "divergence": ["tv", "KL"], "lambda_variant": ["cosine", None],
+           "epochs": [0, -1, 2.5, True], "capacity": [0, -2, 1.5, True]}[name]
     edge = {"hidden": 1, "dim": 2, "points_per_scan": 1, "forgetting_max": "from_t",
-            "rkd_norm": "quadratic", "divergence": "js"}[name]
+            "rkd_norm": "quadratic", "divergence": "js", "lambda_variant": "incloud",
+            "epochs": 1, "capacity": 1}[name]
 
     def raw(value):
         return _minimal(**({section: {name: value}} if section else {name: value}))
@@ -229,6 +236,14 @@ def test_duplicate_domain_names_rejected():
     ]
     with pytest.raises(ConfigurationError, match="^domains\\[a\\].name: duplicate name 'a'$"):
         from_dict(raw)
+
+
+def test_duplicate_seeds_rejected():
+    # A repeated seed would train twice into one seed directory and count
+    # twice in the aggregate.
+    with pytest.raises(ConfigurationError, match="^seeds\\[2\\]: duplicate seed 0$"):
+        from_dict(_minimal(seeds=[0, 1, 0]))
+    assert from_dict(_minimal(seeds=[0, 1, 2])).seeds == (0, 1, 2)
 
 
 def test_a_domain_without_a_string_name_is_named_by_its_index():

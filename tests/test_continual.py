@@ -11,7 +11,6 @@ from scipy.spatial.distance import cdist
 import rankfuse.continual
 from rankfuse.config import BufferConfig, load_config
 from rankfuse.continual import (
-    MemoryBuffer,
     batch_relation,
     build_protocol_data,
     lr_at,
@@ -118,53 +117,48 @@ def _fake_samples(n, domain_id, seed=0):
 
 
 def test_buffer_validation():
-    with pytest.raises(ConfigurationError):
-        MemoryBuffer(capacity=0)
-    with pytest.raises(ConfigurationError):
-        MemoryBuffer(capacity=2, entries=[None, None, None])
+    with pytest.raises(ConfigurationError, match="buffer.capacity"):
+        update_buffer([], _fake_samples(4, 0), 0, 0, step_index=0)
 
 
 def test_buffer_split_two_domains_128_128():
-    buf = MemoryBuffer(capacity=256, seed=0)
-    buf = update_buffer(buf, _fake_samples(400, 0), step_index=0)
-    assert len(buf.entries) == 256
-    buf = update_buffer(buf, _fake_samples(400, 1), step_index=1)
-    counts = Counter(s.domain_id for s in buf.entries)
+    buf = update_buffer([], _fake_samples(400, 0), 256, 0, step_index=0)
+    assert len(buf) == 256
+    buf = update_buffer(buf, _fake_samples(400, 1), 256, 0, step_index=1)
+    counts = Counter(s.domain_id for s in buf)
     assert counts == {0: 128, 1: 128}
 
 
 def test_buffer_split_three_domains_86_85_85():
-    buf = MemoryBuffer(capacity=256, seed=0)
+    buf = []
     for d in range(3):
-        buf = update_buffer(buf, _fake_samples(400, d), step_index=d)
-    counts = Counter(s.domain_id for s in buf.entries)
+        buf = update_buffer(buf, _fake_samples(400, d), 256, 0, step_index=d)
+    counts = Counter(s.domain_id for s in buf)
     assert counts == {0: 86, 1: 85, 2: 85}
-    assert len(buf.entries) == 256
+    assert len(buf) == 256
 
 
 def test_buffer_update_is_deterministic():
     def run():
-        buf = MemoryBuffer(capacity=64, seed=3)
+        buf = []
         for d in range(2):
-            buf = update_buffer(buf, _fake_samples(100, d), step_index=d)
-        return [(s.domain_id, s.sample_id) for s in buf.entries]
+            buf = update_buffer(buf, _fake_samples(100, d), 64, 3, step_index=d)
+        return [(s.domain_id, s.sample_id) for s in buf]
 
     assert run() == run()
 
 
 def test_buffer_shortfall_keeps_all_and_warns(caplog):
-    buf = MemoryBuffer(capacity=256, seed=0)
     with caplog.at_level(logging.WARNING):
-        buf = update_buffer(buf, _fake_samples(40, 0), step_index=0)
-    assert sum(1 for s in buf.entries if s.domain_id == 0) == 40
+        buf = update_buffer([], _fake_samples(40, 0), 256, 0, step_index=0)
+    assert sum(1 for s in buf if s.domain_id == 0) == 40
     assert any("shortfall" in r.message for r in caplog.records)
 
 
 def test_buffer_rejects_duplicate_domain():
-    buf = MemoryBuffer(capacity=64, seed=0)
-    buf = update_buffer(buf, _fake_samples(50, 0), step_index=0)
+    buf = update_buffer([], _fake_samples(50, 0), 64, 0, step_index=0)
     with pytest.raises(UsageError):
-        update_buffer(buf, _fake_samples(50, 0), step_index=1)
+        update_buffer(buf, _fake_samples(50, 0), 64, 0, step_index=1)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +192,7 @@ def test_continual_step_freezes_old_model():
     old = first.snapshot
     before = params_digest(old.params)
     new_samples = tiny_domain(n_places=40, seed=9, domain_id=1)
-    buf = update_buffer(MemoryBuffer(capacity=32, seed=0), samples, step_index=0)
+    buf = update_buffer([], samples, 32, 0, step_index=0)
     result = train_continual_step(old, new_samples, buf, tiny_config(), 1, 0)
     assert params_digest(old.params) == before
     assert result.snapshot.step_index == 1
@@ -208,7 +202,7 @@ def test_continual_step_freezes_old_model():
 
 def test_teacher_encodes_each_input_once_per_step(monkeypatch):
     samples, first = _first_step()
-    buf = update_buffer(MemoryBuffer(capacity=32, seed=0), samples, step_index=0)
+    buf = update_buffer([], samples, 32, 0, step_index=0)
     new_samples = tiny_domain(n_places=40, seed=9, domain_id=1)
     rows = []
     real = rankfuse.continual.encode
@@ -220,19 +214,18 @@ def test_teacher_encodes_each_input_once_per_step(monkeypatch):
     monkeypatch.setattr(rankfuse.continual, "encode", counting)
     result = train_continual_step(first.snapshot, new_samples, buf, tiny_config(epochs=3), 1, 0)
     assert len(result.records) == 3
-    assert sum(rows) == len(new_samples) + len(buf.entries)
+    assert sum(rows) == len(new_samples) + len(buf)
 
 
 def test_continual_step_epoch_lambdas_follow_schedule():
     samples, first = _first_step()
-    buf = update_buffer(MemoryBuffer(capacity=32, seed=0), samples, step_index=0)
+    buf = update_buffer([], samples, 32, 0, step_index=0)
     new_samples = tiny_domain(n_places=40, seed=9, domain_id=1)
     cfg = tiny_config(loss={"lambda_variant": "incloud"}, epochs=3)
     result = train_continual_step(first.snapshot, new_samples, buf, cfg, 1, 0)
-    from rankfuse.losses import RelaxationSchedule, relaxation_weight
+    from rankfuse.losses import relaxation_weight
 
-    sched = RelaxationSchedule(total_epochs=3, variant="incloud")
-    expected = [relaxation_weight(sched, g) for g in range(3)]
+    expected = [relaxation_weight(g, 3, "incloud") for g in range(3)]
     assert [r.lam for r in result.records] == pytest.approx(expected, abs=0)
     assert [r.lr for r in result.records] == [lr_at(cfg.plan, e) for e in range(3)]
     assert result.records[0].batch_size == cfg.plan.batch_start
@@ -242,7 +235,7 @@ def test_continual_step_without_buffer_is_fine_tuning():
     _, first = _first_step()
     new_samples = tiny_domain(n_places=40, seed=9, domain_id=1)
     cfg = tiny_config(loss={"rkd": False, "dkd": False})
-    result = train_continual_step(first.snapshot, new_samples, None, cfg, 1, 0)
+    result = train_continual_step(first.snapshot, new_samples, [], cfg, 1, 0)
     assert result.lambda_calls == 0
     assert all(r.loss_rkd == 0.0 for r in result.records)
 
@@ -251,11 +244,8 @@ def test_continual_step_rejects_bad_buffers():
     samples, first = _first_step()
     new_samples = tiny_domain(n_places=40, seed=9, domain_id=1)
     cfg = tiny_config()
-    with pytest.raises(ConfigurationError, match="empty"):
-        train_continual_step(first.snapshot, new_samples, MemoryBuffer(capacity=8, seed=0),
-                             cfg, 1, 0)
     # Buffer holding the domain currently being learned is a protocol bug.
-    bad = update_buffer(MemoryBuffer(capacity=8, seed=0), new_samples, step_index=1)
+    bad = update_buffer([], new_samples, 8, 0, step_index=1)
     with pytest.raises(ConfigurationError, match="domain"):
         train_continual_step(first.snapshot, new_samples, bad, cfg, 1, 0)
 
@@ -269,7 +259,7 @@ def test_step_zero_must_use_first_step_api():
     _, first = _first_step()
     samples = tiny_domain(n_places=20)
     with pytest.raises(UsageError, match="step_index"):
-        train_continual_step(first.snapshot, samples, None, tiny_config(), 0, 0)
+        train_continual_step(first.snapshot, samples, [], tiny_config(), 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -479,7 +479,6 @@ def test_evaluate_protocol_fused_rows(smoke_run, smoke_emb):
     dims = {(c["step"], c["task"]): c["embedding_dim"] for c in ev.cells}
     assert dims[(0, 0)] == 16  # row 0: first snapshot alone
     assert dims[(1, 0)] == 32  # row 1: steps 0 and 1 concatenated
-    assert ev.fused
 
 
 def test_evaluate_protocol_single_step_has_no_forgetting(smoke_run):
@@ -496,7 +495,7 @@ def test_evaluate_protocol_single_step_has_no_forgetting(smoke_run):
 def test_results_dict_layout(smoke_run, smoke_emb):
     single = evaluate_protocol(smoke_emb, smoke_run[0], fusion=False)
     fused = evaluate_protocol(smoke_emb, smoke_run[0], fusion=True)
-    d = results_dict(fused, single, fused, seed=0, config_digest="abc")
+    d = results_dict(single, fused, seed=0, config_digest="abc")
     assert set(d) == {"recall_matrix", "mean_recall_at_1", "forgetting", "per_step_details"}
     assert d["recall_matrix"] == [[float(v) for v in row] for row in fused.recall_matrix]
     details = d["per_step_details"]
@@ -509,7 +508,7 @@ def test_results_dict_layout(smoke_run, smoke_emb):
 
 def test_results_dict_single_mode(smoke_run, smoke_emb):
     single = evaluate_protocol(smoke_emb, smoke_run[0], fusion=False)
-    d = results_dict(single, single, None, seed=3, config_digest="abc")
+    d = results_dict(single, None, seed=3, config_digest="abc")
     assert d["per_step_details"]["headline_mode"] == "single"
     assert d["per_step_details"]["fused"] is None
     assert d["per_step_details"]["notes"] == ""
@@ -517,7 +516,7 @@ def test_results_dict_single_mode(smoke_run, smoke_emb):
 
 def test_dump_results_is_canonical(smoke_run, smoke_emb):
     single = evaluate_protocol(smoke_emb, smoke_run[0], fusion=False)
-    d = results_dict(single, single, None, seed=0, config_digest="abc")
+    d = results_dict(single, None, seed=0, config_digest="abc")
     text = dump_results(d)
     assert text == dump_results(json.loads(text))  # stable under roundtrip
     assert text.endswith("\n")

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from rankfuse import gradcheck
+from rankfuse import cli, gradcheck
 from rankfuse.errors import UsageError
-from rankfuse.gradcheck import GradCheckSuite, check_gradient
+from rankfuse.gradcheck import check_gradient
 
 
 def test_quadratic_gradient_passes():
@@ -50,14 +50,18 @@ def test_report_line_format():
     assert "kinks_skipped=0" in line
 
 
-def test_suite_aggregates_reports():
+def test_suite_aggregates_reports(monkeypatch, capsys):
     x = np.ones(2)
     good = check_gradient(lambda v: float(v @ v), 2.0 * x, x, name="good")
     bad = check_gradient(lambda v: float(v @ v), 3.0 * x, x, name="bad")
-    suite = GradCheckSuite(reports=[good, bad])
-    assert not suite.passed
-    assert len(suite.lines()) == 2
-    assert GradCheckSuite(reports=[good]).passed
+    monkeypatch.setattr(gradcheck, "gradcheck_suite", lambda *a, **k: [good, bad])
+    assert cli.main(["gradcheck"]) == cli.EXIT_GRADCHECK
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [good.line(), bad.line()]
+    assert "gradient check failed: bad" in err
+    monkeypatch.setattr(gradcheck, "gradcheck_suite", lambda *a, **k: [good])
+    assert cli.main(["gradcheck"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == good.line() + "\n"
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -16,7 +16,6 @@ from rankfuse.data import PairRelation
 from rankfuse.errors import ConfigurationError, UsageError
 from rankfuse.gradcheck import check_gradient
 from rankfuse.losses import (
-    RelaxationSchedule,
     batch_hard_triplet,
     combined_loss,
     distribution_distill_loss,
@@ -682,36 +681,34 @@ def test_batch_hard_gradient_matches_finite_differences():
 
 
 def test_relaxation_literal_fixtures():
-    sched = RelaxationSchedule(total_epochs=60, variant="literal")
-    assert relaxation_weight(sched, 0) == 0.5
-    assert relaxation_weight(sched, 60) == pytest.approx(4.2e-5, abs=1e-6)
+    assert relaxation_weight(0, 60, "literal") == 0.5
+    assert relaxation_weight(60, 60, "literal") == pytest.approx(4.2e-5, abs=1e-6)
 
 
 def test_relaxation_strictly_decreasing_both_variants():
     for variant in ("literal", "incloud"):
         for beta in (20, 60):
-            sched = RelaxationSchedule(total_epochs=beta, variant=variant)
-            values = [relaxation_weight(sched, g) for g in range(beta + 1)]
+            values = [relaxation_weight(g, beta, variant) for g in range(beta + 1)]
             assert all(a > b for a, b in zip(values, values[1:]))
             assert all(0.0 < v < 1.0 for v in values)
 
 
 def test_relaxation_validation():
-    with pytest.raises(ConfigurationError):
-        RelaxationSchedule(total_epochs=0.4, variant="literal")
-    with pytest.raises(ConfigurationError):
-        RelaxationSchedule(total_epochs=10, variant="cosine")
-    sched = RelaxationSchedule(total_epochs=10, variant="incloud")
+    with pytest.raises(ConfigurationError, match="plan.epochs"):
+        relaxation_weight(0, 0.4, "literal")
+    with pytest.raises(ConfigurationError, match="loss.lambda_variant"):
+        relaxation_weight(0, 10, "cosine")
     with pytest.raises(UsageError):
-        relaxation_weight(sched, 11)
+        relaxation_weight(11, 10, "incloud")
     with pytest.raises(UsageError):
-        relaxation_weight(sched, -1)
+        relaxation_weight(-1, 10, "incloud")
 
 
 def test_relaxation_incloud_closed_form():
-    sched = RelaxationSchedule(total_epochs=40, variant="incloud")
-    assert relaxation_weight(sched, 0) == pytest.approx(1.0 / (1.0 + math.exp(-5.0)), abs=1e-15)
-    assert relaxation_weight(sched, 20) == 0.5
+    assert relaxation_weight(0, 40, "incloud") == pytest.approx(
+        1.0 / (1.0 + math.exp(-5.0)), abs=1e-15
+    )
+    assert relaxation_weight(20, 40, "incloud") == 0.5
 
 
 # ---------------------------------------------------------------------------
