@@ -6,9 +6,10 @@ Verbs:
   gradcheck  finite-difference verification of every analytic gradient
   gen-data   write synthetic corpora in the on-disk format
 
-Exit codes: 0 success; 2 invalid config, usage or corpus input, or an output
-directory that cannot be made; 3 training abort; 4 snapshot/config digest
-mismatch; 5 gradient check failure.
+Exit codes: 0 success; 2 invalid config, usage or corpus input, an output
+directory that cannot be made or an output file path that is not a regular
+file; 3 training abort; 4 snapshot/config digest mismatch; 5 gradient check
+failure.
 """
 
 from __future__ import annotations
@@ -137,6 +138,13 @@ def _out_dir(path) -> Path:
     return out
 
 
+def _out_files(paths) -> None:
+    """Refuse the first output file path that exists and is not a regular file."""
+    for path in paths:
+        if path.exists() and not path.is_file():
+            raise UsageError(f"cannot write output file {path}: not a regular file")
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -177,12 +185,19 @@ def _numpy_simd() -> dict:
 
 def cmd_run(args) -> int:
     from .config import config_digest
-    from .continual import build_protocol_data, run_protocol
+    from .continual import RUN_LOG_NAME, build_protocol_data, run_protocol
     from .losses import sweep_workers
 
     cfg = _effective_config(args)
     digest = config_digest(cfg)
     out_root = _out_dir(cfg.out_dir)
+    seed_dirs = {seed: _out_dir(out_root / f"seed_{seed}") for seed in cfg.seeds}
+    # Results are written only once every seed has trained, so each output
+    # file's path is checked before any of that work.
+    names = [RESULTS_FILE, RECALL_CSV, RUN_LOG_NAME]
+    names += [f"step_{t}.snap" for t in range(len(cfg.domains))]
+    _out_files([d / name for d in seed_dirs.values() for name in names]
+               + [out_root / "aggregate.json", out_root / "manifest.json"])
 
     manifest = {
         "tool_version": __version__,
@@ -198,17 +213,25 @@ def cmd_run(args) -> int:
     }
     agg = {"single": {"mean_recall_at_1": [], "forgetting": []},
            "fused": {"mean_recall_at_1": [], "forgetting": []}}
-    # The splits depend only on the config; the first seed pays for them.
+    # The splits depend only on the config, so each is built once. Training
+    # holds only the train splits; they go before the eval splits are made.
     t_data = time.perf_counter()
-    data = build_protocol_data(cfg)
+    (train,) = build_protocol_data(cfg, (0,))
     data_seconds = time.perf_counter() - t_data
-    task_names = [d.name for d in cfg.domains]
+    trained = {}
     for seed in cfg.seeds:
-        seed_dir = _out_dir(out_root / f"seed_{seed}")
         t0 = time.perf_counter()
-        snapshots, step_seconds = run_protocol(cfg, seed, data, out_dir=seed_dir, digest=digest)
+        snapshots, step_seconds = run_protocol(cfg, seed, train, seed_dirs[seed], digest)
+        trained[seed] = snapshots, step_seconds, time.perf_counter() - t0
+    del train
+    t_data = time.perf_counter()
+    db, query = build_protocol_data(cfg, (1, 2))
+    data_seconds += time.perf_counter() - t_data  # the first seed pays for both phases
+    task_names = [d.name for d in cfg.domains]
+    for seed, (snapshots, step_seconds, train_seconds) in trained.items():
+        seed_dir = seed_dirs[seed]
         t1 = time.perf_counter()
-        emb = embed_protocol(snapshots, data)
+        emb = embed_protocol(snapshots, db, query)
         single = evaluate_protocol(emb, cfg, fusion=False)
         fused = evaluate_protocol(emb, cfg, fusion=True) if cfg.fusion else None
         t2 = time.perf_counter()
@@ -219,7 +242,7 @@ def cmd_run(args) -> int:
         manifest["results"][str(seed)] = str(seed_dir / RESULTS_FILE)
         manifest["wall_clock"][str(seed)] = {
             "data_seconds": data_seconds,
-            "train_seconds": t1 - t0,
+            "train_seconds": train_seconds,
             "eval_seconds": t2 - t1,
             "per_step_seconds": step_seconds,
         }
@@ -280,7 +303,10 @@ def cmd_eval(args) -> int:
                   file=sys.stderr)
             return EXIT_DIGEST
 
-    out = _out_dir(args.out) if args.out else None
+    out = None
+    if args.out:  # checked before any corpus loads
+        out = _out_dir(args.out) / "eval.json"
+        _out_files([out])
     db_emb, db_poses, db_ids = _embed_corpus(snaps, args.corpus)
     q_emb, q_poses, _ = _embed_corpus(snaps, args.queries)
     outcome = recall_at_n(db_emb, db_poses, db_ids, q_emb, q_poses, args.pos_test, args.at)
@@ -295,7 +321,7 @@ def cmd_eval(args) -> int:
     }
     text = dump_results(report)
     if out is not None:
-        (out / "eval.json").write_text(text, encoding="utf-8")
+        out.write_text(text, encoding="utf-8")
     print(text, end="")
     return EXIT_OK
 
@@ -322,14 +348,15 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    from .continual import build_protocol_data
+    from .continual import domain_split
 
     cfg = _effective_config(args)
     out_root = _out_dir(Path(cfg.out_dir) / "corpora")
-    train, db, query = build_protocol_data(cfg)
+    if not cfg.domains:
+        raise ConfigurationError("domains: protocol needs at least one domain")
     for i, dom in enumerate(cfg.domains):
-        for name, split in (("train", train), ("db", db), ("query", query)):
-            save_corpus(split[i], _out_dir(out_root / dom.name / name))
+        for session, name in enumerate(("train", "db", "query")):  # each saved as it is made
+            save_corpus(domain_split(cfg, i, session), _out_dir(out_root / dom.name / name))
         print(f"domain {dom.name}: wrote train/db/query under {out_root / dom.name}")
     return EXIT_OK
 

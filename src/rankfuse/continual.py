@@ -158,11 +158,11 @@ def _train(
         raise TrainingError(f"step {step_index}: no new-domain samples, no batches formed")
     # The frozen teacher's embeddings are constants of the step: encode each
     # new-domain sample and buffer entry once, then gather rows per batch.
+    # Scans are stacked a chunk or a batch at a time, never the whole pool.
     pool = new_samples + buffer_entries
-    pool_scans = np.stack([s.scan.points for s in pool])
     pool_poses = np.stack([s.pose for s in pool])
     pool_domains = np.array([s.domain_id for s in pool])
-    teacher = encode(old_params, pool_scans, normalize) if distill else None
+    teacher = encode(old_params, [s.scan.points for s in pool], normalize) if distill else None
     # One set of (B, P, h) activation buffers for every batch of the step.
     work = TrainPass()
 
@@ -181,7 +181,7 @@ def _train(
         for rows in _epoch_batches(
             rng, len(new_samples), len(buffer_entries), batch_size, cfg.buffer.fraction
         ):
-            scans = pool_scans[rows]
+            scans = np.stack([pool[i].scan.points for i in rows])
             e_new, cache = encode_with_cache(params, scans, normalize, work)
             e_old = teacher[rows] if distill else None
             relation = batch_relation(pool_poses[rows], pool_domains[rows], cfg.pairs)
@@ -313,37 +313,41 @@ def write_run_log(records: list, path) -> None:
 # Whole-protocol driver
 
 
-def build_protocol_data(cfg: ExperimentConfig):
-    """Generate train/database/query splits for every configured domain.
+def domain_split(cfg: ExperimentConfig, i: int, session: int) -> list:
+    """Domain ``i``'s split of ``session``: 0 trains on ``train_places``
+    scans, 1 (database) and 2 (queries) hold ``test_places`` each.
 
-    Train scans come from session 0; database and query splits revisit the
-    same world on sessions 1 and 2 so retrieval never sees its own scans.
-    The splits depend only on each domain's config, never on a protocol seed.
+    Database and query splits revisit the training world on other sessions,
+    so retrieval never sees its own scans. A split depends only on its
+    domain's config, never on a protocol seed.
     """
+    dom = cfg.domains[i]
+    spec = DomainSpec(
+        seed=dom.seed,
+        n_places=dom.train_places if session == 0 else dom.test_places,
+        trajectory_length=dom.trajectory_length,
+        style=dom.style_params(),
+        session=session,
+    )
+    return generate_domain(spec, cfg.encoder.points_per_scan, domain_id=i)
+
+
+def build_protocol_data(cfg: ExperimentConfig, sessions=(0, 1, 2)) -> list:
+    """For each of ``sessions``, the split of every configured domain: by
+    default the train, database and query splits."""
     if not cfg.domains:
         raise ConfigurationError("domains: protocol needs at least one domain")
-    train, db, query = [], [], []
-    for i, dom in enumerate(cfg.domains):
-        style = dom.style_params()
-        common = dict(seed=dom.seed, trajectory_length=dom.trajectory_length, style=style)
-        splits = []
-        for session, n in ((0, dom.train_places), (1, dom.test_places), (2, dom.test_places)):
-            spec = DomainSpec(n_places=n, session=session, **common)
-            splits.append(generate_domain(spec, cfg.encoder.points_per_scan, domain_id=i))
-        train.append(splits[0])
-        db.append(splits[1])
-        query.append(splits[2])
-    return train, db, query
+    return [[domain_split(cfg, i, s) for i in range(len(cfg.domains))] for s in sessions]
 
 
 def run_protocol(
-    cfg: ExperimentConfig, seed: int, data, out_dir=None, digest: str = ""
+    cfg: ExperimentConfig, seed: int, train: list, out_dir=None, digest: str = ""
 ) -> tuple[list, list]:
     """Train sequentially over the configured domains and save artifacts.
 
-    ``data`` is the (train, db, query) triple of ``build_protocol_data(cfg)``.
-    It does not depend on the seed, so callers build it once per config.
-    Returns the snapshot of each step and the seconds each step took.
+    ``train`` holds each domain's train split, ``build_protocol_data(cfg,
+    (0,))[0]``. It does not depend on the seed, so callers build it once per
+    config. Returns the snapshot of each step and the seconds each step took.
     """
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -353,7 +357,7 @@ def run_protocol(
     buffer = []
     snapshots = []
     step_seconds = []
-    for t, samples in enumerate(data[0]):  # the train splits
+    for t, samples in enumerate(train):
         t0 = time.perf_counter()
         if t == 0:
             result = train_first_step(samples, cfg, seed, config_digest=digest)

@@ -297,8 +297,10 @@ class _World:
     landmark_sizes: np.ndarray  # (M,) rows of each landmark in landmark_points
 
 
-# A domain's sessions share one world: generating them in turn builds it once.
-@functools.lru_cache(maxsize=1)
+# A domain's sessions share one world. A run generates every domain's train
+# split, trains, then every domain's eval splits; 16 worlds, more than any
+# committed config has domains, let it build each world once.
+@functools.lru_cache(maxsize=16)
 def _build_world(seed: int, trajectory_length: float, style: StyleParams) -> _World:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _WORLD_TAG])))
     curve, arc = _trajectory_curve(rng, trajectory_length)

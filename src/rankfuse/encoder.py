@@ -203,7 +203,8 @@ class TrainPass:
         """Views of h1, (b, pts, h), and of the channel-major a2, (b, h, pts)."""
         n = b * pts * h
         if n > self._bufs[0].size:
-            self._bufs = tuple(np.empty(n) for _ in self._bufs)
+            self._bufs = None  # free the smaller pair before the larger is made
+            self._bufs = (np.empty(n), np.empty(n))
         h1, a2 = (buf[:n] for buf in self._bufs)
         return h1.reshape(b, pts, h), a2.reshape(b, h, pts)
 

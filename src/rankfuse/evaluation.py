@@ -204,13 +204,14 @@ class ProtocolEvaluation:
     cells: list  # per (step, task) dicts with counts
 
 
-def embed_protocol(snapshots, data) -> list:
+def embed_protocol(snapshots, db, query) -> list:
     """Embed the database and query split of each trained task once per snapshot.
 
-    ``data`` is the (train, db, query) triple the snapshots were trained on.
-    Returns, for each task t, a (db, query) pair of splits, each a (poses,
-    sample ids, rows) triple whose ``rows[l]`` is snapshot l's embedding.
-    Single and fused evaluation both read these; fused rows concatenate them.
+    ``db`` and ``query`` hold each domain's database and query split, in
+    training order. Returns, for each task t, a (db, query) pair of splits,
+    each a (poses, sample ids, rows) triple whose ``rows[l]`` is snapshot l's
+    embedding. Single and fused evaluation both read these; fused rows
+    concatenate them.
     """
     if not snapshots:
         raise UsageError("protocol run has no snapshots")
@@ -219,14 +220,13 @@ def embed_protocol(snapshots, data) -> list:
         poses, ids = np.stack([s.pose for s in samples]), np.array([s.sample_id for s in samples])
         return poses, ids, [embed((snap,), samples) for snap in snapshots]
 
-    _, db, query = data
     return [(split(db[t]), split(query[t])) for t in range(len(snapshots))]
 
 
 def evaluate_protocol(emb: list, cfg, fusion: bool) -> ProtocolEvaluation:
     """Fill R[l][t] for every training step l and task t, zero-shot included.
 
-    ``emb`` is ``embed_protocol(snapshots, data)``; ``cfg`` gives the positive
+    ``emb`` is ``embed_protocol(snapshots, db, query)``; ``cfg`` gives the positive
     radius ``pairs.pos_test`` and ``forgetting_max``. With fusion on, row 0
     uses snapshot 0 alone and row l >= 1 concatenates the step l-1 and step l
     embeddings.

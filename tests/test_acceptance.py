@@ -237,7 +237,7 @@ def _stats(evals) -> dict:
 def comparative():
     cfg = load_config(REFERENCE)
     t0 = time.perf_counter()
-    data = build_protocol_data(cfg)  # the toggles below change neither input of it
+    train, db, query = build_protocol_data(cfg)  # the toggles below change neither input of it
     singles = {}
     fused = {}
     for name, toggles in TRAIN_VARIANTS.items():
@@ -245,8 +245,8 @@ def comparative():
         assert (vcfg.domains, vcfg.encoder) == (cfg.domains, cfg.encoder)
         per_seed, fusion_evals = [], []
         for seed in cfg.seeds:
-            snapshots, _ = run_protocol(vcfg, seed, data)
-            emb = embed_protocol(snapshots, data)
+            snapshots, _ = run_protocol(vcfg, seed, train)
+            emb = embed_protocol(snapshots, db, query)
             per_seed.append(evaluate_protocol(emb, vcfg, fusion=False))
             if name in ("base", "full"):
                 fusion_evals.append(evaluate_protocol(emb, vcfg, fusion=True))

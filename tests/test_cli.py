@@ -11,6 +11,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 import weakref
 
 import numpy as np
@@ -316,27 +317,98 @@ def test_run_encodes_each_split_once_per_snapshot(monkeypatch, tmp_path):
     assert calls == [30] * len(calls)  # smoke test_places
 
 
-def test_run_builds_corpora_once_for_all_seeds(monkeypatch, tmp_path):
-    # The splits depend only on the config: two seeds, one build, and the seed
-    # that paid for it records the time.
-    builds = []
-    real = rankfuse.continual.build_protocol_data
-
-    def counting(cfg):
-        builds.append(cfg)
-        return real(cfg)
-
-    monkeypatch.setattr(rankfuse.continual, "build_protocol_data", counting)
+def _two_seeds(tmp_path):
+    """The smoke config with seeds [0, 1]."""
     config = tmp_path / "two_seeds.yaml"
     text = SMOKE.read_text()
     assert "seeds: [0]\n" in text
     config.write_text(text.replace("seeds: [0]\n", "seeds: [0, 1]\n"))
-    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    assert len(builds) == 1
+    return config
+
+
+def test_run_builds_corpora_once_for_all_seeds(monkeypatch, tmp_path):
+    # The splits depend only on the config: two seeds, one build of each
+    # (domain, session) split. Every train split comes before the first
+    # training step, every eval split after the last seed's last step, and
+    # the seed that paid for them records the time of both phases.
+    events, generating = [], []
+    real = rankfuse.continual.generate_domain
+
+    def generate(spec, points_per_scan, domain_id):
+        t0 = time.perf_counter()
+        events.append((domain_id, spec.session))
+        time.sleep(0.02)
+        samples = real(spec, points_per_scan, domain_id)
+        generating.append(time.perf_counter() - t0)
+        return samples
+
+    def logged(step):
+        def run(*args, **kwargs):
+            events.append("step")
+            return step(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(rankfuse.continual, "generate_domain", generate)
+    for name in ("train_first_step", "train_continual_step"):
+        monkeypatch.setattr(rankfuse.continual, name, logged(getattr(rankfuse.continual, name)))
+    assert main(["run", "--config", str(_two_seeds(tmp_path)), "--out", str(tmp_path / "out")]) == 0
+    splits = [(d, s) for d in (0, 1) for s in (0, 1, 2)]
+    assert sorted(e for e in events if e != "step") == splits
+    steps = [i for i, e in enumerate(events) if e == "step"]
+    assert len(steps) == 4  # 2 seeds x 2 domains
+    assert all(events.index((d, 0)) < steps[0] for d in (0, 1))
+    assert all(events.index((d, s)) > steps[-1] for d in (0, 1) for s in (1, 2))
     clock = json.loads((tmp_path / "out" / "manifest.json").read_text())["wall_clock"]
     assert set(clock) == {"0", "1"}
     assert set(clock["0"]) == set(clock["1"])
-    assert clock["0"]["data_seconds"] > 0 and clock["1"]["data_seconds"] == 0.0
+    assert clock["0"]["data_seconds"] >= sum(generating) and clock["1"]["data_seconds"] == 0.0
+
+
+def test_run_holds_one_phase_of_splits_at_a_time(monkeypatch, tmp_path):
+    # While a training step runs, only train splits (session 0) are alive: no
+    # database or query split is made yet. While evaluation encodes, the
+    # train splits are garbage.
+    splits, seen = [], []
+    real = rankfuse.continual.generate_domain
+
+    def generate(spec, points_per_scan, domain_id):
+        samples = real(spec, points_per_scan, domain_id)
+        splits.append((spec.session, weakref.ref(samples[0].scan.points.base)))
+        return samples
+
+    def watched(phase, call):
+        def run(*args, **kwargs):
+            gc.collect()
+            seen.append((phase, {session for session, ref in splits if ref() is not None}))
+            return call(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(rankfuse.continual, "generate_domain", generate)
+    for name in ("train_first_step", "train_continual_step"):
+        monkeypatch.setattr(rankfuse.continual, name,
+                            watched("train", getattr(rankfuse.continual, name)))
+    monkeypatch.setattr(rankfuse.evaluation, "encode", watched("eval", rankfuse.evaluation.encode))
+    assert main(["run", "--config", str(_two_seeds(tmp_path)), "--out", str(tmp_path / "out")]) == 0
+    assert [phase for phase, _ in seen] == ["train"] * 4 + ["eval"] * 16
+    assert all(alive == ({0} if phase == "train" else {1, 2}) for phase, alive in seen)
+
+
+def test_two_seed_run_writes_the_bytes_of_two_one_seed_runs(tmp_path):
+    # Each seed's files are those of a run of that seed alone; results.json
+    # differs only in the config digest, which covers the seed list.
+    both = tmp_path / "both"
+    assert main(["run", "--config", str(_two_seeds(tmp_path)), "--out", str(both)]) == 0
+    for seed in (0, 1):
+        alone = tmp_path / f"seed_{seed}_alone"
+        assert main(["run", "--config", str(SMOKE), "--seed", str(seed), "--out", str(alone)]) == 0
+        a, b = both / f"seed_{seed}", alone / f"seed_{seed}"
+        for name in ("recall_matrix.csv", "run_log.jsonl"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), (seed, name)
+        text, expected = (a / "results.json").read_text(), (b / "results.json").read_text()
+        digest_a, digest_b = (json.loads(t)["per_step_details"]["config_digest"]
+                              for t in (text, expected))
+        assert digest_a != digest_b and text.count(digest_a) == 1
+        assert text.replace(digest_a, digest_b) == expected, seed
 
 
 def test_toggles_disable_distillation_and_buffer(tmp_path):
@@ -536,6 +608,44 @@ def test_out_naming_a_file_exits_2(smoke_out, tmp_path, verb):
     assert f"usage error: cannot make output directory {named}: " in proc.stderr
     assert "Traceback" not in proc.stderr
     assert taken.read_text() == "not a directory\n"
+
+
+_RUN_FILES = [f"seed_0/{name}" for name in
+              ("results.json", "recall_matrix.csv", "run_log.jsonl", "step_0.snap", "step_1.snap")]
+
+
+@pytest.mark.parametrize("verb, dirs", [
+    pytest.param(verb, dirs, id=f"{verb}-{'+'.join(dirs)}") for verb, dirs in [
+        *(("run", [name]) for name in _RUN_FILES + ["aggregate.json", "manifest.json"]),
+        ("run", ["seed_0/step_1.snap", "manifest.json"]),  # the first one checked is named
+        ("eval", ["eval.json"]),
+    ]
+])
+def test_output_file_made_a_directory_exits_2_before_any_data(
+    smoke_out, corpora, monkeypatch, capsys, tmp_path, verb, dirs
+):
+    # Results are written only after every seed has trained, and eval.json
+    # after both splits are embedded: a path that cannot take its file is
+    # refused before any split is generated or loaded.
+    def never(*args, **kwargs):
+        raise AssertionError("data was read before the output paths were checked")
+
+    monkeypatch.setattr(rankfuse.continual, "generate_domain", never)
+    monkeypatch.setattr(rankfuse.cli, "load_corpus", never)
+    out = tmp_path / "out"
+    for name in dirs:
+        (out / name).mkdir(parents=True)
+    if verb == "eval":
+        plains = corpora[0] / "plains"
+        argv = ["eval", "--snapshot", str(smoke_out[0] / "seed_0" / "step_1.snap"),
+                "--corpus", str(plains / "db"), "--queries", str(plains / "query")]
+    else:
+        argv = ["run", "--config", str(SMOKE)]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: cannot write output file {out / dirs[0]}: not a regular file" in err
+    assert "Traceback" not in err
+    assert all((out / name).is_dir() for name in dirs)
 
 
 # ---------------------------------------------------------------------------

@@ -290,7 +290,7 @@ def test_write_run_log_appends_jsonl(tmp_path):
 def test_run_protocol_produces_artifacts(tmp_path):
     cfg = load_config(SMOKE)
     snapshots, step_seconds = run_protocol(
-        cfg, 0, build_protocol_data(cfg), out_dir=tmp_path, digest="d"
+        cfg, 0, build_protocol_data(cfg)[0], out_dir=tmp_path, digest="d"
     )
     assert len(snapshots) == 2
     assert snapshots[0].step_index == 0 and snapshots[1].step_index == 1
@@ -302,9 +302,9 @@ def test_run_protocol_produces_artifacts(tmp_path):
 
 def test_run_protocol_rerun_is_identical(tmp_path):
     cfg = load_config(SMOKE)
-    data = build_protocol_data(cfg)
-    a, _ = run_protocol(cfg, 0, data, out_dir=tmp_path / "a", digest="d")
-    b, _ = run_protocol(cfg, 0, data, out_dir=tmp_path / "b", digest="d")
+    train = build_protocol_data(cfg)[0]
+    a, _ = run_protocol(cfg, 0, train, out_dir=tmp_path / "a", digest="d")
+    b, _ = run_protocol(cfg, 0, train, out_dir=tmp_path / "b", digest="d")
     for sa, sb in zip(a, b):
         assert params_digest(sa.params) == params_digest(sb.params)
     assert (tmp_path / "a" / "run_log.jsonl").read_bytes() == (
@@ -322,9 +322,14 @@ def test_build_protocol_data_sessions_are_disjoint():
     assert all(s.domain_id == 1 for s in train[1])
 
 
-def test_build_protocol_data_builds_each_world_once():
-    # The three sessions of a domain share its world; it is built once.
-    _build_world.cache_clear()
-    build_protocol_data(load_config(SMOKE))
-    info = _build_world.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
+def test_build_protocol_data_builds_each_world_once(tmp_path):
+    # The three sessions of a domain share its world; it is built once, also
+    # by a run, which makes every train split, trains, then every eval split.
+    from rankfuse.cli import main
+
+    for build in (lambda: build_protocol_data(load_config(SMOKE)),
+                  lambda: main(["run", "--config", str(SMOKE), "--out", str(tmp_path)])):
+        _build_world.cache_clear()
+        build()
+        info = _build_world.cache_info()
+        assert (info.misses, info.hits) == (2, 4)

@@ -216,10 +216,12 @@ def test_encode_matches_training_forward_bit_for_bit(rows, make):
 @pytest.mark.parametrize("tail", [0, 1, 2])
 def test_encode_on_a_list_of_scans_gives_the_array_bytes(pts, tail):
     # A list is stacked one chunk at a time; with a 1-row tail the last chunk
-    # takes that row in. One row alone, and P = 1, run too.
+    # takes that row in. The frozen teacher encodes its pool as a list, so one
+    # and two whole chunks with each tail run (9 and 17 rows at P = 160 hold a
+    # 1-row tail). One row alone, and P = 1, run too.
     size = max(2, _ENCODE_BUDGET // (pts * H))
     params = make_snapshot(_biased(init_params(seed=5, hidden=H, dim=D), seed=5), 0, "", True).params
-    for rows in (1, 2 * size + tail):
+    for rows in (1, size + tail, 2 * size + tail):
         scans = _tied_scans(rows, pts, seed=rows) if pts > 1 else _scans(rows, pts, seed=rows)
         for normalize in (True, False):
             expected = encode(params, scans, normalize).tobytes()
@@ -383,7 +385,7 @@ def _edge_case(name):
 
 @pytest.mark.parametrize("name", ["one point", "one channel", "one winner", "all dead",
                                   "reference"])
-def test_winner_rows_match_oracle_bytes_at_edge_shapes(name):
+def test_edge_shapes_match_oracle_output_bytes_and_bounded_hidden_grads(name):
     params, x, upstream = _edge_case(name)
     for normalize in (True, False):
         _assert_matches_oracle(params, x, upstream, normalize)

@@ -453,14 +453,14 @@ def smoke_run(tmp_path_factory):
     cfg = load_config(SMOKE)
     out = tmp_path_factory.mktemp("run")
     data = build_protocol_data(cfg)
-    snapshots, _ = run_protocol(cfg, 0, data, out_dir=out, digest="d")
+    snapshots, _ = run_protocol(cfg, 0, data[0], out_dir=out, digest="d")
     return cfg, data, snapshots
 
 
 @pytest.fixture(scope="module")
 def smoke_emb(smoke_run):
     _, data, snapshots = smoke_run
-    return embed_protocol(snapshots, data)
+    return embed_protocol(snapshots, *data[1:])
 
 
 def test_evaluate_protocol_matrix_layout(smoke_run, smoke_emb):
@@ -483,7 +483,7 @@ def test_evaluate_protocol_fused_rows(smoke_run, smoke_emb):
 
 def test_evaluate_protocol_single_step_has_no_forgetting(smoke_run):
     cfg, data, snapshots = smoke_run
-    ev = evaluate_protocol(embed_protocol(snapshots[:1], data), cfg, fusion=False)
+    ev = evaluate_protocol(embed_protocol(snapshots[:1], *data[1:]), cfg, fusion=False)
     assert ev.recall_matrix.shape == (1, 1)
     assert ev.forgetting is None
 
