@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -24,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import load_corpus, save_corpus
+from .data import POSES_FILE, load_corpus, save_corpus, scan_file
 from .encoder import load_snapshot
-from .errors import ConfigurationError, IngestionError, TrainingError, UsageError
+from .errors import ConfigurationError, IngestionError, TrainingError, UsageError, write_atomic
 from .evaluation import (
     RECALL_CSV,
     RESULTS_FILE,
@@ -145,6 +146,18 @@ def _out_files(paths) -> None:
             raise UsageError(f"cannot write output file {path}: not a regular file")
 
 
+def _corpus_dir(path, n: int) -> Path:
+    """Make a corpus directory for an ``n``-scan split and refuse the first of
+    its poses.csv and scan file entries that is not a regular file: one
+    listing of the directory, however many scans it takes."""
+    out = _out_dir(path)
+    names = {POSES_FILE, *map(scan_file, range(n))}
+    with os.scandir(out) as entries:
+        bad = sorted(e.name for e in entries if e.name in names and not e.is_file())
+    _out_files(out / name for name in bad)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -237,7 +250,7 @@ def cmd_run(args) -> int:
         t2 = time.perf_counter()
         headline = fused if fused is not None else single
         results = results_dict(single, fused, seed, digest)
-        (seed_dir / RESULTS_FILE).write_text(dump_results(results), encoding="utf-8")
+        write_atomic(seed_dir / RESULTS_FILE, dump_results(results))
         write_recall_csv(headline.recall_matrix, task_names, seed_dir / RECALL_CSV)
         manifest["results"][str(seed)] = str(seed_dir / RESULTS_FILE)
         manifest["wall_clock"][str(seed)] = {
@@ -265,8 +278,8 @@ def cmd_run(args) -> int:
             if vals:
                 aggregate[f"{mode}_{key}_mean"] = float(np.mean(vals))
                 aggregate[f"{mode}_{key}_std"] = float(np.std(vals))
-    (out_root / "aggregate.json").write_text(dump_results(aggregate), encoding="utf-8")
-    (out_root / "manifest.json").write_text(dump_results(manifest), encoding="utf-8")
+    write_atomic(out_root / "aggregate.json", dump_results(aggregate))
+    write_atomic(out_root / "manifest.json", dump_results(manifest))
     return EXIT_OK
 
 
@@ -275,10 +288,10 @@ def cmd_run(args) -> int:
 
 
 def _embed_corpus(snaps, path):
-    """A corpus's embeddings, poses and sample ids; its scans die on return."""
-    samples = load_corpus(path)
-    poses, ids = np.stack([s.pose for s in samples]), np.array([s.sample_id for s in samples])
-    return embed(snaps, samples), poses, ids
+    """A corpus's embeddings, poses and sample ids. Its scans are read from
+    their files a chunk at a time, once per snapshot, and never all held."""
+    corpus = load_corpus(path)
+    return embed(snaps, corpus.scans), corpus.poses, corpus.sample_ids
 
 
 def cmd_eval(args) -> int:
@@ -321,7 +334,7 @@ def cmd_eval(args) -> int:
     }
     text = dump_results(report)
     if out is not None:
-        out.write_text(text, encoding="utf-8")
+        write_atomic(out, text)
     print(text, end="")
     return EXIT_OK
 
@@ -354,9 +367,15 @@ def cmd_gen_data(args) -> int:
     out_root = _out_dir(Path(cfg.out_dir) / "corpora")
     if not cfg.domains:
         raise ConfigurationError("domains: protocol needs at least one domain")
+    # Every split's directory and files are checked before any split is made.
+    dirs = []
+    for dom in cfg.domains:
+        places = (dom.train_places, dom.test_places, dom.test_places)
+        dirs.append([_corpus_dir(out_root / dom.name / name, n)
+                     for name, n in zip(("train", "db", "query"), places)])
     for i, dom in enumerate(cfg.domains):
-        for session, name in enumerate(("train", "db", "query")):  # each saved as it is made
-            save_corpus(domain_split(cfg, i, session), _out_dir(out_root / dom.name / name))
+        for session, out in enumerate(dirs[i]):  # each saved as it is made
+            save_corpus(domain_split(cfg, i, session), out)
         print(f"domain {dom.name}: wrote train/db/query under {out_root / dom.name}")
     return EXIT_OK
 

@@ -55,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TrainingError, UsageError, check
+from .errors import TrainingError, UsageError, check, write_atomic
 
 _SNAP_MAGIC = b"RFSN"
 _SNAP_VERSION = 1
@@ -410,19 +410,16 @@ def make_snapshot(params: EncoderParams, step_index: int, config_digest: str,
 
 
 def save_snapshot(snapshot: ModelSnapshot, path: str | Path) -> Path:
-    """Versioned binary: magic, config digest, dims, then f32 tensors in order."""
+    """Versioned binary: magic, config digest, dims, then f32 tensors in
+    order, written whole by ``write_atomic``."""
     p = snapshot.params.astype("<f4")
     digest = snapshot.config_digest.encode("utf-8")
+    flag = 1 if snapshot.normalize else 0
+    parts = [_SNAP_MAGIC, struct.pack("<IH", _SNAP_VERSION, len(digest)), digest,
+             struct.pack("<IIIB", snapshot.step_index, p.hidden, p.out_dim, flag)]
+    parts += [np.ascontiguousarray(t, dtype="<f4").tobytes() for t in p.tensors()]
     out = Path(path)
-    with open(out, "wb") as fh:
-        fh.write(_SNAP_MAGIC)
-        fh.write(struct.pack("<I", _SNAP_VERSION))
-        fh.write(struct.pack("<H", len(digest)))
-        fh.write(digest)
-        fh.write(struct.pack("<III", snapshot.step_index, p.hidden, p.out_dim))
-        fh.write(struct.pack("<B", 1 if snapshot.normalize else 0))
-        for t in p.tensors():
-            fh.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
+    write_atomic(out, b"".join(parts))
     return out
 
 

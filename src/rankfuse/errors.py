@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the toolkit, and the one checker of the
-rules that config and data classes declare beside their fields."""
+"""Exception hierarchy shared across the toolkit, the one checker of the
+rules that config and data classes declare beside their fields, and the one
+artifact writer, whose failure is an error naming the file."""
 
 import math
 import operator
+import os
 from dataclasses import MISSING, field, fields
 
 
@@ -24,6 +26,28 @@ class IngestionError(RankfuseError):
 
 class TrainingError(RankfuseError):
     """Training step aborted (non-finite loss or gradient)."""
+
+
+def write_atomic(path, data) -> None:
+    """Write ``data`` (bytes, or text as UTF-8) whole to ``path``.
+
+    The bytes go to a temporary file in the same directory, which then
+    ``os.replace``s ``path``, so a reader sees the old file or the whole new
+    one, never a part. A failed write or replace leaves the old file as it
+    was, removes the temporary one and is a usage error naming ``path``.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.isfile(tmp):
+            os.unlink(tmp)
+        raise UsageError(f"cannot write output file {path}: {exc.strerror}") from None
 
 
 def require(cond: bool, path: str, msg: str):

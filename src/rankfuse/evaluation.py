@@ -17,13 +17,14 @@ own row, so the blocks give the bits of one whole-matrix pass.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoder import encode
-from .errors import UsageError, check
+from .errors import UsageError, check, write_atomic
 
 RESULTS_FILE = "results.json"
 RECALL_CSV = "recall_matrix.csv"
@@ -51,9 +52,12 @@ class ForgettingReport:
 FORGETTING_MODES = ("printed", "from_t")
 
 
-def embed(snapshots, samples: list) -> np.ndarray:
-    """Embed samples with each snapshot; two snapshots concatenate (fusion)."""
-    scans = [s.scan.points for s in samples]  # encode stacks a chunk at a time
+def embed(snapshots, scans) -> np.ndarray:
+    """Embed scans with each snapshot; two snapshots concatenate (fusion).
+
+    ``scans`` is what ``encode`` reads a chunk at a time: a list of (P, 3)
+    scans, or a corpus's ``ScanReader``, whose files each snapshot reads again.
+    """
     return np.concatenate([encode(s.params, scans, normalize=s.normalize) for s in snapshots], axis=1)
 
 
@@ -218,7 +222,8 @@ def embed_protocol(snapshots, db, query) -> list:
 
     def split(samples):
         poses, ids = np.stack([s.pose for s in samples]), np.array([s.sample_id for s in samples])
-        return poses, ids, [embed((snap,), samples) for snap in snapshots]
+        scans = [s.scan.points for s in samples]
+        return poses, ids, [embed((snap,), scans) for snap in snapshots]
 
     return [(split(db[t]), split(query[t])) for t in range(len(snapshots))]
 
@@ -303,8 +308,9 @@ def dump_results(d: dict) -> str:
 def write_recall_csv(recall_matrix: np.ndarray, task_names, path) -> None:
     """Rows = training steps, columns = tasks."""
     r = np.asarray(recall_matrix)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step"] + list(task_names))
-        for l in range(r.shape[0]):
-            writer.writerow([l] + [repr(float(v)) for v in r[l]])
+    text = io.StringIO(newline="")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["step"] + list(task_names))
+    for l in range(r.shape[0]):
+        writer.writerow([l] + [repr(float(v)) for v in r[l]])
+    write_atomic(path, text.getvalue())

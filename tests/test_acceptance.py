@@ -323,10 +323,11 @@ def test_criterion_8_fusion_sanity(comparative):
     db_poses = np.stack([s.pose for s in db])
     db_ids = np.array([s.sample_id for s in db])
     q_poses = np.stack([s.pose for s in queries])
-    single = recall_at_n(embed([snap], db), db_poses, db_ids,
-                         embed([snap], queries), q_poses, 25.0, 1)
-    twin = recall_at_n(embed([snap, snap], db), db_poses, db_ids,
-                       embed([snap, snap], queries), q_poses, 25.0, 1)
+    db_scans, q_scans = [s.scan.points for s in db], [s.scan.points for s in queries]
+    single = recall_at_n(embed([snap], db_scans), db_poses, db_ids,
+                         embed([snap], q_scans), q_poses, 25.0, 1)
+    twin = recall_at_n(embed([snap, snap], db_scans), db_poses, db_ids,
+                       embed([snap, snap], q_scans), q_poses, 25.0, 1)
     exact_ok = twin.percent == single.percent
 
     margin = stats["full"]["r1_mean"] - stats["full_single"]["r1_mean"]

@@ -18,6 +18,9 @@ import sys
 from pathlib import Path
 
 import rankfuse.cli
+from rankfuse.data import load_corpus, save_corpus
+
+from conftest import tiny_domain
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 # Wrap targets already gone from the program; the benchmark still lists them.
@@ -72,6 +75,13 @@ def test_every_name_child_calls_exists():
             used.add((f"rankfuse.{module.id}", name.value))
     assert ("rankfuse.encoder", "backward") in used  # the walk found the layer cases
     assert sorted(f"{m}.{a}" for m, a in used if not _resolves(m, a)) == []
+
+
+def test_load_corpus_len_is_the_scan_count(tmp_path):
+    # data.load_corpus.scans counts len(load_corpus(...)), and
+    # encoder.eval_forward.rows the len of the scan reader that eval encodes.
+    corpus = load_corpus(save_corpus(tiny_domain(n_places=7, points=8), tmp_path / "c"))
+    assert len(corpus) == len(corpus.scans) == 7
 
 
 def test_cli_names_no_training_entry_point():

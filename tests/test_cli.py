@@ -1,6 +1,7 @@
 """End-to-end CLI runs through subprocesses: exit codes and on-disk artifacts."""
 
 import dataclasses
+import errno
 import gc
 import hashlib
 import json
@@ -12,6 +13,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -23,9 +25,11 @@ import rankfuse.continual
 import rankfuse.evaluation
 from rankfuse.cli import _openblas_core, main
 from rankfuse.config import config_digest, load_config
-from rankfuse.data import load_corpus
-from rankfuse.encoder import load_snapshot, save_snapshot
+from rankfuse.data import PlaceSample, PointScan, ScanReader, load_corpus, save_corpus
+from rankfuse.encoder import init_params, load_snapshot, make_snapshot, save_snapshot
+from rankfuse.evaluation import embed
 
+from conftest import tiny_domain
 from test_config import REFERENCE, SMOKE
 from test_continual import RUN_LOG_KEYS
 
@@ -619,19 +623,21 @@ _RUN_FILES = [f"seed_0/{name}" for name in
         *(("run", [name]) for name in _RUN_FILES + ["aggregate.json", "manifest.json"]),
         ("run", ["seed_0/step_1.snap", "manifest.json"]),  # the first one checked is named
         ("eval", ["eval.json"]),
+        ("gen-data", ["corpora/plains/train/poses.csv"]),
+        ("gen-data", ["corpora/depot/query/scan_000029.f32"]),
+        # the first one checked is named
+        ("gen-data", ["corpora/plains/query/poses.csv", "corpora/depot/db/scan_000000.f32"]),
     ]
 ])
 def test_output_file_made_a_directory_exits_2_before_any_data(
     smoke_out, corpora, monkeypatch, capsys, tmp_path, verb, dirs
 ):
-    # Results are written only after every seed has trained, and eval.json
-    # after both splits are embedded: a path that cannot take its file is
-    # refused before any split is generated or loaded.
-    def never(*args, **kwargs):
-        raise AssertionError("data was read before the output paths were checked")
-
-    monkeypatch.setattr(rankfuse.continual, "generate_domain", never)
-    monkeypatch.setattr(rankfuse.cli, "load_corpus", never)
+    # Results are written only after every seed has trained, eval.json after
+    # both splits are embedded, and a corpus after its split is generated: a
+    # path that cannot take its file is refused before any split is
+    # generated or loaded.
+    monkeypatch.setattr(rankfuse.continual, "generate_domain", _never)
+    monkeypatch.setattr(rankfuse.cli, "load_corpus", _never)
     out = tmp_path / "out"
     for name in dirs:
         (out / name).mkdir(parents=True)
@@ -640,12 +646,59 @@ def test_output_file_made_a_directory_exits_2_before_any_data(
         argv = ["eval", "--snapshot", str(smoke_out[0] / "seed_0" / "step_1.snap"),
                 "--corpus", str(plains / "db"), "--queries", str(plains / "query")]
     else:
-        argv = ["run", "--config", str(SMOKE)]
+        argv = [verb, "--config", str(SMOKE)]
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"usage error: cannot write output file {out / dirs[0]}: not a regular file" in err
     assert "Traceback" not in err
     assert all((out / name).is_dir() for name in dirs)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("data was read before the output paths were checked")
+
+
+def test_gen_data_split_directory_that_cannot_be_made_exits_2_before_any_data(
+    monkeypatch, capsys, tmp_path
+):
+    monkeypatch.setattr(rankfuse.continual, "generate_domain", _never)
+    taken = tmp_path / "out" / "corpora" / "depot" / "db"
+    taken.parent.mkdir(parents=True)
+    taken.write_text("not a directory\n")
+    assert main(["gen-data", "--config", str(SMOKE), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: cannot make output directory {taken}: " in err
+    assert "Traceback" not in err
+    assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("verb, name", [("run", "seed_0/step_0.snap"), ("eval", "eval.json")])
+def test_failed_replace_keeps_the_old_file_and_exits_2(
+    smoke_out, corpora, monkeypatch, capsys, tmp_path, verb, name
+):
+    # Artifacts go to a temporary file that then replaces the old one: when
+    # the replace fails, the old file stays whole and no temporary is left.
+    out = tmp_path / "out"
+    old = out / name
+    old.parent.mkdir(parents=True)
+    old.write_bytes(b"old artifact\n")
+
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr(os, "replace", refuse)
+    if verb == "eval":
+        plains = corpora[0] / "plains"
+        argv = ["eval", "--snapshot", str(smoke_out[0] / "seed_0" / "step_1.snap"),
+                "--corpus", str(plains / "db"), "--queries", str(plains / "query")]
+    else:
+        argv = ["run", "--config", str(SMOKE)]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: cannot write output file {old}: Permission denied" in err
+    assert "Traceback" not in err
+    assert old.read_bytes() == b"old artifact\n"
+    assert [p.name for p in old.parent.iterdir() if p.name.endswith(".tmp")] == []
 
 
 # ---------------------------------------------------------------------------
@@ -692,9 +745,9 @@ def test_gen_data_writes_loadable_corpora(corpora):
     root, proc = corpora
     assert "plains" in proc.stdout and "depot" in proc.stdout
     for split, expect in (("train", 60), ("db", 30), ("query", 30)):
-        samples = load_corpus(root / "plains" / split)
-        assert len(samples) == expect
-        assert samples[0].scan.points.shape == (48, 3)
+        corpus = load_corpus(root / "plains" / split)
+        assert len(corpus) == expect
+        assert corpus.scans[:1].shape == (1, 48, 3)
 
 
 def test_gen_data_smoke_corpus_digest(corpora):
@@ -784,25 +837,58 @@ assert "scipy" not in sys.modules, "gradcheck"
     assert "seed 0:" in proc.stdout and "combined: ok" in proc.stdout
 
 
-def test_eval_holds_one_split_of_scans_at_a_time(smoke_out, corpora, monkeypatch):
-    # The database's float64 scans are garbage by the time the queries load:
-    # only its embeddings, poses and sample ids outlive its embedding.
+@pytest.fixture(scope="module")
+def wide_corpora(tmp_path_factory):
+    # 200 places of the smoke point count: three encode chunks at smoke's
+    # hidden width, where the smoke splits take one.
+    root = tmp_path_factory.mktemp("wide")
+    return (save_corpus(tiny_domain(n_places=200, points=48), root / "db"),
+            save_corpus(tiny_domain(n_places=200, session=1, points=48), root / "query"))
+
+
+def test_eval_holds_one_chunk_of_scans_at_a_time(smoke_out, wide_corpora, monkeypatch):
+    # Scans are read from their files a chunk at a time, once per snapshot:
+    # when a chunk is read, at most the one before it is still alive, and no
+    # read takes a whole split.
     out, _ = smoke_out
-    plains = corpora[0] / "plains"
-    scans, alive = [], []
+    db, queries = wide_corpora
+    real = ScanReader.__getitem__
+    chunks, alive, rows = [], [], []
 
-    def load(path):
-        if scans:
-            gc.collect()
-            alive.append(scans[0]() is not None)
-        samples = load_corpus(path)
-        scans.append(weakref.ref(samples[0].scan.points.base))
-        return samples
+    def read(self, index):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in chunks))
+        scans = real(self, index)
+        chunks.append(weakref.ref(scans))
+        rows.append(len(scans))
+        return scans
 
-    monkeypatch.setattr(rankfuse.cli, "load_corpus", load)
-    assert main(["eval", "--snapshot", str(out / "seed_0" / "step_1.snap"),
-                 "--corpus", str(plains / "db"), "--queries", str(plains / "query")]) == 0
-    assert alive == [False]
+    monkeypatch.setattr(ScanReader, "__getitem__", read)
+    snaps = [str(out / "seed_0" / f"step_{i}.snap") for i in (0, 1)]
+    assert main(["eval", "--fusion", "on", "--snapshot", snaps[0], "--snapshot", snaps[1],
+                 "--corpus", str(db), "--queries", str(queries)]) == 0
+    assert max(alive) == 1
+    assert 1 < max(rows) < 200
+    assert sum(rows) >= 2 * 2 * 200  # both splits, once per snapshot
+
+
+def test_embedding_a_corpus_holds_no_split_of_scans(tmp_path):
+    # Pooled rows and embeddings may grow with the split; its scans may not.
+    # 1,800 more scans peak less than their float32 bytes above 200.
+    snap = make_snapshot(init_params(0, 8, 8), 0, "cfg", normalize=True)
+    rng = np.random.default_rng(0)
+    peaks = {}
+    for n in (200, 2000):
+        path = save_corpus([PlaceSample(PointScan(rng.uniform(-1, 1, (160, 3))),
+                                        np.array([float(i), 0.0]), 0, i) for i in range(n)],
+                           tmp_path / str(n))
+        tracemalloc.start()
+        try:
+            embed([snap], load_corpus(path).scans)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2000] - peaks[200] < 1800 * 160 * 3 * 4, peaks
 
 
 def test_eval_three_snapshots_is_usage_error(smoke_out, corpora):
@@ -1016,6 +1102,28 @@ def test_eval_query_side_fault_exits_2_after_the_database(smoke_out, corpora, tm
                "--corpus", root / "plains" / "db", "--queries", queries)
     assert proc.returncode == 2
     assert named in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (report / "eval.json").exists()
+
+
+def test_eval_non_finite_scan_in_the_last_query_chunk_exits_2(smoke_out, corpora, wide_corpora,
+                                                             tmp_path):
+    # Scans are checked as each chunk is read: a bad value in the last chunk
+    # of the queries, read after the database and the other chunks are
+    # embedded, still exits 2, names its file and line and writes no report.
+    out, _ = smoke_out
+    root, _ = corpora
+    queries = shutil.copytree(wide_corpora[1], tmp_path / "query")
+    scan = queries / "scan_000199.f32"
+    pts = np.frombuffer(scan.read_bytes(), dtype="<f4").copy()
+    pts[-1] = np.inf
+    scan.write_bytes(pts.tobytes())
+    report = tmp_path / "report"
+    proc = cli("eval", "--snapshot", out / "seed_0" / "step_1.snap", "--out", report,
+               "--corpus", root / "plains" / "db", "--queries", queries)
+    assert proc.returncode == 2
+    assert (f"{queries / 'poses.csv'} line 201: scan file scan_000199.f32 has non-finite values"
+            in proc.stderr)
     assert "Traceback" not in proc.stderr
     assert not (report / "eval.json").exists()
 

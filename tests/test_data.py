@@ -316,16 +316,14 @@ def test_training_pairs_exist_at_reference_density(policy):
 def test_save_load_roundtrip(tmp_path):
     samples = tiny_domain(n_places=12, points=24)
     out = save_corpus(samples, tmp_path / "corpus")
-    loaded = load_corpus(out, domain_id=2)
+    loaded = load_corpus(out)
     assert len(loaded) == 12
-    for orig, back in zip(samples, loaded):
+    for orig, scan, pose, sample_id in zip(samples, loaded.scans[:], loaded.poses,
+                                           loaded.sample_ids):
         # Scans are stored as little-endian float32.
-        np.testing.assert_array_equal(
-            back.scan.points, orig.scan.points.astype("<f4").astype(np.float64)
-        )
-        np.testing.assert_allclose(back.pose, orig.pose, rtol=0, atol=0)
-        assert back.sample_id == orig.sample_id
-        assert back.domain_id == 2
+        np.testing.assert_array_equal(scan, orig.scan.points.astype("<f4").astype(np.float64))
+        np.testing.assert_allclose(pose, orig.pose, rtol=0, atol=0)
+        assert sample_id == orig.sample_id
 
 
 def test_load_corpus_renormalizes_out_of_range(tmp_path):
@@ -333,13 +331,13 @@ def test_load_corpus_renormalizes_out_of_range(tmp_path):
     sample = PlaceSample(scan=PointScan(pts), pose=np.array([0.0, 0.0]), domain_id=0, sample_id=0)
     other = dataclasses.replace(sample, sample_id=1)
     out = save_corpus([sample, other], tmp_path / "c")
-    loaded = load_corpus(out)
-    assert np.max(np.abs(loaded[0].scan.points)) <= 1.0
+    loaded = load_corpus(out).scans[:]
+    assert np.max(np.abs(loaded[0])) <= 1.0
 
 
 def test_load_corpus_errors(tmp_path):
     with pytest.raises(IngestionError, match="poses.csv"):
-        load_corpus(tmp_path)
+        load_corpus(tmp_path).scans[:]
 
     samples = tiny_domain(n_places=4, points=8)
     out = save_corpus(samples, tmp_path / "broken")
@@ -347,11 +345,11 @@ def test_load_corpus_errors(tmp_path):
     raw = scan0.read_bytes()
     scan0.write_bytes(raw[:-4])  # drop one float: no longer a multiple of 3
     with pytest.raises(IngestionError, match="multiple of 3"):
-        load_corpus(out)
+        load_corpus(out).scans[:]
 
     scan0.write_bytes(raw[: 3 * 4])  # one point: count mismatch vs later scans
     with pytest.raises(IngestionError, match="expected"):
-        load_corpus(out)
+        load_corpus(out).scans[:]
 
 
 def test_load_corpus_rejects_duplicate_ids(tmp_path):
@@ -361,7 +359,7 @@ def test_load_corpus_rejects_duplicate_ids(tmp_path):
     poses.append(poses[1])
     (out / "poses.csv").write_text("\n".join(poses) + "\n")
     with pytest.raises(IngestionError, match="duplicate"):
-        load_corpus(out)
+        load_corpus(out).scans[:]
 
 
 def test_load_corpus_rejects_nan_scan(tmp_path):
@@ -371,7 +369,7 @@ def test_load_corpus_rejects_nan_scan(tmp_path):
     pts[4] = np.nan
     scan1.write_bytes(pts.tobytes())
     with pytest.raises(IngestionError, match=r"poses\.csv line 3: scan file scan_000001\.f32 has non-finite"):
-        load_corpus(out)
+        load_corpus(out).scans[:]
 
 
 def test_load_corpus_reports_the_first_bad_line(tmp_path):
@@ -384,10 +382,10 @@ def test_load_corpus_reports_the_first_bad_line(tmp_path):
     scan1.write_bytes(pts.tobytes())
     (out / "scan_000003.f32").unlink()
     with pytest.raises(IngestionError, match=r"line 3: scan file scan_000001\.f32 has non-finite"):
-        load_corpus(out)
+        load_corpus(out).scans[:]
     scan1.write_bytes(np.zeros(24, dtype="<f4").tobytes())
     with pytest.raises(IngestionError, match=r"line 5: missing scan file scan_000003\.f32"):
-        load_corpus(out)
+        load_corpus(out).scans[:]
 
 
 def test_load_corpus_scan_entry_naming_a_directory_is_missing(tmp_path):
@@ -395,12 +393,12 @@ def test_load_corpus_scan_entry_naming_a_directory_is_missing(tmp_path):
     (out / "scan_000002.f32").unlink()
     (out / "scan_000002.f32").mkdir()
     with pytest.raises(IngestionError, match=r"line 4: missing scan file scan_000002\.f32"):
-        load_corpus(out)
+        load_corpus(out).scans[:]
     # Nor is a FIFO a scan file: it is refused, not waited on.
     (out / "scan_000002.f32").rmdir()
     os.mkfifo(out / "scan_000002.f32")
     with pytest.raises(IngestionError, match=r"line 4: missing scan file scan_000002\.f32"):
-        load_corpus(out)
+        load_corpus(out).scans[:]
 
 
 def test_load_corpus_scan_entry_naming_no_possible_file_is_missing(tmp_path):
@@ -408,7 +406,7 @@ def test_load_corpus_scan_entry_naming_no_possible_file_is_missing(tmp_path):
     text = (out / "poses.csv").read_text()
     (out / "poses.csv").write_text(text.replace("scan_000001.f32", "x" * 300))
     with pytest.raises(IngestionError, match=r"line 3: missing scan file x{300}$"):
-        load_corpus(out)
+        load_corpus(out).scans[:]
 
 
 def test_load_corpus_size_messages(tmp_path):
@@ -418,11 +416,32 @@ def test_load_corpus_size_messages(tmp_path):
     scan2.write_bytes(raw[:-4])
     with pytest.raises(IngestionError, match=r"line 4: scan file scan_000002\.f32 has 23 floats, "
                                              r"not a multiple of 3$"):
-        load_corpus(out)
+        load_corpus(out).scans[:]
     scan2.write_bytes(raw[:-12])
     with pytest.raises(IngestionError, match=r"line 4: scan file scan_000002\.f32 has 7 points, "
                                              r"expected 8$"):
-        load_corpus(out)
+        load_corpus(out).scans[:]
+
+
+def test_load_corpus_reads_each_scan_only_in_the_slice_that_asks_for_it(tmp_path):
+    # A bad scan file fails the slice that reads it, not the load, and any
+    # slice is read as the whole corpus would be; the first scan still fixes
+    # the point count, whichever slice comes first.
+    samples = tiny_domain(n_places=6, points=8)
+    out = save_corpus(samples, tmp_path / "lazy")
+    (out / "scan_000004.f32").unlink()
+    corpus = load_corpus(out)
+    whole = np.stack([s.scan.points for s in samples]).astype("<f4").astype(np.float64)
+    assert corpus.scans[2:4].tobytes() == whole[2:4].tobytes()
+    assert corpus.scans[5:].tobytes() == whole[5:].tobytes()
+    assert corpus.scans[3:3].shape == (0, 8, 3)
+    with pytest.raises(IngestionError, match=r"line 6: missing scan file scan_000004\.f32"):
+        corpus.scans[3:6]
+    scan0 = out / "scan_000000.f32"
+    scan0.write_bytes(scan0.read_bytes()[: 4 * 12])
+    with pytest.raises(IngestionError, match=r"line 4: scan file scan_000002\.f32 has 8 points, "
+                                             r"expected 4$"):
+        load_corpus(out).scans[2:3]
 
 
 def test_load_corpus_renormalizes_only_out_of_range_scans(tmp_path):
@@ -432,12 +451,12 @@ def test_load_corpus_renormalizes_only_out_of_range_scans(tmp_path):
     pts = np.frombuffer(scan2.read_bytes(), dtype="<f4").copy()
     pts[5] = 4.0
     scan2.write_bytes(pts.tobytes())
-    loaded = load_corpus(out)
+    loaded = load_corpus(out).scans[:]
     for i, (orig, back) in enumerate(zip(samples, loaded)):
         expect = orig.scan.points.astype("<f4").astype(np.float64)
         if i == 2:
             expect = pts.astype(np.float64).reshape(-1, 3) / 4.0
-        assert back.scan.points.tobytes() == expect.tobytes(), i
+        assert back.tobytes() == expect.tobytes(), i
 
 
 def test_load_corpus_rejects_nan_pose(tmp_path):
@@ -448,13 +467,13 @@ def test_load_corpus_rejects_nan_pose(tmp_path):
     lines[2] = ",".join(fields)
     (out / "poses.csv").write_text("\n".join(lines) + "\n")
     with pytest.raises(IngestionError, match=r"poses\.csv line 3: non-finite pose"):
-        load_corpus(out)
+        load_corpus(out).scans[:]
 
 
 def test_load_corpus_rejects_header_only_corpus(tmp_path):
     out = save_corpus([], tmp_path / "empty")
     with pytest.raises(IngestionError, match=r"poses\.csv: no samples"):
-        load_corpus(out)
+        load_corpus(out).scans[:]
 
 
 @pytest.mark.parametrize("n_places, line", [(4, 3), (200, 150)])
@@ -465,7 +484,7 @@ def test_load_corpus_rejects_undecodable_poses(tmp_path, n_places, line):
     lines[line - 1] = lines[line - 1].replace(b",", b"\xff,", 1)
     (out / "poses.csv").write_bytes(b"\n".join(lines))
     with pytest.raises(IngestionError, match=rf"poses\.csv line {line}: not UTF-8 text"):
-        load_corpus(out)
+        load_corpus(out).scans[:]
 
 
 def test_load_corpus_reports_a_bad_line_before_an_undecodable_one(tmp_path):
@@ -473,7 +492,7 @@ def test_load_corpus_reports_a_bad_line_before_an_undecodable_one(tmp_path):
     (out / "scan_000001.f32").unlink()
     (out / "poses.csv").write_bytes((out / "poses.csv").read_bytes() + b"\xff\n")
     with pytest.raises(IngestionError, match=r"line 3: missing scan file scan_000001\.f32"):
-        load_corpus(out)
+        load_corpus(out).scans[:]
 
 
 def test_load_corpus_rejects_an_oversize_field(tmp_path):
@@ -481,7 +500,7 @@ def test_load_corpus_rejects_an_oversize_field(tmp_path):
     with open(out / "poses.csv", "a", encoding="utf-8") as fh:
         fh.write("3,1.0,2.0," + "x" * 140_000 + "\n")
     with pytest.raises(IngestionError, match=r"poses\.csv line 5: field larger than field limit"):
-        load_corpus(out)
+        load_corpus(out).scans[:]
 
 
 @pytest.fixture(scope="module")
@@ -500,7 +519,7 @@ def test_load_corpus_raises_only_ingestion_errors_on_flipped_poses_bytes(small_c
         damaged[at % len(raw)] ^= mask
     (out / "poses.csv").write_bytes(bytes(damaged))
     try:
-        load_corpus(out)
+        load_corpus(out).scans[:]
     except IngestionError:
         pass
 

@@ -36,10 +36,14 @@ def _snapshot(seed=0, hidden=8, dim=8, step=0):
     return make_snapshot(init_params(seed, hidden, dim), step, "cfg", normalize=True)
 
 
+def _scans(samples):
+    return [s.scan.points for s in samples]
+
+
 def _arrays(snapshots, samples):
     """Embeddings, poses and sample ids: the per-split inputs of recall_at_n."""
     poses = np.stack([s.pose for s in samples])
-    return embed(snapshots, samples), poses, np.array([s.sample_id for s in samples])
+    return embed(snapshots, _scans(samples)), poses, np.array([s.sample_id for s in samples])
 
 
 def _recall(snapshots, db, queries, n=1, pos_test=25.0):
@@ -63,8 +67,8 @@ def query_samples():
 
 
 def test_build_index_shapes(db_samples):
-    assert embed([_snapshot()], db_samples).shape == (25, 8)
-    assert embed([_snapshot(0), _snapshot(1, step=1)], db_samples).shape == (25, 16)
+    assert embed([_snapshot()], _scans(db_samples)).shape == (25, 8)
+    assert embed([_snapshot(0), _snapshot(1, step=1)], _scans(db_samples)).shape == (25, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +430,10 @@ def test_forgetting_input_validation():
 
 def test_fusing_identical_snapshots_preserves_ranking(db_samples, query_samples):
     snap = _snapshot()
-    single = embed([snap], db_samples)
-    fused = embed([snap, snap], db_samples)
-    q_single = embed([snap], query_samples[:5])
-    q_fused = embed([snap, snap], query_samples[:5])
+    single = embed([snap], _scans(db_samples))
+    fused = embed([snap, snap], _scans(db_samples))
+    q_single = embed([snap], _scans(query_samples[:5]))
+    q_fused = embed([snap, snap], _scans(query_samples[:5]))
     # Concatenating a vector with itself doubles squared distances.
     np.testing.assert_allclose(
         cdist(q_fused, fused), math.sqrt(2.0) * cdist(q_single, single), rtol=1e-6
@@ -440,7 +444,7 @@ def test_fusing_identical_snapshots_preserves_ranking(db_samples, query_samples)
 
 
 def test_fusing_distinct_snapshots_changes_embedding_dim(db_samples):
-    fused = embed([_snapshot(0), _snapshot(1, step=1)], db_samples)
+    fused = embed([_snapshot(0), _snapshot(1, step=1)], _scans(db_samples))
     assert fused.shape[1] == 16
 
 
