@@ -197,6 +197,8 @@ def _numpy_simd() -> dict:
 
 
 def cmd_run(args) -> int:
+    import hashlib  # here, so that eval (which computes no digest) never maps OpenSSL
+
     from .config import config_digest
     from .continual import RUN_LOG_NAME, build_protocol_data, run_protocol
     from .losses import sweep_workers
@@ -212,6 +214,7 @@ def cmd_run(args) -> int:
     _out_files([d / name for d in seed_dirs.values() for name in names]
                + [out_root / "aggregate.json", out_root / "manifest.json"])
 
+    digests = {}  # each artifact's path, to the sha256 of the bytes written
     manifest = {
         "tool_version": __version__,
         "config_digest": digest,
@@ -234,7 +237,10 @@ def cmd_run(args) -> int:
     trained = {}
     for seed in cfg.seeds:
         t0 = time.perf_counter()
-        snapshots, step_seconds = run_protocol(cfg, seed, train, seed_dirs[seed], digest)
+        snapshots, step_seconds = run_protocol(cfg, seed, train, seed_dirs[seed], digest,
+                                               digests)
+        log_path = seed_dirs[seed] / RUN_LOG_NAME  # hashed after its last append
+        digests[log_path] = hashlib.sha256(log_path.read_bytes()).hexdigest()
         trained[seed] = snapshots, step_seconds, time.perf_counter() - t0
     del train
     t_data = time.perf_counter()
@@ -250,8 +256,8 @@ def cmd_run(args) -> int:
         t2 = time.perf_counter()
         headline = fused if fused is not None else single
         results = results_dict(single, fused, seed, digest)
-        write_atomic(seed_dir / RESULTS_FILE, dump_results(results))
-        write_recall_csv(headline.recall_matrix, task_names, seed_dir / RECALL_CSV)
+        write_atomic(seed_dir / RESULTS_FILE, dump_results(results), digests)
+        write_recall_csv(headline.recall_matrix, task_names, seed_dir / RECALL_CSV, digests)
         manifest["results"][str(seed)] = str(seed_dir / RESULTS_FILE)
         manifest["wall_clock"][str(seed)] = {
             "data_seconds": data_seconds,
@@ -278,7 +284,9 @@ def cmd_run(args) -> int:
             if vals:
                 aggregate[f"{mode}_{key}_mean"] = float(np.mean(vals))
                 aggregate[f"{mode}_{key}_std"] = float(np.std(vals))
-    write_atomic(out_root / "aggregate.json", dump_results(aggregate))
+    write_atomic(out_root / "aggregate.json", dump_results(aggregate), digests)
+    manifest["artifacts"] = {path.relative_to(out_root).as_posix(): sha
+                             for path, sha in digests.items()}
     write_atomic(out_root / "manifest.json", dump_results(manifest))
     return EXIT_OK
 

@@ -28,7 +28,6 @@ from .encoder import (
     AdamState,
     EncoderParams,
     ModelSnapshot,
-    TrainPass,
     adam_step,
     backward,
     encode,
@@ -163,8 +162,6 @@ def _train(
     pool_poses = np.stack([s.pose for s in pool])
     pool_domains = np.array([s.domain_id for s in pool])
     teacher = encode(old_params, [s.scan.points for s in pool], normalize) if distill else None
-    # One set of (B, P, h) activation buffers for every batch of the step.
-    work = TrainPass()
 
     records = []
     lambda_calls = 0
@@ -182,7 +179,7 @@ def _train(
             rng, len(new_samples), len(buffer_entries), batch_size, cfg.buffer.fraction
         ):
             scans = np.stack([pool[i].scan.points for i in rows])
-            e_new, cache = encode_with_cache(params, scans, normalize, work)
+            e_new, cache = encode_with_cache(params, scans, normalize)
             e_old = teacher[rows] if distill else None
             relation = batch_relation(pool_poses[rows], pool_domains[rows], cfg.pairs)
             out = combined_loss(e_old, e_new, relation, loss, lam)
@@ -341,13 +338,15 @@ def build_protocol_data(cfg: ExperimentConfig, sessions=(0, 1, 2)) -> list:
 
 
 def run_protocol(
-    cfg: ExperimentConfig, seed: int, train: list, out_dir=None, digest: str = ""
+    cfg: ExperimentConfig, seed: int, train: list, out_dir=None, digest: str = "",
+    digests: dict | None = None,
 ) -> tuple[list, list]:
     """Train sequentially over the configured domains and save artifacts.
 
     ``train`` holds each domain's train split, ``build_protocol_data(cfg,
     (0,))[0]``. It does not depend on the seed, so callers build it once per
     config. Returns the snapshot of each step and the seconds each step took.
+    Given ``digests``, each snapshot's path maps to the sha256 of its bytes.
     """
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -370,6 +369,6 @@ def run_protocol(
         if cfg.buffer.enabled:
             buffer = update_buffer(buffer, samples, cfg.buffer.capacity, seed, step_index=t)
         if out is not None:
-            save_snapshot(result.snapshot, out / f"step_{t}.snap")
+            save_snapshot(result.snapshot, out / f"step_{t}.snap", digests)
             write_run_log(result.records, out / RUN_LOG_NAME)
     return snapshots, step_seconds

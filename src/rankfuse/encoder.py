@@ -5,38 +5,35 @@ the point dimension, then a linear projection to the embedding dimension with
 optional L2 row normalization. Forward, analytic backward, Adam with
 decoupled weight decay, and a versioned binary snapshot format.
 
-Two forward passes share the same arithmetic. ``encode_with_cache`` is the
-training pass: it runs the whole batch at once and caches only what
-``backward`` reads, ``(x, h1, idx, pooled, z, norms)``. Two exact identities
-make the pre-activations unnecessary: ``a1 > 0`` holds exactly where
-``h1 > 0``, and the pooling gradient reaches only the arg-max point, whose
-pre-activation is positive exactly where the pooled value is. The (B, P, h)
-buffers belong to a ``TrainPass`` that a training step creates once and
-passes to every batch. A forward on a pass makes the caches of its earlier
-forwards stale, and ``backward`` raises ``UsageError`` on a stale cache
-rather than read overwritten buffers. ``backward`` only reads its cache, so
-it can run twice on one.
+Both forward passes run the per-point layers in the same row chunks of
+about 512 KB per activation, on two chunk-sized buffers, so their memory
+stays bounded however many scans they take. Chunking does not change a
+single bit, since the per-point layers handle each scan on its own and the
+projection runs once over all rows. A chunk never holds one row unless the
+input does, because a 1-row product rounds differently from a batched one.
 
 Both passes compute the second layer channel-major, (B, h, P), as
 w2.T @ h1.T, so each channel's points are contiguous for the max and its
 arg-max. The rectifier is applied to the pooled values only, since it
 commutes with max.
 
-Max pooling sends each channel's gradient to one winning point per scan,
-PointNet's critical points: about 20 to 28 of 160 at the reference shapes.
-So the backward works on the winner rows of the flattened (B·P, h) layer
-alone: the gradient of the second layer's output, both weight products and
-both bias sums. No (B, P, h) array is filled in the backward.
+``encode_with_cache`` is the training pass. Max pooling sends each
+channel's gradient to one winning point per scan, PointNet's critical
+points: about 20 to 28 of 160 at the reference shapes. So of each chunk its
+``TrainCache`` keeps only what ``backward`` reads: the pooling indices and
+values, the projections and norms, the ascending winner rows of the
+flattened (B·P), each (scan, channel)'s place among them, and those rows of
+the first layer and of the inputs. Two exact identities make the
+pre-activations unnecessary: ``a1 > 0`` holds exactly where ``h1 > 0``, and
+the pooling gradient reaches only the arg-max point, whose pre-activation is
+positive exactly where the pooled value is. The backward then works on the
+winner rows alone: the gradient of the second layer's output, both weight
+products and both bias sums. No (B, P, h) array is kept or filled. The
+cache owns its arrays, so a later forward cannot change it, and
+``backward`` only reads it, so it can run twice on one.
 
-``encode`` is the inference pass:
-it keeps no cache and runs the per-point layers in row chunks of about 512 KB
-per activation, so its memory stays bounded however many scans it embeds. It
-takes a list of scans too, and stacks one chunk at a time; each layer's
-chunks share one buffer.
-Chunking does not change a single bit, since the per-point layers handle each
-scan on its own and the projection runs once over all rows. A chunk never
-holds one row unless the input does, because a 1-row product rounds
-differently from a batched one.
+``encode`` is the inference pass: it keeps no cache, and it takes a list of
+scans too, stacking one chunk at a time.
 
 Both passes add each bias pre-tiled to the layout of one scan's activation,
 (P, h) or (h, P): the same add per element as a broadcast, in about half the
@@ -62,7 +59,7 @@ _SNAP_VERSION = 1
 _FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")  # declaration (serialization) order
 
 _NORM_FLOOR = 1e-12
-# float64 elements of one (rows, P, h) activation chunk in encode: 512 KB, 8
+# float64 elements of one (rows, P, h) activation chunk of either forward: 512 KB, 8
 # rows at P=160, h=48. On a 2-vCPU Xeon, 3000 such scans encoded in 0.13-0.16 s
 # in fresh processes, against 0.16-0.19 s with 4 MB (65-row) chunks.
 _ENCODE_BUDGET = 65_536
@@ -154,6 +151,29 @@ def _chunk_bounds(rows: int, points: int, hidden: int) -> list[int]:
     return starts + [rows]
 
 
+def _per_point_chunks(p: EncoderParams, scans, pts: int):
+    """Run the per-point layers over ``scans`` one chunk at a time.
+
+    Yields each chunk's (lo, hi, x, h1, a2): its rows, inputs, rectified
+    first layer and channel-major second layer before its bias. One buffer
+    per layer serves every chunk, so each chunk overwrites the last one's.
+    """
+    bounds = _chunk_bounds(len(scans), pts, p.hidden)
+    b1 = np.tile(p.b1, (pts, 1))  # pre-tiled, see the module docstring
+    rows = max(np.diff(bounds), default=0)
+    h1_buf, a2_buf = np.empty((rows, pts, p.hidden)), np.empty((rows, p.hidden, pts))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        x = _stack_scans(scans[lo:hi])
+        if x.shape[1] != pts:
+            raise UsageError(f"scans {lo}..{hi - 1} have {x.shape[1]} points, the first has {pts}")
+        h1, a2 = h1_buf[: hi - lo], a2_buf[: hi - lo]
+        np.matmul(x, p.w1, out=h1)
+        h1 += b1
+        np.maximum(h1, 0.0, out=h1)
+        np.matmul(p.w2.T, h1.transpose(0, 2, 1), out=a2)
+        yield lo, hi, x, h1, a2
+
+
 def encode(params: EncoderParams, scans, normalize: bool = True) -> np.ndarray:
     """Embed a batch of scans into (B, D) rows; permuting a scan's points is a no-op.
 
@@ -166,89 +186,63 @@ def encode(params: EncoderParams, scans, normalize: bool = True) -> np.ndarray:
     """
     pts = _stack_scans(scans[:1]).shape[1]
     p = params.astype(np.float64)
-    bounds = _chunk_bounds(len(scans), pts, p.hidden)
     pooled = np.empty((len(scans), p.hidden))
-    b1 = np.tile(p.b1, (pts, 1))  # pre-tiled, see the module docstring
-    # One buffer per layer serves every chunk: no allocation per chunk.
-    rows = max(np.diff(bounds), default=0)
-    h1_buf, h2_buf = np.empty((rows, pts, p.hidden)), np.empty((rows, p.hidden, pts))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        x = _stack_scans(scans[lo:hi])
-        if x.shape[1] != pts:
-            raise UsageError(f"scans {lo}..{hi - 1} have {x.shape[1]} points, the first has {pts}")
-        h1, h2 = h1_buf[: hi - lo], h2_buf[: hi - lo]
-        np.matmul(x, p.w1, out=h1)
-        h1 += b1
-        np.maximum(h1, 0.0, out=h1)
-        np.matmul(p.w2.T, h1.transpose(0, 2, 1), out=h2)  # channel-major, as in training
-        np.max(h2, axis=2, out=pooled[lo:hi])
+    for lo, hi, _, _, a2 in _per_point_chunks(p, scans, pts):
+        np.max(a2, axis=2, out=pooled[lo:hi])
     pooled += p.b2
     np.maximum(pooled, 0.0, out=pooled)
     return _head(p, pooled, normalize)[0]
 
 
-class TrainPass:
-    """The (B, P, h) buffers of one training step, reused by every batch.
-
-    A batch takes views of the first B·P·h elements of each buffer, and the
-    buffers grow when a batch needs more. Each forward bumps ``generation``,
-    which makes the caches of earlier forwards stale.
-    """
-
-    def __init__(self):
-        self.generation = 0
-        self._bufs = (np.empty(0), np.empty(0))
-
-    def views(self, b: int, pts: int, h: int):
-        """Views of h1, (b, pts, h), and of the channel-major a2, (b, h, pts)."""
-        n = b * pts * h
-        if n > self._bufs[0].size:
-            self._bufs = None  # free the smaller pair before the larger is made
-            self._bufs = (np.empty(n), np.empty(n))
-        h1, a2 = (buf[:n] for buf in self._bufs)
-        return h1.reshape(b, pts, h), a2.reshape(b, h, pts)
-
-
 @dataclass(frozen=True)
 class TrainCache:
-    """What ``backward`` reads of one training forward."""
+    """What ``backward`` reads of one training forward. It owns its arrays,
+    so no later forward can change it."""
 
-    x: np.ndarray  # (B, P, 3) inputs
-    h1: np.ndarray  # (B, P, h) first-layer activations, a view into ``work``
+    shape: tuple  # (B, P, 3) of the scans
     idx: np.ndarray  # (B, h) pooling indices
     pooled: np.ndarray  # (B, h)
     z: np.ndarray  # (B, D) projections
     norms: np.ndarray | None  # (B, 1), None without normalization
-    work: TrainPass
-    generation: int
+    inv: np.ndarray  # (B, h) each (scan, channel)'s winner row: an index into h1 and x
+    h1: np.ndarray  # (R, h) first-layer activations of the R winner rows, ascending
+    x: np.ndarray  # (R, 3) inputs of the winner rows
 
 
-def encode_with_cache(params: EncoderParams, scans, normalize: bool = True,
-                      work: TrainPass | None = None):
+def encode_with_cache(params: EncoderParams, scans, normalize: bool = True):
     """Training forward: embeddings plus the ``TrainCache`` that backward() reads.
 
-    The activations live in ``work``'s buffers; without ``work`` the call
-    allocates its own. The rows equal ``encode``'s bit for bit.
+    The per-point layers run in ``encode``'s chunks, and each chunk leaves in
+    the cache only its pooling and its winner rows. The rows equal
+    ``encode``'s bit for bit.
     """
     x = _stack_scans(scans)
     p = params.astype(np.float64)
-    work = TrainPass() if work is None else work
-    work.generation += 1
     b, pts, h = len(x), x.shape[1], p.hidden
-    h1, a2 = work.views(b, pts, h)
-    np.matmul(x, p.w1, out=h1)
-    h1 += np.tile(p.b1, (pts, 1))  # pre-tiled, see the module docstring
-    np.maximum(h1, 0.0, out=h1)
-    np.matmul(p.w2.T, h1.transpose(0, 2, 1), out=a2)
-    a2 += np.tile(p.b2[:, None], (1, pts))
-    idx = np.argmax(a2, axis=2)
-    # argmax takes the first maximum, and the rectifier commutes with max. A
-    # channel whose maximum is <= 0 is 0 at every rectified point, so it
-    # pools the lowest point, index 0.
-    idx[np.take_along_axis(a2, idx[:, :, None], axis=2)[:, :, 0] <= 0.0] = 0
-    pooled = np.maximum(np.take_along_axis(a2, idx[:, :, None], axis=2)[:, :, 0], 0.0)
+    b2 = np.tile(p.b2[:, None], (1, pts))  # pre-tiled, see the module docstring
+    idx, pooled, inv = np.empty((b, h), dtype=np.intp), np.empty((b, h)), np.empty((b, h), np.intp)
+    h1w, xw = [], []
+    found = 0
+    for lo, hi, xc, h1, a2 in _per_point_chunks(p, x, pts):
+        a2 += b2
+        i = np.argmax(a2, axis=2, out=idx[lo:hi])
+        # argmax takes the first maximum, and the rectifier commutes with max.
+        # A channel whose maximum is <= 0 is 0 at every rectified point, so
+        # it pools the lowest point, index 0.
+        i[np.take_along_axis(a2, i[:, :, None], axis=2)[:, :, 0] <= 0.0] = 0
+        np.maximum(np.take_along_axis(a2, i[:, :, None], axis=2)[:, :, 0], 0.0,
+                   out=pooled[lo:hi])
+        # The chunk's winner rows of the flattened (B·P), ascending; the
+        # chunks come in row order, so their concatenation is ascending too.
+        won, where = np.unique((np.arange(0, (hi - lo) * pts, pts)[:, None] + i).ravel(),
+                               return_inverse=True)
+        inv[lo:hi] = where.reshape(hi - lo, h) + found
+        found += len(won)
+        h1w.append(h1.reshape(-1, h)[won])
+        xw.append(xc.reshape(-1, 3)[won])
     e, z, norms = _head(p, pooled, normalize)
-    return e, TrainCache(x, h1, idx, pooled, z, norms, work, work.generation)
+    return e, TrainCache(x.shape, idx, pooled, z, norms, inv, np.concatenate(h1w),
+                         np.concatenate(xw))
 
 
 def backward(params: EncoderParams, scans, upstream: np.ndarray, normalize: bool = True,
@@ -262,10 +256,8 @@ def backward(params: EncoderParams, scans, upstream: np.ndarray, normalize: bool
     zero gradient (subgradient convention at the origin). The cache is only
     read, so a second call gives the same bytes.
     """
-    if cache.generation != cache.work.generation:
-        raise UsageError("stale training cache: a later forward on its pass overwrote it")
-    x, h1, norms = cache.x, cache.h1, cache.norms
-    if np.shape(scans) != x.shape or normalize != (norms is not None):
+    norms = cache.norms
+    if np.shape(scans) != cache.shape or normalize != (norms is not None):
         raise UsageError("backward scans or normalize differ from the cached forward")
     p = params.astype(np.float64)
     de = np.asarray(upstream, dtype=np.float64)
@@ -286,21 +278,17 @@ def backward(params: EncoderParams, scans, upstream: np.ndarray, normalize: bool
 
     # Only the pooled point of each channel gets gradient, and its
     # pre-activation is positive exactly where the pooled value is. So da2,
-    # the gradient of the second layer's output, is zero but on the winner
-    # rows: ``rows`` lists them in ascending order, and ``inv`` gives each
-    # (scan, channel)'s place among them.
-    b, pts, h = h1.shape
-    g = dpooled * (cache.pooled > 0.0)
-    rows, inv = np.unique((np.arange(0, b * pts, pts)[:, None] + cache.idx).ravel(),
-                          return_inverse=True)
-    da2 = np.zeros((len(rows), h))
-    da2[inv.reshape(b, h), np.arange(h)] = g
-    h1w = h1.reshape(b * pts, h)[rows]
+    # the gradient of the second layer's output, is zero but on the cached
+    # winner rows, where ``inv`` places each (scan, channel).
+    h = cache.idx.shape[1]
+    da2 = np.zeros((len(cache.h1), h))
+    da2[cache.inv, np.arange(h)] = dpooled * (cache.pooled > 0.0)
+    h1w = cache.h1
     dw2 = h1w.T @ da2
     db2 = da2.sum(axis=0)
     d = (da2 @ p.w2.T) * (h1w > 0.0)  # h1 > 0 exactly where its pre-activation is
     db1 = d.sum(axis=0)
-    dw1 = x.reshape(b * pts, 3)[rows].T @ d
+    dw1 = cache.x.T @ d
     return EncoderParams(w1=dw1, b1=db1, w2=dw2, b2=db2, w3=dw3, b3=db3)
 
 
@@ -409,9 +397,9 @@ def make_snapshot(params: EncoderParams, step_index: int, config_digest: str,
     )
 
 
-def save_snapshot(snapshot: ModelSnapshot, path: str | Path) -> Path:
+def save_snapshot(snapshot: ModelSnapshot, path: str | Path, digests=None) -> Path:
     """Versioned binary: magic, config digest, dims, then f32 tensors in
-    order, written whole by ``write_atomic``."""
+    order, written whole by ``write_atomic`` (``digests`` as there)."""
     p = snapshot.params.astype("<f4")
     digest = snapshot.config_digest.encode("utf-8")
     flag = 1 if snapshot.normalize else 0
@@ -419,7 +407,7 @@ def save_snapshot(snapshot: ModelSnapshot, path: str | Path) -> Path:
              struct.pack("<IIIB", snapshot.step_index, p.hidden, p.out_dim, flag)]
     parts += [np.ascontiguousarray(t, dtype="<f4").tobytes() for t in p.tensors()]
     out = Path(path)
-    write_atomic(out, b"".join(parts))
+    write_atomic(out, b"".join(parts), digests)
     return out
 
 

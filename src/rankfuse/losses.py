@@ -124,14 +124,19 @@ def _vectors(e) -> np.ndarray:
 
 
 def pairwise_distances(vectors: np.ndarray) -> np.ndarray:
+    """Symmetric Euclidean distances with a zero diagonal, in two n x n buffers."""
     v = np.asarray(vectors, dtype=np.float64)
     sq = np.sum(v * v, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (v @ v.T)
-    np.maximum(d2, 0.0, out=d2)
-    d = np.sqrt(d2)
-    d = 0.5 * (d + d.T)
-    np.fill_diagonal(d, 0.0)
-    return d
+    gram = v @ v.T
+    gram *= 2.0
+    d = sq[:, None] + sq[None, :]
+    d -= gram
+    np.maximum(d, 0.0, out=d)
+    np.sqrt(d, out=d)
+    np.add(d, d.T, out=gram)
+    gram *= 0.5
+    np.fill_diagonal(gram, 0.0)
+    return gram
 
 
 def similarity_matrix(e) -> np.ndarray:
@@ -139,15 +144,19 @@ def similarity_matrix(e) -> np.ndarray:
     v = _vectors(e)
     if v.shape[0] < 2:
         raise UsageError(f"similarity matrix needs at least 2 rows, got {v.shape[0]}")
-    return -pairwise_distances(v)
-
-
-def similarity_backward(vectors: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Map d(loss)/dS back to d(loss)/dE for S = -pairwise distance."""
-    v = np.asarray(vectors, dtype=np.float64)
     d = pairwise_distances(v)
-    w = upstream + upstream.T
-    a = w / np.maximum(d, _DIST_FLOOR)
+    return np.negative(d, out=d)
+
+
+def similarity_backward(vectors: np.ndarray, upstream: np.ndarray,
+                        distances: np.ndarray) -> np.ndarray:
+    """Map d(loss)/dS back to d(loss)/dE for S = -pairwise distance.
+
+    ``distances`` are ``pairwise_distances(vectors)``.
+    """
+    v = np.asarray(vectors, dtype=np.float64)
+    a = upstream + upstream.T
+    a /= np.maximum(distances, _DIST_FLOOR)
     np.fill_diagonal(a, 0.0)
     # dS[i,j]/de_i = -(e_i - e_j)/d_ij, summed over both occurrences of e_k.
     return -(a.sum(axis=1)[:, None] * v) + a @ v
@@ -186,7 +195,11 @@ def _sweep_rows(S, tau, r_ref, scale, step, starts, r, ds):
     for start in starts:
         rows = S[start : start + step]
         g = g_buf[: len(rows)]
-        np.subtract(rows[:, None, :], rows[:, :, None], out=g)  # [q, i, j]
+        with np.errstate():  # restores the ufunc buffer size on exit
+            # At the smallest buffer the broadcast rows are read in place,
+            # not copied through it, as in evaluation.euclidean.
+            np.setbufsize(16)
+            np.subtract(rows[:, None, :], rows[:, :, None], out=g)  # [q, i, j]
         sigmoid(g, tau, out=g)
         g[:, diag, diag] = 0.0
         rc = r[start : start + step]
@@ -266,14 +279,16 @@ def ranking_distill_loss(e_old, e_new, tau: float, norm: str = "cubic") -> LossV
 
     check(LossConfig, "loss", {"rkd_norm": norm}, relations=False)
     n = vo.shape[0]
-    s_old = similarity_matrix(vo)
-    s_new = similarity_matrix(vn)
     scale = 1.0 / (n**3 if norm == "cubic" else n**2)
-    r_old = soft_ranks(s_old, tau)
+    # The n x n algebra runs in place: S_old is gone before S_new is made,
+    # |R_new - R_old| takes R_old's buffer, and -S_new is the distances.
+    r_old = soft_ranks(similarity_matrix(vo), tau)
+    s_new = similarity_matrix(vn)
     r_new, ds = _rank_sweep(s_new, tau, r_old, scale)
-    value = scale * np.abs(r_new - r_old).sum()
+    value = scale * np.abs(np.subtract(r_new, r_old, out=r_old), out=r_old).sum()
+    del r_new, r_old  # freed before the backward's buffers are made
     np.fill_diagonal(ds, 0.0)
-    grad = similarity_backward(vn, ds)
+    grad = similarity_backward(vn, ds, np.negative(s_new, out=s_new))
     return LossValue(value=float(value), grad_new=grad)
 
 

@@ -130,7 +130,7 @@ def test_manifest_and_aggregate(smoke_out):
     # openblas_core is there exactly when numpy's BLAS names its kernel core.
     core = _openblas_core()
     assert set(manifest) == {"tool_version", "config_digest", "seeds", "results", "wall_clock",
-                             "rank_sweep_workers", "numpy_simd"} | set(core)
+                             "rank_sweep_workers", "numpy_simd", "artifacts"} | set(core)
     assert manifest.get("openblas_core") == core.get("openblas_core")
     assert manifest["seeds"] == [0]
     assert manifest["rank_sweep_workers"] == 1  # a batch of 32 is one chunk
@@ -413,6 +413,21 @@ def test_two_seed_run_writes_the_bytes_of_two_one_seed_runs(tmp_path):
                               for t in (text, expected))
         assert digest_a != digest_b and text.count(digest_a) == 1
         assert text.replace(digest_a, digest_b) == expected, seed
+
+
+def test_manifest_lists_the_digest_of_every_artifact(tmp_path):
+    # Every file the run writes but the manifest itself is listed, and each
+    # listed sha256 is that of the file's bytes.
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_two_seeds(tmp_path)), "--out", str(out)]) == 0
+    listed = json.loads((out / "manifest.json").read_text())["artifacts"]
+    names = ["results.json", "recall_matrix.csv", "run_log.jsonl", "step_0.snap", "step_1.snap"]
+    expected = {"aggregate.json"} | {f"seed_{s}/{n}" for s in (0, 1) for n in names}
+    assert set(listed) == expected
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert written == expected | {"manifest.json"}
+    for name, sha in listed.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha, name
 
 
 def test_toggles_disable_distillation_and_buffer(tmp_path):

@@ -1,6 +1,7 @@
 """Point-set encoder: forward, gradients, optimizer, and snapshots."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from rankfuse.encoder import (
     _head,
     AdamState,
     EncoderParams,
-    TrainPass,
     adam_step,
     backward,
     encode,
@@ -96,9 +96,9 @@ def _bytes(*arrays):
     return [np.ascontiguousarray(a).tobytes() for a in arrays]
 
 
-def _pass_bytes(params, x, upstream, normalize, work=None):
+def _pass_bytes(params, x, upstream, normalize):
     """Embedding and gradient bytes of one lean forward plus backward."""
-    e, cache = encode_with_cache(params, x, normalize, work)
+    e, cache = encode_with_cache(params, x, normalize)
     return _bytes(e, *backward(params, x, upstream, normalize, cache=cache).tensors())
 
 
@@ -108,10 +108,10 @@ def _pass_bytes(params, x, upstream, normalize, work=None):
 _DENSE_RTOL = 1e-13
 
 
-def _assert_matches_oracle(params, x, upstream, normalize, work=None):
-    """One forward plus backward on ``work`` against the oracle: the
-    embeddings, dw3 and db3 in every bit, the rest within ``_DENSE_RTOL``."""
-    e, cache = encode_with_cache(params, x, normalize, work)
+def _assert_matches_oracle(params, x, upstream, normalize):
+    """One forward plus backward against the oracle: the embeddings, dw3 and
+    db3 in every bit, the rest within ``_DENSE_RTOL``."""
+    e, cache = encode_with_cache(params, x, normalize)
     grads = backward(params, x, upstream, normalize, cache=cache)
     expected = oracle_backward(params, x, upstream, normalize)
     assert _bytes(e, grads.w3, grads.b3) == _bytes(
@@ -202,13 +202,16 @@ def _biased(params, seed):
 @pytest.mark.parametrize("make", [_scans, _tied_scans], ids=["random", "tied"])
 def test_encode_matches_training_forward_bit_for_bit(rows, make):
     # Snapshot (float32) weights, as the frozen teacher and evaluation use them;
-    # zero biases as initialized, then biases with all-negative channels.
+    # zero biases as initialized, then biases with all-negative channels. Both
+    # passes run in chunks, so the oracle's whole-batch layers check that
+    # chunking moves no bit.
     scans = make(rows, P, seed=rows)
     params = init_params(seed=12, hidden=H, dim=D)
     for weights in (params, _biased(params, seed=rows)):
         weights = make_snapshot(weights, 0, "", True).params
         for normalize in (True, False):
             expected, _ = encode_with_cache(weights, scans, normalize)
+            assert expected.tobytes() == _forward(weights, scans, normalize)[0].tobytes()
             np.testing.assert_array_equal(encode(weights, scans, normalize), expected)
 
 
@@ -313,12 +316,13 @@ def test_backward_matches_finite_differences():
 
 
 def test_backward_accepts_cache():
-    # A cache on a step's pass gives the gradients of a fresh forward.
+    # A cache gives the gradients of the oracle, and two fresh forwards the
+    # same bytes.
     params = init_params(seed=9, hidden=6, dim=5)
     scans = _scans(4, 9, seed=9)
     upstream = np.ones((4, 5))
-    _assert_matches_oracle(params, scans, upstream, True, TrainPass())
-    assert _pass_bytes(params, scans, upstream, True, TrainPass()) == _pass_bytes(
+    _assert_matches_oracle(params, scans, upstream, True)
+    assert _pass_bytes(params, scans, upstream, True) == _pass_bytes(
         params, scans, upstream, True)
 
 
@@ -353,10 +357,8 @@ def test_lean_pass_matches_oracle_output_bytes_and_bounded_hidden_grads(
     params = EncoderParams(base.w1, b1, base.w2, base.b2 + shift, base.w3,
                            rng.normal(size=dim))
     upstream = rng.normal(size=(b, dim))
-    work = TrainPass()
     for normalize in (True, False):
         _assert_matches_oracle(params, x, upstream, normalize)
-        _assert_matches_oracle(params, x, upstream, normalize, work)
 
 
 def _edge_case(name):
@@ -389,7 +391,6 @@ def test_edge_shapes_match_oracle_output_bytes_and_bounded_hidden_grads(name):
     params, x, upstream = _edge_case(name)
     for normalize in (True, False):
         _assert_matches_oracle(params, x, upstream, normalize)
-        _assert_matches_oracle(params, x, upstream, normalize, TrainPass())
 
 
 # Shapes at which OpenBLAS 0.3.31 on an AVX-512 Xeon gives the channel-major
@@ -406,41 +407,52 @@ def test_output_bytes_and_bounded_hidden_grads_where_blas_reorders(b, pts, hidde
         _assert_matches_oracle(params, x, upstream, normalize)
 
 
-def test_pass_reuse_across_shapes_matches_fresh_pass():
-    # Batches grow (16 -> 64 at the reference shapes) and shrink; one pass
-    # object serves each shape with the bytes of a fresh pass.
-    params = init_params(seed=13, hidden=H, dim=D)
+def test_cache_keeps_its_bytes_after_later_forwards():
+    # Batches grow (16 -> 64 at the reference shapes) and shrink. A cache owns
+    # its arrays, so forwards at other shapes, before its backward, leave the
+    # gradients it gave at first.
+    params = _biased(init_params(seed=13, hidden=H, dim=D), seed=13)
     rng = np.random.default_rng(13)
-    work = TrainPass()
-    for b, pts in ((64, 40), (16, 40), (70, 40), (16, 58)):
-        x = _tied_scans(b, pts, seed=b + pts)
-        upstream = rng.normal(size=(b, D))
-        assert _pass_bytes(params, x, upstream, True, work) == _pass_bytes(
-            params, x, upstream, True
-        )
+    x = _tied_scans(64, P, seed=13)
+    upstream = rng.normal(size=(64, D))
+    _, cache = encode_with_cache(params, x, True)
+    first = _bytes(*backward(params, x, upstream, cache=cache).tensors())
+    for b, pts in ((16, 40), (70, 40), (16, 58), (64, P)):
+        encode_with_cache(params, _tied_scans(b, pts, seed=b + pts), True)
+        assert _bytes(*backward(params, x, upstream, cache=cache).tensors()) == first, (b, pts)
+    assert first == _pass_bytes(params, x, upstream, True)[1:]
 
 
-def test_backward_refuses_stale_cache():
-    params = init_params(seed=14, hidden=6, dim=5)
-    work = TrainPass()
-    _, first = encode_with_cache(params, _scans(4, 9, seed=1), True, work)
-    x = _scans(4, 9, seed=2)
-    _, second = encode_with_cache(params, x, True, work)
-    with pytest.raises(UsageError, match="stale"):
-        backward(params, x, np.ones((4, 5)), cache=first)
-    backward(params, x, np.ones((4, 5)), cache=second)
+def test_training_forward_holds_no_whole_layer():
+    # The per-point layers run in encode's chunks: at the reference batch the
+    # forward, its cache included, peaks below one (B, P, h) float64 array.
+    params = _biased(init_params(seed=17, hidden=H, dim=D), seed=17)
+    x = _tied_scans(64, P, seed=17)
+    encode_with_cache(params, x, True)  # first-call allocations outside the count
+    tracemalloc.start()
+    try:
+        _, cache = encode_with_cache(params, x, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * P * H * 8, peak
+    # The cache holds the inputs of the ascending winner rows, and ``inv``
+    # takes each (scan, channel) to its winner's row.
+    rows = np.unique(np.arange(0, 64 * P, P)[:, None] + cache.idx)
+    assert cache.x.tobytes() == x.reshape(-1, 3)[rows].tobytes()
+    assert cache.h1.shape == (len(rows), H)
+    assert np.array_equal(cache.x[cache.inv], np.take_along_axis(x, cache.idx[:, :, None], axis=1))
 
 
 def test_backward_twice_on_one_cache_gives_equal_bytes():
     params = init_params(seed=15, hidden=H, dim=D)
     x = _tied_scans(16, 40, seed=15)
     upstream = np.random.default_rng(15).normal(size=(16, D))
-    for work in (None, TrainPass()):
-        _, cache = encode_with_cache(params, x, True, work)
-        first = backward(params, x, upstream, cache=cache)
-        second = backward(params, x, upstream, cache=cache)
-        assert _bytes(*first.tensors()) == _bytes(*second.tensors())
-        _assert_matches_oracle(params, x, upstream, True, work)
+    _, cache = encode_with_cache(params, x, True)
+    first = backward(params, x, upstream, cache=cache)
+    second = backward(params, x, upstream, cache=cache)
+    assert _bytes(*first.tensors()) == _bytes(*second.tensors())
+    _assert_matches_oracle(params, x, upstream, True)
 
 
 def test_backward_checks_its_arguments_against_the_cache():

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,11 +64,11 @@ def soft_rank_row(similarities: np.ndarray, tau: float) -> np.ndarray:
 
 
 def rkd_three_sweeps(e_old, e_new, tau: float, norm: str = "cubic"):
-    """Oracle: ranking distillation as three separate, unchunked sigmoid sweeps.
+    """Oracle: ranking distillation as three separate sigmoid sweeps.
 
-    Old soft ranks, new soft ranks, then the whole [q, i, j] tensor again for
-    dL/dS: the plain reference for the one-pass ``ranking_distill_loss``.
-    Returns (value, grad_new).
+    Old soft ranks, new soft ranks, then the [q, i, j] tensor again, one query
+    row at a time, for dL/dS: the plain reference for the one-pass
+    ``ranking_distill_loss``. Returns (value, grad_new).
     """
     vn = np.asarray(e_new, dtype=np.float64)
     n = vn.shape[0]
@@ -78,13 +79,14 @@ def rkd_three_sweeps(e_old, e_new, tau: float, norm: str = "cubic"):
     delta = r_new - r_old
     value = scale * np.abs(delta).sum()
     t = scale * np.sign(delta)
-    g = sigmoid(s_new[:, None, :] - s_new[:, :, None], tau)
-    p = g * (1.0 - g)
-    diag = np.arange(n)
-    p[:, diag, diag] = 0.0
-    ds = ((t[:, None, :] @ p)[:, 0, :] - t * p.sum(axis=2)) / tau
+    ds = np.empty((n, n))
+    for q, row in enumerate(s_new):
+        g = sigmoid(row[None, :] - row[:, None], tau)
+        p = g * (1.0 - g)
+        np.fill_diagonal(p, 0.0)
+        ds[q] = ((t[q][None, :] @ p)[0] - t[q] * p.sum(axis=1)) / tau
     np.fill_diagonal(ds, 0.0)
-    return float(value), similarity_backward(vn, ds)
+    return float(value), similarity_backward(vn, ds, pairwise_distances(vn))
 
 
 # ---------------------------------------------------------------------------
@@ -250,21 +252,43 @@ def _force_workers(monkeypatch, workers):
     monkeypatch.setattr(losses_mod, "_usable_cpus", lambda: workers)
 
 
-@pytest.mark.parametrize("n", [2, 7, 64])
+@pytest.mark.parametrize("n", [2, 7, 64, 256])
 def test_rkd_one_pass_matches_three_sweep_oracle_bit_for_bit(n, monkeypatch):
-    # Chunks of base-1, base and base+1 rows; base = (n-1)//3 leaves a 1-row tail.
+    # Chunks of base-1, base and base+1 rows; base = (n-1)//3 leaves a 1-row
+    # tail. At n = 256 the default budget gives 1-row chunks.
     base = max(1, (n - 1) // 3)
+    budgets = [losses_mod._CHUNK_BUDGET] if n == 256 else [
+        rows * n * n for rows in sorted({max(1, base - 1), base, base + 1})]
     for norm in ("cubic", "quadratic"):
         for tau in (0.3, 0.05, 0.01):  # 0.01 saturates some sigmoids to 0 and 1
             old, new = _tied_pair(n, seed=n)
             value, grad = rkd_three_sweeps(old, new, tau, norm)
-            for rows in sorted({max(1, base - 1), base, base + 1}):
-                monkeypatch.setattr(losses_mod, "_CHUNK_BUDGET", rows * n * n)
+            for budget in budgets:
+                monkeypatch.setattr(losses_mod, "_CHUNK_BUDGET", budget)
+                rows = losses_mod._chunk_rows(n)
                 for workers in (1, 2):
                     _force_workers(monkeypatch, workers)
                     out = ranking_distill_loss(old, new, tau, norm=norm)
                     assert out.value == value, (norm, tau, rows, workers)
                     assert np.array_equal(out.grad_new, grad), (norm, tau, rows, workers)
+
+
+def test_rkd_holds_at_most_seven_n_by_n_arrays(monkeypatch):
+    # One sweep worker at n = 256 holds two 1-row [q, i, j] chunks, and the
+    # n x n algebra at most four matrices at once: R_old, S_new, R_new and
+    # dL/dS in the sweep. Writing each step into a new matrix holds about
+    # nine (4.7 MB), which the bound refuses.
+    n = 256
+    _force_workers(monkeypatch, 1)
+    old, new = _unit_rows(n, 16, 1), _unit_rows(n, 16, 2)
+    ranking_distill_loss(old, new, tau=0.1)  # first-call allocations outside the count
+    tracemalloc.start()
+    try:
+        ranking_distill_loss(old, new, tau=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * n * n * 8, peak
 
 
 def test_rkd_evaluates_two_sigmoid_sweeps(monkeypatch):
@@ -785,6 +809,6 @@ def test_similarity_backward_chain_rule(unit_rows):
     def fn(flat):
         return float(np.sum(w * similarity_matrix(flat.reshape(5, 4))))
 
-    grad = similarity_backward(e, w).ravel()
+    grad = similarity_backward(e, w, pairwise_distances(e)).ravel()
     report = check_gradient(fn, grad, e.ravel(), name="similarity")
     assert report.passed, report.line()
