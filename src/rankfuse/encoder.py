@@ -254,11 +254,15 @@ def backward(params: EncoderParams, scans, upstream: np.ndarray, normalize: bool
     on ties); the rectifier subgradient at 0 is 0. With normalization on, the
     full normalization Jacobian is applied; rows with norm below 1e-12 get
     zero gradient (subgradient convention at the origin). The cache is only
-    read, so a second call gives the same bytes.
+    read, so a second call gives the same bytes. A cache whose winner points
+    are not those of ``scans`` is stale and refused.
     """
     norms = cache.norms
     if np.shape(scans) != cache.shape or normalize != (norms is not None):
         raise UsageError("backward scans or normalize differ from the cached forward")
+    winners = np.asarray(scans)[np.arange(cache.shape[0])[:, None], cache.idx]
+    if not np.array_equal(winners, cache.x[cache.inv], equal_nan=True):
+        raise UsageError("stale cache: its forward ran on other scans than backward's")
     p = params.astype(np.float64)
     de = np.asarray(upstream, dtype=np.float64)
     if de.shape != cache.z.shape:

@@ -423,6 +423,32 @@ def test_cache_keeps_its_bytes_after_later_forwards():
     assert first == _pass_bytes(params, x, upstream, True)[1:]
 
 
+def test_pass_reuse_across_shapes_matches_fresh_pass():
+    # Batches grow (16 -> 64 at the reference shapes) and shrink; a pass at
+    # each shape, after passes at the others, gives the bytes of the first
+    # pass at that shape.
+    params = init_params(seed=13, hidden=H, dim=D)
+    rng = np.random.default_rng(13)
+    cases = [(_tied_scans(b, pts, seed=b + pts), rng.normal(size=(b, D)))
+             for b, pts in ((64, 40), (16, 40), (70, 40), (16, 58))]
+    first = [_pass_bytes(params, x, upstream, True) for x, upstream in cases]
+    for (x, upstream), expected in zip(reversed(cases), reversed(first)):
+        assert _pass_bytes(params, x, upstream, True) == expected, x.shape
+        _assert_matches_oracle(params, x, upstream, True)
+
+
+def test_backward_refuses_stale_cache():
+    # A cache from a forward on other scans of the same shape is stale.
+    params = init_params(seed=14, hidden=6, dim=5)
+    _, first = encode_with_cache(params, _scans(4, 9, seed=1), True)
+    x = _scans(4, 9, seed=2)
+    _, second = encode_with_cache(params, x, True)
+    with pytest.raises(UsageError, match="stale"):
+        backward(params, x, np.ones((4, 5)), cache=first)
+    backward(params, x, np.ones((4, 5)), cache=second)
+    backward(params, list(x), np.ones((4, 5)), cache=second)
+
+
 def test_training_forward_holds_no_whole_layer():
     # The per-point layers run in encode's chunks: at the reference batch the
     # forward, its cache included, peaks below one (B, P, h) float64 array.
