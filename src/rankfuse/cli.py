@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import POSES_FILE, load_corpus, save_corpus, scan_file
+from .corpus import POSES_FILE, load_corpus, save_corpus, scan_file
 from .encoder import load_snapshot
 from .errors import ConfigurationError, IngestionError, TrainingError, UsageError, write_atomic
 from .evaluation import (
@@ -197,8 +197,6 @@ def _numpy_simd() -> dict:
 
 
 def cmd_run(args) -> int:
-    import hashlib  # here, so that eval (which computes no digest) never maps OpenSSL
-
     from .config import config_digest
     from .continual import RUN_LOG_NAME, build_protocol_data, run_protocol
     from .losses import sweep_workers
@@ -239,8 +237,6 @@ def cmd_run(args) -> int:
         t0 = time.perf_counter()
         snapshots, step_seconds = run_protocol(cfg, seed, train, seed_dirs[seed], digest,
                                                digests)
-        log_path = seed_dirs[seed] / RUN_LOG_NAME  # hashed after its last append
-        digests[log_path] = hashlib.sha256(log_path.read_bytes()).hexdigest()
         trained[seed] = snapshots, step_seconds, time.perf_counter() - t0
     del train
     t_data = time.perf_counter()
@@ -258,7 +254,7 @@ def cmd_run(args) -> int:
         results = results_dict(single, fused, seed, digest)
         write_atomic(seed_dir / RESULTS_FILE, dump_results(results), digests)
         write_recall_csv(headline.recall_matrix, task_names, seed_dir / RECALL_CSV, digests)
-        manifest["results"][str(seed)] = str(seed_dir / RESULTS_FILE)
+        manifest["results"][str(seed)] = f"seed_{seed}/{RESULTS_FILE}"  # as artifacts keys it
         manifest["wall_clock"][str(seed)] = {
             "data_seconds": data_seconds,
             "train_seconds": train_seconds,

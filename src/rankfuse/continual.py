@@ -37,7 +37,7 @@ from .encoder import (
     params_digest,
     save_snapshot,
 )
-from .errors import ConfigurationError, TrainingError, UsageError, check
+from .errors import ConfigurationError, TrainingError, UsageError, check, write_atomic
 from .evaluation import euclidean
 from .losses import combined_loss, relaxation_weight
 
@@ -300,10 +300,10 @@ def update_buffer(
     return kept
 
 
-def write_run_log(records: list, path) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(rec.as_json() + "\n")
+def write_run_log(records: list, path, digests: dict | None = None) -> None:
+    """Write ``records`` whole as ``path``, one JSON line each; ``digests``
+    as in ``write_atomic``."""
+    write_atomic(path, "".join(rec.as_json() + "\n" for rec in records), digests)
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +346,16 @@ def run_protocol(
     ``train`` holds each domain's train split, ``build_protocol_data(cfg,
     (0,))[0]``. It does not depend on the seed, so callers build it once per
     config. Returns the snapshot of each step and the seconds each step took.
-    Given ``digests``, each snapshot's path maps to the sha256 of its bytes.
+    The run log is rewritten whole after each step, so a killed run leaves the
+    steps done so far, never a cut line. Given ``digests``, each snapshot's
+    and the run log's path map to the sha256 of their bytes.
     """
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        (out / RUN_LOG_NAME).unlink(missing_ok=True)
 
     buffer = []
+    records = []
     snapshots = []
     step_seconds = []
     for t, samples in enumerate(train):
@@ -370,5 +372,6 @@ def run_protocol(
             buffer = update_buffer(buffer, samples, cfg.buffer.capacity, seed, step_index=t)
         if out is not None:
             save_snapshot(result.snapshot, out / f"step_{t}.snap", digests)
-            write_run_log(result.records, out / RUN_LOG_NAME)
+            records += result.records
+            write_run_log(records, out / RUN_LOG_NAME, digests)
     return snapshots, step_seconds

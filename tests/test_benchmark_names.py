@@ -18,7 +18,11 @@ import sys
 from pathlib import Path
 
 import rankfuse.cli
-from rankfuse.data import load_corpus, save_corpus
+import rankfuse.corpus
+import rankfuse.evaluation
+from rankfuse.corpus import load_corpus, save_corpus
+from rankfuse.encoder import init_params, make_snapshot
+from rankfuse.evaluation import embed
 
 from conftest import tiny_domain
 
@@ -82,6 +86,29 @@ def test_load_corpus_len_is_the_scan_count(tmp_path):
     # encoder.eval_forward.rows the len of the scan reader that eval encodes.
     corpus = load_corpus(save_corpus(tiny_domain(n_places=7, points=8), tmp_path / "c"))
     assert len(corpus) == len(corpus.scans) == 7
+
+
+def test_cli_corpus_names_are_the_corpus_module_functions():
+    # spans.py wraps rankfuse.cli.load_corpus and save_corpus as data.load_corpus
+    # and data.save_corpus: they must be the functions eval and gen-data run.
+    assert rankfuse.cli.load_corpus is rankfuse.corpus.load_corpus
+    assert rankfuse.cli.save_corpus is rankfuse.corpus.save_corpus
+
+
+def test_fused_embed_encodes_a_reader_once_per_snapshot(tmp_path, monkeypatch):
+    # encoder.eval_forward.rows adds len(scans) per rankfuse.evaluation.encode
+    # call: a fused eval of an n-scan split counts 2 n rows.
+    corpus = load_corpus(save_corpus(tiny_domain(n_places=7, points=8), tmp_path / "c"))
+    real, rows = rankfuse.evaluation.encode, []
+
+    def spy(params, scans, normalize=True):
+        rows.append(len(scans))
+        return real(params, scans, normalize=normalize)
+
+    monkeypatch.setattr(rankfuse.evaluation, "encode", spy)
+    snaps = [make_snapshot(init_params(seed, 8, 4), seed, "d", True) for seed in (1, 2)]
+    assert embed(snaps, corpus.scans).shape == (7, 8)
+    assert rows == [7, 7]
 
 
 def test_cli_names_no_training_entry_point():

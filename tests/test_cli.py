@@ -25,7 +25,8 @@ import rankfuse.continual
 import rankfuse.evaluation
 from rankfuse.cli import _openblas_core, main
 from rankfuse.config import config_digest, load_config
-from rankfuse.data import PlaceSample, PointScan, ScanReader, load_corpus, save_corpus
+from rankfuse.corpus import ScanReader, load_corpus, save_corpus
+from rankfuse.data import PlaceSample, PointScan
 from rankfuse.encoder import init_params, load_snapshot, make_snapshot, save_snapshot
 from rankfuse.evaluation import embed
 
@@ -415,12 +416,20 @@ def test_two_seed_run_writes_the_bytes_of_two_one_seed_runs(tmp_path):
         assert text.replace(digest_a, digest_b) == expected, seed
 
 
-def test_manifest_lists_the_digest_of_every_artifact(tmp_path):
+def test_manifest_lists_the_digest_of_every_artifact(monkeypatch, tmp_path):
     # Every file the run writes but the manifest itself is listed, and each
-    # listed sha256 is that of the file's bytes.
+    # listed sha256 is that of the file's bytes. Names are paths under the run
+    # root, so they still resolve after a run given a relative --out moves.
+    config = _two_seeds(tmp_path)
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    assert main(["run", "--config", str(config), "--out", "run"]) == 0
     out = tmp_path / "out"
-    assert main(["run", "--config", str(_two_seeds(tmp_path)), "--out", str(out)]) == 0
-    listed = json.loads((out / "manifest.json").read_text())["artifacts"]
+    shutil.move(tmp_path / "cwd" / "run", out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    listed = manifest["artifacts"]
+    assert manifest["results"] == {str(s): f"seed_{s}/results.json" for s in (0, 1)}
+    assert set(manifest["results"].values()) <= set(listed)
     names = ["results.json", "recall_matrix.csv", "run_log.jsonl", "step_0.snap", "step_1.snap"]
     expected = {"aggregate.json"} | {f"seed_{s}/{n}" for s in (0, 1) for n in names}
     assert set(listed) == expected
@@ -687,7 +696,8 @@ def test_gen_data_split_directory_that_cannot_be_made_exits_2_before_any_data(
     assert taken.read_text() == "not a directory\n"
 
 
-@pytest.mark.parametrize("verb, name", [("run", "seed_0/step_0.snap"), ("eval", "eval.json")])
+@pytest.mark.parametrize("verb, name", [("run", "seed_0/step_0.snap"),
+                                        ("run", "seed_0/run_log.jsonl"), ("eval", "eval.json")])
 def test_failed_replace_keeps_the_old_file_and_exits_2(
     smoke_out, corpora, monkeypatch, capsys, tmp_path, verb, name
 ):
@@ -698,7 +708,11 @@ def test_failed_replace_keeps_the_old_file_and_exits_2(
     old.parent.mkdir(parents=True)
     old.write_bytes(b"old artifact\n")
 
-    def refuse(src, dst):
+    replace = os.replace
+
+    def refuse(src, dst):  # only the replace of the old file fails
+        if os.fspath(dst) != str(old):
+            return replace(src, dst)
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
 
     monkeypatch.setattr(os, "replace", refuse)
@@ -850,6 +864,29 @@ assert "scipy" not in sys.modules, "gradcheck"
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("recall_at_n") == 2
     assert "seed 0:" in proc.stdout and "combined: ok" in proc.stdout
+
+
+def test_eval_never_imports_the_generator(smoke_out, corpora, tmp_path):
+    # eval reads corpora through rankfuse.corpus: single, fused and with --out
+    # it loads neither the generator, training nor (without --config) the config.
+    out, _ = smoke_out
+    snaps = [str(out / "seed_0" / f"step_{i}.snap") for i in (0, 1)]
+    plains = corpora[0] / "plains"
+    script = f"""
+import sys
+from rankfuse.cli import main
+where = ["--corpus", {str(plains / "db")!r}, "--queries", {str(plains / "query")!r}]
+unused = {{"rankfuse.data", "rankfuse.continual", "rankfuse.config"}}
+for extra in (["--snapshot", {snaps[1]!r}],
+              ["--fusion", "on", "--snapshot", {snaps[0]!r}, "--snapshot", {snaps[1]!r}],
+              ["--snapshot", {snaps[1]!r}, "--out", {str(tmp_path)!r}]):
+    assert main(["eval"] + extra + where) == 0
+    assert not unused & set(sys.modules), (extra, sorted(unused & set(sys.modules)))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("recall_at_n") == 3
+    assert (tmp_path / "eval.json").is_file()
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Replay buffer, plan schedules, freeze guarantees, and the training protocol."""
 
+import hashlib
 import json
 import logging
 from collections import Counter
@@ -272,15 +273,20 @@ def test_epoch_record_wire_keys():
     assert set(payload) == RUN_LOG_KEYS
 
 
-def test_write_run_log_appends_jsonl(tmp_path):
+def test_write_run_log_writes_the_records_whole(tmp_path):
+    # Each call replaces the file with the records it is given, and records
+    # the digest of the bytes it wrote.
     _, result = _first_step()
     path = tmp_path / "run_log.jsonl"
-    write_run_log(result.records, path)
-    write_run_log(result.records, path)
+    digests = {}
+    write_run_log(result.records, path, digests)
+    write_run_log(2 * result.records, path, digests)
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 2 * len(result.records)
     for line in lines:
         assert set(json.loads(line)) == RUN_LOG_KEYS
+    assert digests == {path: hashlib.sha256(path.read_bytes()).hexdigest()}
+    assert [p.name for p in tmp_path.iterdir()] == ["run_log.jsonl"]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from rankfuse.continual import batch_relation
+from rankfuse.corpus import load_corpus, save_corpus
 from rankfuse.data import (
     FRAME_XY,
     FRAME_Z,
@@ -24,8 +25,6 @@ from rankfuse.data import (
     _anchor_poses,
     _build_world,
     generate_domain,
-    load_corpus,
-    save_corpus,
 )
 from rankfuse.errors import ConfigurationError, IngestionError
 from rankfuse.evaluation import euclidean, recall_at_n

@@ -359,8 +359,9 @@ def test_query_blocks_match_whole_matrix_oracle_bytes(m, q, dim, levels, budget,
 
 def test_recall_peak_memory_is_bounded_by_a_block():
     # 2000 x 2000: one (query, database) float64 matrix is 32 MB, and the
-    # whole-matrix pass peaked at 72 MB. A block's matrices hold 131,072
-    # elements (1 MB) each; 8 MB leaves room for a few of them.
+    # whole-matrix pass peaked at 72 MB. A block's matrices hold 49,152
+    # elements (384 KB) each; the bound leaves room for four of them. It reads
+    # about 980,000 B, and about 2,510,000 B with 131,072-element blocks.
     rng = np.random.default_rng(0)
     m, dim = 2000, 32
     db = rng.normal(size=(m, dim))
@@ -374,7 +375,7 @@ def test_recall_peak_memory_is_bounded_by_a_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8_000_000, peak
+    assert peak < 4 * 8 * 49_152, peak
     assert out.evaluated == m and out.percent > 90.0
 
 
