@@ -102,7 +102,7 @@ def _parser() -> argparse.ArgumentParser:
         metavar="NAME=on|off",
         help="flip terms: pr, rkd, dkd, buffer, fusion (repeatable, space-separable)",
     )
-    # The config checks both against the one list of each choice, in losses.
+    # The config checks both against the one list of each choice, in config.
     run.add_argument("--lambda-variant", default=None, help="override loss.lambda_variant")
     run.add_argument("--divergence", default=None, help="override loss.divergence")
 
@@ -199,7 +199,6 @@ def _numpy_simd() -> dict:
 def cmd_run(args) -> int:
     from .config import config_digest
     from .continual import RUN_LOG_NAME, build_protocol_data, run_protocol
-    from .losses import sweep_workers
 
     cfg = _effective_config(args)
     digest = config_digest(cfg)
@@ -219,9 +218,8 @@ def cmd_run(args) -> int:
         "seeds": list(cfg.seeds),
         "results": {},
         "wall_clock": {},
-        # Threads a soft-rank sweep runs on at the largest batch, the SIMD kernels
-        # numpy picked and the BLAS core: none changes results.json.
-        "rank_sweep_workers": sweep_workers(cfg.plan.batch_cap),
+        # The SIMD kernels numpy picked and the BLAS core: the kernel the
+        # bytes of results.json are reproducible on.
         "numpy_simd": _numpy_simd(),
         **_openblas_core(),
     }

@@ -16,9 +16,14 @@ import yaml
 from .data import STYLE_PRESETS, PairPolicy, StyleParams
 from .errors import ConfigurationError, check, require, require_kind, rule
 from .evaluation import FORGETTING_MODES
-from .losses import DIVERGENCES, LAMBDA_VARIANTS, RKD_NORMS
 
 SCHEMA_ID = "rankfuse/v1"
+
+# The one definition of each loss choice: LossConfig checks its fields and
+# the `run` overrides against these.
+DIVERGENCES = ("skl", "kl", "js")
+LAMBDA_VARIANTS = ("literal", "incloud")
+RKD_NORMS = ("cubic", "quadratic")
 
 _TOGGLE_NAMES = ("pr", "rkd", "dkd", "buffer", "fusion")
 

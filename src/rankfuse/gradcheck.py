@@ -16,13 +16,13 @@ from typing import Callable
 
 import numpy as np
 
-from .config import LossConfig
+from .config import DIVERGENCES, LossConfig
 from .continual import batch_relation
 from .data import PairPolicy
 from .encoder import (backward, encode, encode_with_cache, flatten_params, init_params,
                       unflatten_params)
 from .errors import UsageError
-from .losses import (DIVERGENCES, batch_hard_triplet, combined_loss, distribution_distill_loss,
+from .losses import (batch_hard_triplet, combined_loss, distribution_distill_loss,
                      ranking_distill_loss, triplet_loss)
 
 DEFAULT_EPS = 1e-4

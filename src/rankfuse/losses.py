@@ -8,12 +8,6 @@ Conventions shared by every loss here:
   * subgradients at hinge/absolute-value kinks are 0;
   * probability floors clamp at 1e-12 before any log.
 
-The O(N^3) soft-rank sweeps of ranking distillation run on every CPU the
-process may use. Their row chunks are dealt out in contiguous shares, one
-per thread; each row gets the same operations on the same inputs at any
-thread count, so the bytes do not depend on it. The helper threads call
-only numpy, which releases the GIL, and are joined before the sweep returns.
-
 The sigmoid runs numpy's ``exp`` on contiguous buffers, so it takes the
 SIMD loop where the CPU has one (see ``sigmoid``). That moves the last bit
 of float64 losses and gradients with the CPU, but not the float32 snapshots
@@ -23,35 +17,21 @@ or ``results.json``.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import LossConfig, PlanConfig
 from .errors import UsageError, check
-
-if TYPE_CHECKING:  # config imports this module
-    from .config import LossConfig
 
 _PROB_FLOOR = 1e-12
 _DIST_FLOOR = 1e-12
 # Chunk size bound for the O(N^3) soft-rank sweeps (floats per chunk): 512 KB
 # per buffer, so both buffers fit in a 2 MB L2 cache. Measured on a Xeon at
-# one BLAS thread and one sweep thread, per ranking_distill_loss call: at
-# n=64, 16-row chunks 3.4 ms against 6.1 ms (1 row) and 4.6 ms (64 rows); at
-# n=256, 1-row chunks 151-170 ms against 192 ms (4 rows) and 241 ms (16
-# rows). Each sweep thread owns one pair of buffers, and
-# threads take whole chunks, so the chunk boundaries never depend on the
-# thread count.
+# one BLAS thread, per ranking_distill_loss call: at n=64, 16-row chunks
+# 3.4 ms against 6.1 ms (1 row) and 4.6 ms (64 rows); at n=256, 1-row chunks
+# 151-170 ms against 192 ms (4 rows) and 241 ms (16 rows).
 _CHUNK_BUDGET = 65_536
-
-# The one definition of each loss choice: config checks its fields and the
-# `run` overrides against these.
-DIVERGENCES = ("skl", "kl", "js")
-LAMBDA_VARIANTS = ("literal", "incloud")
-RKD_NORMS = ("cubic", "quadratic")
 
 
 @dataclass
@@ -75,8 +55,6 @@ def relaxation_weight(epoch: float, total_epochs: int, variant: str) -> float:
     ``literal`` uses exponent 10*g/(beta - 0.5); ``incloud`` uses
     10*(g/beta - 0.5), for epoch g of beta = ``total_epochs``.
     """
-    from .config import LossConfig, PlanConfig  # config imports this module
-
     check(PlanConfig, "plan", {"epochs": total_epochs}, relations=False)
     check(LossConfig, "loss", {"lambda_variant": variant}, relations=False)
     g, beta = float(epoch), float(total_epochs)
@@ -162,37 +140,29 @@ def similarity_backward(vectors: np.ndarray, upstream: np.ndarray,
     return -(a.sum(axis=1)[:, None] * v) + a @ v
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
 def _chunk_rows(n: int) -> int:
     return max(1, min(n, _CHUNK_BUDGET // max(n * n, 1)))
 
 
-def sweep_workers(n: int) -> int:
-    """Threads a soft-rank sweep over n rows runs on: one per usable CPU, at
-    most one per row chunk."""
-    chunks = -(-n // _chunk_rows(n))
-    return max(1, min(_usable_cpus(), chunks))
-
-
-def _sweep_rows(S, tau, r_ref, scale, step, starts, r, ds):
-    """Fill rows of R (and dL/dS) for the chunks beginning at ``starts``.
+def _rank_sweep(S: np.ndarray, tau: float, r_ref=None, scale: float = 0.0):
+    """Soft ranks of S and, given ``r_ref``, dL/dS for L = scale * sum|R - r_ref|.
 
     One pass over row chunks of the [q, i, j] sigmoid tensor, held in buffers
     allocated once per call: each chunk gives its rows of R, and because
     dL/dR[q] = scale * sign(R[q] - r_ref[q]) needs only row q, the same chunk
-    then gives its rows of dL/dS.
+    then gives its rows of dL/dS. Returns (R, dL/dS or None).
     """
+    S = np.asarray(S, dtype=np.float64)
     n = S.shape[0]
+    if tau <= 0:
+        raise UsageError(f"tau must be > 0, got {tau}")
+    r = np.empty_like(S)
+    ds = None if r_ref is None else np.empty_like(S)
+    step = _chunk_rows(n)
     diag = np.arange(n)
     g_buf = np.empty((step, n, n))
     p_buf = None if r_ref is None else np.empty_like(g_buf)
-    for start in starts:
+    for start in range(0, n, step):
         rows = S[start : start + step]
         g = g_buf[: len(rows)]
         with np.errstate():  # restores the ufunc buffer size on exit
@@ -212,48 +182,6 @@ def _sweep_rows(S, tau, r_ref, scale, step, starts, r, ds):
         np.subtract(1.0, g, out=p)
         np.multiply(g, p, out=p)  # d sigmoid; 0 on the zeroed diagonal
         ds[start : start + step] = ((tc[:, None, :] @ p)[:, 0, :] - tc * p.sum(axis=2)) / tau
-
-
-def _rank_sweep(S: np.ndarray, tau: float, r_ref=None, scale: float = 0.0):
-    """Soft ranks of S and, given ``r_ref``, dL/dS for L = scale * sum|R - r_ref|.
-
-    The row chunks go out in contiguous shares, one per sweep thread: this
-    thread runs the first share and helper threads the others, each writing
-    only its own rows. Helpers are joined before returning, and the first
-    helper's exception is raised here. Returns (R, dL/dS or None).
-    """
-    S = np.asarray(S, dtype=np.float64)
-    n = S.shape[0]
-    if tau <= 0:
-        raise UsageError(f"tau must be > 0, got {tau}")
-    r = np.empty_like(S)
-    ds = None if r_ref is None else np.empty_like(S)
-    step = _chunk_rows(n)
-    starts = range(0, n, step)
-    workers = sweep_workers(n)
-    shares = [starts[w * len(starts) // workers : (w + 1) * len(starts) // workers]
-              for w in range(workers)]
-    errors = [None] * workers
-
-    def helper(w):
-        try:
-            _sweep_rows(S, tau, r_ref, scale, step, shares[w], r, ds)
-        except BaseException as exc:  # re-raised in the calling thread
-            errors[w] = exc
-
-    threads = []
-    try:
-        for w in range(1, workers):
-            t = threading.Thread(target=helper, args=(w,))
-            t.start()
-            threads.append(t)
-        _sweep_rows(S, tau, r_ref, scale, step, shares[0], r, ds)
-    finally:
-        for t in threads:
-            t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
     return r, ds
 
 
@@ -275,8 +203,6 @@ def ranking_distill_loss(e_old, e_new, tau: float, norm: str = "cubic") -> LossV
     vo, vn = _vectors(e_old), _vectors(e_new)
     if vo.shape != vn.shape:
         raise UsageError(f"batch shape mismatch: old {vo.shape} vs new {vn.shape}")
-    from .config import LossConfig  # config imports this module
-
     check(LossConfig, "loss", {"rkd_norm": norm}, relations=False)
     n = vo.shape[0]
     scale = 1.0 / (n**3 if norm == "cubic" else n**2)
@@ -340,8 +266,6 @@ def distribution_distill_loss(e_old, e_new, temp: float, divergence: str = "skl"
     divergence functions above. ``kl`` is KL(old || new); ``js`` and ``skl``
     are symmetric in their arguments.
     """
-    from .config import LossConfig  # config imports this module
-
     check(LossConfig, "loss", {"divergence": divergence}, relations=False)
     vo, vn = _vectors(e_old), _vectors(e_new)
     if vo.shape != vn.shape:

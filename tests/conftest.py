@@ -61,7 +61,7 @@ def unit_rows():
 
 @pytest.fixture(autouse=True)
 def no_thread_left_running():
-    """Fail a test that leaves a thread alive: the rank sweeps join their helpers."""
+    """Fail a test that leaves a thread alive: no library call may leave one running."""
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]

@@ -131,10 +131,9 @@ def test_manifest_and_aggregate(smoke_out):
     # openblas_core is there exactly when numpy's BLAS names its kernel core.
     core = _openblas_core()
     assert set(manifest) == {"tool_version", "config_digest", "seeds", "results", "wall_clock",
-                             "rank_sweep_workers", "numpy_simd", "artifacts"} | set(core)
+                             "numpy_simd", "artifacts"} | set(core)
     assert manifest.get("openblas_core") == core.get("openblas_core")
     assert manifest["seeds"] == [0]
-    assert manifest["rank_sweep_workers"] == 1  # a batch of 32 is one chunk
     assert isinstance(manifest["numpy_simd"], dict)
     clock = manifest["wall_clock"]["0"]
     assert set(clock) == {"data_seconds", "train_seconds", "eval_seconds", "per_step_seconds"}
@@ -279,8 +278,7 @@ def test_reference_short_bytes_do_not_depend_on_numpys_simd_target(default_core_
     reason="needs at least two usable CPUs",
 )
 def test_results_are_identical_on_one_cpu_and_on_all(tmp_path):
-    # Batches of 64 are four sweep chunks, so an unpinned run splits them
-    # across threads while a run pinned to one CPU sweeps them in one.
+    # A run pinned to one CPU and a run free to use every CPU, at batches of 64.
     config = tmp_path / "wide.yaml"
     text = SMOKE.read_text()
     text = text.replace("batch_start: 16", "batch_start: 64").replace("batch_cap: 32", "batch_cap: 64")
@@ -297,11 +295,8 @@ def test_results_are_identical_on_one_cpu_and_on_all(tmp_path):
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        manifest = json.loads((out / "manifest.json").read_text())
-        outputs[pin] = (manifest["rank_sweep_workers"], (out / "seed_0" / "results.json").read_bytes())
-    assert outputs[True][0] == 1
-    assert outputs[False][0] >= 2
-    assert outputs[True][1] == outputs[False][1]
+        outputs[pin] = (out / "seed_0" / "results.json").read_bytes()
+    assert outputs[True] == outputs[False]
 
 
 def test_run_encodes_each_split_once_per_snapshot(monkeypatch, tmp_path):
@@ -868,7 +863,8 @@ assert "scipy" not in sys.modules, "gradcheck"
 
 def test_eval_never_imports_the_generator(smoke_out, corpora, tmp_path):
     # eval reads corpora through rankfuse.corpus: single, fused and with --out
-    # it loads neither the generator, training nor (without --config) the config.
+    # it loads neither the generator, training nor (without --config) the
+    # config. With --config it loads the config but neither losses nor training.
     out, _ = smoke_out
     snaps = [str(out / "seed_0" / f"step_{i}.snap") for i in (0, 1)]
     plains = corpora[0] / "plains"
@@ -882,10 +878,13 @@ for extra in (["--snapshot", {snaps[1]!r}],
               ["--snapshot", {snaps[1]!r}, "--out", {str(tmp_path)!r}]):
     assert main(["eval"] + extra + where) == 0
     assert not unused & set(sys.modules), (extra, sorted(unused & set(sys.modules)))
+assert main(["eval", "--snapshot", {snaps[1]!r}, "--config", {str(SMOKE)!r}] + where) == 0
+unused = {{"rankfuse.losses", "rankfuse.continual"}}
+assert not unused & set(sys.modules), sorted(unused & set(sys.modules))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("recall_at_n") == 3
+    assert proc.stdout.count("recall_at_n") == 4
     assert (tmp_path / "eval.json").is_file()
 
 

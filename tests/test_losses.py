@@ -2,8 +2,6 @@
 
 import dataclasses
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -247,11 +245,6 @@ def _tied_pair(n, seed):
     return old, new
 
 
-def _force_workers(monkeypatch, workers):
-    """Make every sweep see ``workers`` usable CPUs, whatever the host has."""
-    monkeypatch.setattr(losses_mod, "_usable_cpus", lambda: workers)
-
-
 @pytest.mark.parametrize("n", [2, 7, 64, 256])
 def test_rkd_one_pass_matches_three_sweep_oracle_bit_for_bit(n, monkeypatch):
     # Chunks of base-1, base and base+1 rows; base = (n-1)//3 leaves a 1-row
@@ -266,20 +259,17 @@ def test_rkd_one_pass_matches_three_sweep_oracle_bit_for_bit(n, monkeypatch):
             for budget in budgets:
                 monkeypatch.setattr(losses_mod, "_CHUNK_BUDGET", budget)
                 rows = losses_mod._chunk_rows(n)
-                for workers in (1, 2):
-                    _force_workers(monkeypatch, workers)
-                    out = ranking_distill_loss(old, new, tau, norm=norm)
-                    assert out.value == value, (norm, tau, rows, workers)
-                    assert np.array_equal(out.grad_new, grad), (norm, tau, rows, workers)
+                out = ranking_distill_loss(old, new, tau, norm=norm)
+                assert out.value == value, (norm, tau, rows)
+                assert np.array_equal(out.grad_new, grad), (norm, tau, rows)
 
 
-def test_rkd_holds_at_most_seven_n_by_n_arrays(monkeypatch):
-    # One sweep worker at n = 256 holds two 1-row [q, i, j] chunks, and the
-    # n x n algebra at most four matrices at once: R_old, S_new, R_new and
-    # dL/dS in the sweep. Writing each step into a new matrix holds about
-    # nine (4.7 MB), which the bound refuses.
+def test_rkd_holds_at_most_seven_n_by_n_arrays():
+    # The sweep at n = 256 holds two 1-row [q, i, j] chunks, and the n x n
+    # algebra at most four matrices at once: R_old, S_new, R_new and dL/dS in
+    # the sweep. Writing each step into a new matrix holds about nine
+    # (4.7 MB), which the bound refuses.
     n = 256
-    _force_workers(monkeypatch, 1)
     old, new = _unit_rows(n, 16, 1), _unit_rows(n, 16, 2)
     ranking_distill_loss(old, new, tau=0.1)  # first-call allocations outside the count
     tracemalloc.start()
@@ -292,8 +282,7 @@ def test_rkd_holds_at_most_seven_n_by_n_arrays(monkeypatch):
 
 
 def test_rkd_evaluates_two_sigmoid_sweeps(monkeypatch):
-    # One n^3 sweep per side: soft ranks and dL/dS of the new side share it,
-    # and splitting the chunks across threads evaluates no sigmoid twice.
+    # One n^3 sweep per side: soft ranks and dL/dS of the new side share it.
     evaluated = []
     real = losses_mod.sigmoid
 
@@ -304,83 +293,11 @@ def test_rkd_evaluates_two_sigmoid_sweeps(monkeypatch):
     monkeypatch.setattr(losses_mod, "sigmoid", counting)
     n = 50  # two chunks at the default budget, the second one shorter
     old, new = _unit_rows(n, 8, 1), _unit_rows(n, 8, 2)
-    for workers in (1, 2):
-        _force_workers(monkeypatch, workers)
-        evaluated.clear()
-        ranking_distill_loss(old, new, tau=0.1)
-        assert sum(evaluated) == 2 * n**3, workers
-        evaluated.clear()
-        soft_ranks(similarity_matrix(new), tau=0.1)
-        assert sum(evaluated) == n**3, workers
-
-
-@pytest.mark.parametrize("tau", [0.3, 0.01])
-@pytest.mark.parametrize("n", [2, 45, 46, 64, 257])
-def test_rank_sweeps_give_equal_bytes_at_any_worker_count(n, tau, monkeypatch):
-    # 1, 2, 2, 4 and 257 chunks at the default budget; rows tie from n = 4 on.
-    old, new = _tied_pair(n, seed=n)
-    s_old = similarity_matrix(old)
-    outs = []
-    for workers in (1, 2, 3):
-        _force_workers(monkeypatch, workers)
-        rkd = ranking_distill_loss(old, new, tau)
-        outs.append((rkd.value, rkd.grad_new.tobytes(), soft_ranks(s_old, tau).tobytes()))
-    assert outs[1] == outs[0]
-    assert outs[2] == outs[0]
-
-
-def test_rank_sweep_stress_more_threads_than_cpus(monkeypatch):
-    # 1-row chunks shared by 8 threads, switching as often as the interpreter
-    # allows: a row written twice or not at all would change the bytes.
-    n = 48
-    old, new = _tied_pair(n, seed=5)
-    monkeypatch.setattr(losses_mod, "_CHUNK_BUDGET", n * n)
-    _force_workers(monkeypatch, 1)
-    serial = ranking_distill_loss(old, new, 0.05)
-    _force_workers(monkeypatch, 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            out = ranking_distill_loss(old, new, 0.05)
-            assert out.value == serial.value
-            assert out.grad_new.tobytes() == serial.grad_new.tobytes()
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_sweep_workers_follow_cpus_and_chunks(monkeypatch):
-    _force_workers(monkeypatch, 3)
-    assert [losses_mod.sweep_workers(n) for n in (2, 40, 41, 64, 257)] == [1, 1, 2, 3, 3]
-    _force_workers(monkeypatch, 1)
-    assert losses_mod.sweep_workers(257) == 1
-
-
-class _SweepFailure(Exception):
-    pass
-
-
-@pytest.mark.parametrize("fail_in", ["helper", "caller"])
-def test_sweep_failure_reaches_the_caller_and_joins_helpers(fail_in, monkeypatch):
-    real = losses_mod.sigmoid
-    caller = threading.get_ident()
-    helper_calls = []
-
-    def failing(x, *args, **kwargs):
-        in_helper = threading.get_ident() != caller
-        helper_calls.append(in_helper)
-        if in_helper == (fail_in == "helper"):
-            raise _SweepFailure(fail_in)
-        return real(x, *args, **kwargs)
-
-    monkeypatch.setattr(losses_mod, "sigmoid", failing)
-    _force_workers(monkeypatch, 3)
-    old, new = _unit_rows(64, 8, 1), _unit_rows(64, 8, 2)  # 4 chunks, 3 shares
-    before = threading.active_count()
-    with pytest.raises(_SweepFailure, match=fail_in):
-        ranking_distill_loss(old, new, tau=0.1)
-    assert threading.active_count() == before
-    assert any(helper_calls)  # the helpers really ran
+    ranking_distill_loss(old, new, tau=0.1)
+    assert sum(evaluated) == 2 * n**3
+    evaluated.clear()
+    soft_ranks(similarity_matrix(new), tau=0.1)
+    assert sum(evaluated) == n**3
 
 
 def test_rkd_zero_for_identical_embeddings(unit_rows):
