@@ -15,7 +15,6 @@ import yaml
 
 from .data import STYLE_PRESETS, PairPolicy, StyleParams
 from .errors import ConfigurationError, check, require, require_kind, rule
-from .evaluation import FORGETTING_MODES
 
 SCHEMA_ID = "rankfuse/v1"
 
@@ -24,6 +23,8 @@ SCHEMA_ID = "rankfuse/v1"
 DIVERGENCES = ("skl", "kl", "js")
 LAMBDA_VARIANTS = ("literal", "incloud")
 RKD_NORMS = ("cubic", "quadratic")
+# How forgetting_score takes an earlier task's best recall.
+FORGETTING_MODES = ("printed", "from_t")
 
 _TOGGLE_NAMES = ("pr", "rkd", "dkd", "buffer", "fusion")
 

@@ -33,7 +33,7 @@ def scan_file(sample_id: int) -> str:
 
 def save_corpus(samples: list, path: str | Path) -> Path:
     """Write a corpus directory (poses.csv plus per-scan .f32 files) from
-    ``data.PlaceSample``s."""
+    ``data.PlaceSample``s, whose float32 scans are written as they are held."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / POSES_FILE, "w", newline="\n", encoding="utf-8") as fh:
@@ -41,9 +41,7 @@ def save_corpus(samples: list, path: str | Path) -> Path:
         writer.writerow(_CSV_HEADER)
         for s in samples:
             name = scan_file(s.sample_id)
-            (out / name).write_bytes(
-                np.ascontiguousarray(s.scan.points, dtype="<f4").tobytes()
-            )
+            (out / name).write_bytes(s.scan.points.tobytes())
             writer.writerow([s.sample_id, repr(float(s.pose[0])), repr(float(s.pose[1])), name])
     return out
 
@@ -65,11 +63,12 @@ class ScanReader:
 
     ``reader[lo:hi]`` reads those rows' scan files into one float32 buffer,
     checks it, and returns the rows as a (hi - lo, P, 3) float64 array, each
-    scan with a value beyond [-1, 1] divided by its peak ``max |x|``. The
-    first scan's point count fixes P. A missing, short or non-regular scan
-    file, or a non-finite value, is an ingestion error naming poses.csv, the
-    line and the scan file; the slice's first bad row is the one reported.
-    Nothing is kept between slices but the point count.
+    scan with a value beyond [-1, 1] divided by its peak ``max |x|`` (never a
+    generated scan: generation clips to [-1, 1]). The first scan's point count
+    fixes P. A missing, short or non-regular scan file, or a non-finite value,
+    is an ingestion error naming poses.csv, the line and the scan file; the
+    slice's first bad row is the one reported. Nothing is kept between slices
+    but the point count.
     """
 
     def __init__(self, poses_path: Path, linenos: list, names: list):

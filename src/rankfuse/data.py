@@ -2,11 +2,13 @@
 
 A domain is a smooth planar trajectory through a fixed set of 3D landmarks
 (plane patches, boxes, scatter clutter). A scan is the set of landmark points
-visible from a pose, expressed in a pose-centered frame, jittered, and
-normalized to [-1, 1]. Landmarks and trajectory depend only on the domain
-seed, so different sessions (traversals) of the same domain observe the same
-world and nearby poses genuinely overlap. The on-disk format that ``gen-data``
-writes these samples in, and ``eval`` reads, is ``corpus``.
+visible from a pose, expressed in a pose-centered frame, jittered,
+normalized to [-1, 1] and rounded to float32, the numbers of its corpus file,
+so training and ``eval`` read the same inputs. Landmarks and trajectory
+depend only on the domain seed, so different sessions (traversals) of the
+same domain observe the same world and nearby poses genuinely overlap. The
+on-disk format that ``gen-data`` writes these samples in, and ``eval``
+reads, is ``corpus``.
 """
 
 from __future__ import annotations
@@ -33,12 +35,12 @@ _SESSION_TAG = 0x5E55
 
 @dataclass(frozen=True)
 class PointScan:
-    """One scan: an (N, 3) float array of normalized coordinates in [-1, 1]."""
+    """One scan: an (N, 3) little-endian float32 array of coordinates in [-1, 1]."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = np.asarray(self.points, dtype="<f4")
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise UsageError(f"scan points must be (N, 3), got {pts.shape}")
         object.__setattr__(self, "points", pts)
@@ -349,11 +351,11 @@ def generate_domain(
 
     A scan sees every point of each landmark within the visibility radius (or
     uniform clutter when none is), rotated into a jittered sensor frame and
-    mounted, jittered per point, subsampled to ``points_per_scan`` and
-    normalized. The split is built at once: visibility for every (pose,
-    landmark) pair, then a per-scan loop that makes only the RNG draws, in
-    per-scan order, then one transform of the picked points. Every kept point
-    gets the operations of a scan-by-scan build, so the bytes are the same.
+    mounted, jittered per point, subsampled to ``points_per_scan``, normalized
+    and rounded to float32. The split is built at once: visibility for every
+    (pose, landmark) pair, then a per-scan loop that makes only the RNG draws,
+    in per-scan order, then one transform of the picked points. Every kept
+    point gets the operations of a scan-by-scan build, so the bytes are equal.
     """
     from .config import EncoderConfig  # config imports this module
 
@@ -425,6 +427,7 @@ def generate_domain(
     scans[:, :, :2] /= FRAME_XY
     scans[:, :, 2] /= FRAME_Z
     np.clip(scans, -1.0, 1.0, out=scans)
+    scans = scans.astype("<f4")  # rounded once: the numbers a corpus file holds
     return [
         PlaceSample(scan=PointScan(scans[i]), pose=poses[i], domain_id=domain_id, sample_id=i)
         for i in range(n)

@@ -107,7 +107,7 @@ class ModelSnapshot:
 
 def init_params(seed: int, hidden: int, dim: int) -> EncoderParams:
     """Variance-scaled uniform weights (Glorot), zero biases; pure in seed."""
-    from .config import EncoderConfig  # config imports this module, through evaluation
+    from .config import EncoderConfig  # config imports the generator; eval must not
 
     check(EncoderConfig, "encoder", {"hidden": hidden, "dim": dim}, relations=False)
     rng = np.random.Generator(np.random.PCG64(seed))

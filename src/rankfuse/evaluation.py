@@ -53,9 +53,6 @@ class ForgettingReport:
     per_task_drops: list
 
 
-FORGETTING_MODES = ("printed", "from_t")
-
-
 def embed(snapshots, scans) -> np.ndarray:
     """Embed scans with each snapshot; two snapshots concatenate (fusion).
 
@@ -187,7 +184,7 @@ def forgetting_score(recall_matrix: np.ndarray, mode: str = "printed") -> Forget
     t_total = r.shape[0]
     if t_total < 2:
         raise UsageError("forgetting needs at least 2 tasks")
-    from .config import ExperimentConfig  # config imports this module
+    from .config import ExperimentConfig  # config imports the generator; eval must not
 
     check(ExperimentConfig, "", {"forgetting_max": mode}, relations=False)
     drops = []

@@ -25,7 +25,7 @@ import rankfuse.continual
 import rankfuse.evaluation
 from rankfuse.cli import _openblas_core, main
 from rankfuse.config import config_digest, load_config
-from rankfuse.corpus import ScanReader, load_corpus, save_corpus
+from rankfuse.corpus import ScanReader, load_corpus, save_corpus, scan_file
 from rankfuse.data import PlaceSample, PointScan
 from rankfuse.encoder import init_params, load_snapshot, make_snapshot, save_snapshot
 from rankfuse.evaluation import embed
@@ -827,6 +827,37 @@ def test_eval_fused_pair(smoke_out, corpora):
                "--queries", root / "plains" / "query")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["embedding_dim"] == 32
+
+
+def test_eval_from_the_corpus_files_gives_every_cell_of_the_run(smoke_out, corpora, tmp_path,
+                                                                 capsys):
+    # run trains and evaluates on the scans that gen-data writes, byte for
+    # byte, so eval of the run's snapshots on those files gives each (step,
+    # task) cell of its recall matrix: single, and fused from step 1 on.
+    out, _ = smoke_out
+    root, _ = corpora
+    cfg = load_config(SMOKE)
+    for i, dom in enumerate(cfg.domains):
+        for session, split in enumerate(("train", "db", "query")):
+            for s in rankfuse.continual.domain_split(cfg, i, session):
+                path = root / dom.name / split / scan_file(s.sample_id)
+                assert path.read_bytes() == s.scan.points.tobytes(), path
+    details = json.loads((out / "seed_0" / "results.json").read_text())["per_step_details"]
+    snaps = [str(out / "seed_0" / f"step_{l}.snap") for l in range(len(cfg.domains))]
+    for t, dom in enumerate(cfg.domains):
+        dom_dir = root / dom.name
+        where = ["--corpus", str(dom_dir / "db"), "--queries", str(dom_dir / "query"),
+                 "--pos-test", repr(cfg.pairs.pos_test), "--out", str(tmp_path)]
+        for l in range(len(snaps)):
+            evals = [("single", "off", snaps[l:l + 1])]
+            if l > 0:
+                evals.append(("fused", "on", snaps[l - 1:l + 1]))
+            for mode, fusion, pair in evals:
+                picked = [a for s in pair for a in ("--snapshot", s)]
+                assert main(["eval", *where, "--fusion", fusion, *picked]) == 0
+                report = json.loads((tmp_path / "eval.json").read_text())
+                assert report["recall_at_n"] == details[mode]["recall_matrix"][l][t], (mode, l, t)
+    capsys.readouterr()
 
 
 def test_cli_never_imports_scipy(smoke_out, corpora, tmp_path):

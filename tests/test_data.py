@@ -87,7 +87,7 @@ def _oracle_domain(spec, points_per_scan):
         rel[:, 1] /= FRAME_XY
         rel[:, 2] /= FRAME_Z
         np.clip(rel, -1.0, 1.0, out=rel)
-        scans.append(rel)
+        scans.append(rel.astype("<f4"))  # finished scans round once to float32
     return scans, poses, counts
 
 
