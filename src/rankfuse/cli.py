@@ -367,8 +367,6 @@ def cmd_gen_data(args) -> int:
 
     cfg = _effective_config(args)
     out_root = _out_dir(Path(cfg.out_dir) / "corpora")
-    if not cfg.domains:
-        raise ConfigurationError("domains: protocol needs at least one domain")
     # Every split's directory and files are checked before any split is made.
     dirs = []
     for dom in cfg.domains:

@@ -1,4 +1,6 @@
-"""Experiment configuration: YAML schema, validation, and stable digests.
+"""Experiment configuration: the whole schema (field rules and their one
+checker, the sections, the generator's pair policy, styles and domain spec),
+YAML, and stable digests. It imports no other rankfuse module but errors.
 
 A config file fully determines an experiment together with a seed. The
 sha256 digest of the canonically serialized config is recorded in every
@@ -9,12 +11,98 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import operator
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import yaml
 
-from .data import STYLE_PRESETS, PairPolicy, StyleParams
-from .errors import ConfigurationError, check, require, require_kind, rule
+from .errors import ConfigurationError
+
+
+def require(cond: bool, path: str, msg: str):
+    if not cond:
+        raise ConfigurationError(f"{path}: {msg}")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_dirname(v) -> bool:
+    return isinstance(v, str) and v not in ("", ".", "..") and "/" not in v and "\0" not in v
+
+
+# YAML 1.1 reads 1e9 as a string; bool is an int subclass, but `true` is not a
+# count; numpy's generators refuse negative seeds; a domain's name is one
+# directory under gen-data's corpora/.
+KINDS = {
+    "int": ("an integer", _is_int),
+    "seed": ("a non-negative integer", lambda v: _is_int(v) and v >= 0),
+    "float": ("a number", _is_number),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "dirname": ("a directory name: a non-empty string, not '.' or '..', with no '/' or NUL",
+                _is_dirname),
+    "tuple": ("a list of numbers",
+              lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v))),
+}
+_BOUNDS = (("min", ">=", operator.ge), ("gt", ">", operator.gt),
+           ("max", "<=", operator.le), ("lt", "<", operator.lt))
+
+
+def rule(default=MISSING, **rule):
+    """A dataclass field that declares its checks beside itself.
+
+    ``rule`` may name a ``kind`` of ``KINDS`` (by default the annotation's),
+    ``finite=True``, the bounds ``min``, ``gt``, ``max`` and ``lt``, and
+    ``choices``, all kept under the field's ``metadata["rule"]``. A field
+    without a rule is not checked.
+    """
+    return field(default=default, metadata={"rule": rule})
+
+
+def require_kind(value, kind: str, path: str):
+    name, test = KINDS[kind]
+    require(test(value), path, f"must be {name}, got {value!r}")
+
+
+def check(obj, path: str, values=None, relations: bool = True):
+    """Check a dataclass's ``values`` (by default the instance's own): refuse
+    a name that is not a field, then check each field's rule, in field order:
+    kind, then finiteness, then bounds and choices. Then, unless
+    ``relations`` is false, check the class's cross-field ``_relations``,
+    each a (field or None, test of the values, message formatted with the
+    values). Messages read ``<path>.<field>: must be ...``; an empty path is
+    the root. A public function checks an argument that a config field also
+    holds as ``check(Section, "section", {"field": value}, relations=False)``,
+    so that it refuses what the config refuses, with the config's message.
+    """
+    values = vars(obj) if values is None else values
+    known = {f.name for f in fields(obj)}
+    for key in values:
+        require(key in known, ".".join(filter(None, (path, str(key)))), "unknown field")
+    for f in fields(obj):
+        r = f.metadata.get("rule")
+        if r is None or f.name not in values:
+            continue
+        value, where = values[f.name], ".".join(filter(None, (path, f.name)))
+        kind = r.get("kind", f.type)
+        if kind in KINDS:
+            require_kind(value, kind, where)
+        if r.get("finite"):
+            require(math.isfinite(value), where, f"must be finite, got {value!r}")
+        for key, sign, holds in _BOUNDS:
+            if key in r:
+                require(holds(value, r[key]), where, f"must be {sign} {r[key]}, got {value!r}")
+        if "choices" in r:
+            require(value in r["choices"], where, f"must be one of {r['choices']}, got {value!r}")
+    for name, holds, msg in getattr(obj, "_relations", ()) if relations else ():
+        require(holds(values), ".".join(filter(None, (path, name))), msg.format_map(values))
+
 
 SCHEMA_ID = "rankfuse/v1"
 
@@ -29,9 +117,144 @@ FORGETTING_MODES = ("printed", "from_t")
 _TOGGLE_NAMES = ("pr", "rkd", "dkd", "buffer", "fusion")
 
 
-# Each field declares its rule beside itself, and each section checks itself
+# Each field declares its rule beside itself, and each class checks itself
 # on construction, so a config built by from_dict, by apply_overrides (via
 # replace) or directly is checked alike.
+
+
+@dataclass(frozen=True)
+class PairPolicy:
+    """Distance thresholds (meters) defining positive/negative pairs.
+
+    Training uses the dual-threshold scheme: pairs closer than ``pos_train``
+    are positives, farther than ``neg_train`` are negatives, and the band in
+    between is unlabeled and excluded from mining. Testing uses the single
+    ``pos_test`` radius for ground truth.
+    """
+
+    pos_train: float = rule(10.0, finite=True, gt=0)
+    neg_train: float = rule(50.0, finite=True)
+    pos_test: float = rule(25.0, finite=True, gt=0)
+
+    _relations = (("neg_train", lambda v: v["neg_train"] > v["pos_train"],
+                   "must exceed pos_train ({pos_train}), got {neg_train}"),)
+
+    def __post_init__(self):
+        check(self, "PairPolicy")
+
+
+@dataclass(frozen=True)
+class StyleParams:
+    """Structural style plus sensor rig of a domain.
+
+    Scans are normalized by the fixed FRAME_XY/FRAME_Z extents, so structure
+    scale, reach, and mounting differences show up directly in the inputs;
+    varying these fields is what produces domain shift.
+    """
+
+    plane_weight: float = rule(0.5, finite=True, min=0)
+    box_weight: float = rule(0.3, finite=True, min=0)
+    clutter_weight: float = rule(0.2, finite=True, min=0)
+    landmark_density: float = rule(0.6, finite=True, gt=0)  # landmarks per trajectory meter
+    visibility_radius: float = rule(40.0, finite=True, gt=0)  # meters
+    noise: float = rule(0.02, finite=True, min=0)  # per-point jitter std, meters
+    yaw_jitter: float = rule(0.35, finite=True)  # per-scan heading jitter, radians
+    height_scale: float = rule(1.0, finite=True, gt=0)  # multiplies landmark heights
+    sensor_yaw: float = rule(0.0, finite=True)  # fixed mount rotation about z, radians
+    sensor_tilt: float = rule(0.0, finite=True)  # fixed mount rotation about x, radians
+    sensor_z: float = rule(0.0, finite=True)  # fixed mount height offset, meters
+    axis_scale: tuple = rule((1.0, 1.0, 1.0))  # per-axis calibration scale
+
+    _relations = (
+        (None, lambda v: v["plane_weight"] + v["box_weight"] + v["clutter_weight"] > 0,
+         "mixture weights must not all be zero"),
+        ("axis_scale", lambda v: len(v["axis_scale"]) == 3
+         and all(math.isfinite(x) and x > 0 for x in v["axis_scale"]),
+         "must be 3 finite numbers > 0, got {axis_scale}"),
+    )
+
+    def __post_init__(self):
+        check(self, "StyleParams")
+        object.__setattr__(self, "axis_scale", tuple(float(v) for v in self.axis_scale))
+
+
+# Contrasting structures and sensor rigs; sequential training across these
+# shifts the input statistics enough that plain fine-tuning forgets.
+STYLE_PRESETS = {
+    "plains": StyleParams(
+        plane_weight=0.7,
+        box_weight=0.1,
+        clutter_weight=0.2,
+        landmark_density=0.45,
+        visibility_radius=55.0,
+        noise=0.02,
+        yaw_jitter=0.1,
+        height_scale=0.6,
+        sensor_yaw=0.0,
+        sensor_z=0.0,
+    ),
+    "depot": StyleParams(
+        plane_weight=0.15,
+        box_weight=0.75,
+        clutter_weight=0.1,
+        landmark_density=0.5,
+        visibility_radius=40.0,
+        noise=0.015,
+        yaw_jitter=0.1,
+        height_scale=1.3,
+        sensor_yaw=1.8,
+        sensor_tilt=0.3,
+        sensor_z=2.0,
+        axis_scale=(1.35, 0.75, 1.2),
+    ),
+    "grove": StyleParams(
+        plane_weight=0.1,
+        box_weight=0.15,
+        clutter_weight=0.75,
+        landmark_density=0.5,
+        visibility_radius=42.0,
+        noise=0.04,
+        yaw_jitter=0.12,
+        height_scale=0.9,
+        sensor_yaw=-2.2,
+        sensor_tilt=-0.25,
+        sensor_z=0.5,
+        axis_scale=(0.7, 1.3, 0.85),
+    ),
+    "arcade": StyleParams(
+        plane_weight=0.35,
+        box_weight=0.55,
+        clutter_weight=0.1,
+        landmark_density=0.5,
+        visibility_radius=38.0,
+        noise=0.01,
+        yaw_jitter=0.08,
+        height_scale=1.6,
+        sensor_yaw=2.8,
+        sensor_tilt=0.4,
+        sensor_z=1.5,
+        axis_scale=(1.25, 1.2, 0.65),
+    ),
+}
+
+
+@dataclass(frozen=True)
+class DomainSpec:
+    """Everything needed to rebuild one domain deterministically.
+
+    ``session`` selects a traversal of the same world: session 0 poses sit on
+    the trajectory anchors, later sessions revisit them with small pose
+    offsets, fresh per-scan yaw, and fresh jitter (database vs. query dates).
+    """
+
+    seed: int = rule(kind="seed")
+    n_places: int = rule(min=2)
+    trajectory_length: float = rule(1000.0, finite=True, gt=0)
+    style: StyleParams = field(default_factory=StyleParams)
+    session: int = rule(0, min=0)
+
+    def __post_init__(self):
+        check(self, "DomainSpec")
 
 
 @dataclass(frozen=True)
@@ -94,7 +317,7 @@ class BufferConfig:
 
 @dataclass(frozen=True)
 class DomainConfig:
-    name: str
+    name: str = rule(kind="dirname")
     seed: int = rule(kind="seed")
     train_places: int = rule(400, min=2)
     test_places: int = rule(200, min=2)
@@ -174,13 +397,14 @@ def from_dict(raw: dict) -> ExperimentConfig:
 
     domains_raw = raw.get("domains", [])
     require(isinstance(domains_raw, list), "domains", "must be a list")
+    require(len(domains_raw) > 0, "domains", "protocol needs at least one domain")
     domains = []
     names = set()
     for i, d in enumerate(domains_raw):
-        # A domain is named by its name, as DomainConfig names it, or else by
-        # its index.
+        # A domain is named by its name, as DomainConfig names it, or else
+        # (a bad name too) by its index.
         name = d.get("name") if isinstance(d, dict) else None
-        where = f"domains[{name if isinstance(name, str) else i}]"
+        where = f"domains[{name if _is_dirname(name) else i}]"
         if isinstance(d, dict) and isinstance(d.get("style"), dict):
             d = dict(d)
             d["style"] = _build(StyleParams, d["style"], f"{where}.style")

@@ -17,13 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import BufferConfig, ExperimentConfig, PlanConfig
-from .data import (
-    DomainSpec,
-    PairPolicy,
-    PairRelation,
-    generate_domain,
-)
+from .config import BufferConfig, DomainSpec, ExperimentConfig, PairPolicy, PlanConfig, check
+from .data import PairRelation, generate_domain
 from .encoder import (
     AdamState,
     EncoderParams,
@@ -37,7 +32,7 @@ from .encoder import (
     params_digest,
     save_snapshot,
 )
-from .errors import ConfigurationError, TrainingError, UsageError, check, write_atomic
+from .errors import ConfigurationError, TrainingError, UsageError, write_atomic
 from .evaluation import euclidean
 from .losses import combined_loss, relaxation_weight
 
@@ -332,8 +327,6 @@ def domain_split(cfg: ExperimentConfig, i: int, session: int) -> list:
 def build_protocol_data(cfg: ExperimentConfig, sessions=(0, 1, 2)) -> list:
     """For each of ``sessions``, the split of every configured domain: by
     default the train, database and query splits."""
-    if not cfg.domains:
-        raise ConfigurationError("domains: protocol needs at least one domain")
     return [[domain_split(cfg, i, s) for i in range(len(cfg.domains))] for s in sessions]
 
 

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, check, rule
+from .config import DomainSpec, EncoderConfig, StyleParams, check
+from .config import STYLE_PRESETS, PairPolicy  # noqa: F401  only benchmarks/child.py reads these
+from .errors import UsageError
 
 DEFAULT_POINTS_PER_SCAN = 256
 
@@ -57,141 +59,6 @@ class PlaceSample:
 
     def __post_init__(self):
         object.__setattr__(self, "pose", np.asarray(self.pose, dtype=np.float64).reshape(2))
-
-
-@dataclass(frozen=True)
-class PairPolicy:
-    """Distance thresholds (meters) defining positive/negative pairs.
-
-    Training uses the dual-threshold scheme: pairs closer than ``pos_train``
-    are positives, farther than ``neg_train`` are negatives, and the band in
-    between is unlabeled and excluded from mining. Testing uses the single
-    ``pos_test`` radius for ground truth.
-    """
-
-    pos_train: float = rule(10.0, finite=True, gt=0)
-    neg_train: float = rule(50.0, finite=True)
-    pos_test: float = rule(25.0, finite=True, gt=0)
-
-    _relations = (("neg_train", lambda v: v["neg_train"] > v["pos_train"],
-                   "must exceed pos_train ({pos_train}), got {neg_train}"),)
-
-    def __post_init__(self):
-        check(self, "PairPolicy")
-
-
-@dataclass(frozen=True)
-class StyleParams:
-    """Structural style plus sensor rig of a domain.
-
-    Scans are normalized by the fixed FRAME_XY/FRAME_Z extents, so structure
-    scale, reach, and mounting differences show up directly in the inputs;
-    varying these fields is what produces domain shift.
-    """
-
-    plane_weight: float = rule(0.5, finite=True, min=0)
-    box_weight: float = rule(0.3, finite=True, min=0)
-    clutter_weight: float = rule(0.2, finite=True, min=0)
-    landmark_density: float = rule(0.6, finite=True, gt=0)  # landmarks per trajectory meter
-    visibility_radius: float = rule(40.0, finite=True, gt=0)  # meters
-    noise: float = rule(0.02, finite=True, min=0)  # per-point jitter std, meters
-    yaw_jitter: float = rule(0.35, finite=True)  # per-scan heading jitter, radians
-    height_scale: float = rule(1.0, finite=True, gt=0)  # multiplies landmark heights
-    sensor_yaw: float = rule(0.0, finite=True)  # fixed mount rotation about z, radians
-    sensor_tilt: float = rule(0.0, finite=True)  # fixed mount rotation about x, radians
-    sensor_z: float = rule(0.0, finite=True)  # fixed mount height offset, meters
-    axis_scale: tuple = rule((1.0, 1.0, 1.0))  # per-axis calibration scale
-
-    _relations = (
-        (None, lambda v: v["plane_weight"] + v["box_weight"] + v["clutter_weight"] > 0,
-         "mixture weights must not all be zero"),
-        ("axis_scale", lambda v: len(v["axis_scale"]) == 3
-         and all(math.isfinite(x) and x > 0 for x in v["axis_scale"]),
-         "must be 3 finite numbers > 0, got {axis_scale}"),
-    )
-
-    def __post_init__(self):
-        check(self, "StyleParams")
-        object.__setattr__(self, "axis_scale", tuple(float(v) for v in self.axis_scale))
-
-
-# Contrasting structures and sensor rigs; sequential training across these
-# shifts the input statistics enough that plain fine-tuning forgets.
-STYLE_PRESETS = {
-    "plains": StyleParams(
-        plane_weight=0.7,
-        box_weight=0.1,
-        clutter_weight=0.2,
-        landmark_density=0.45,
-        visibility_radius=55.0,
-        noise=0.02,
-        yaw_jitter=0.1,
-        height_scale=0.6,
-        sensor_yaw=0.0,
-        sensor_z=0.0,
-    ),
-    "depot": StyleParams(
-        plane_weight=0.15,
-        box_weight=0.75,
-        clutter_weight=0.1,
-        landmark_density=0.5,
-        visibility_radius=40.0,
-        noise=0.015,
-        yaw_jitter=0.1,
-        height_scale=1.3,
-        sensor_yaw=1.8,
-        sensor_tilt=0.3,
-        sensor_z=2.0,
-        axis_scale=(1.35, 0.75, 1.2),
-    ),
-    "grove": StyleParams(
-        plane_weight=0.1,
-        box_weight=0.15,
-        clutter_weight=0.75,
-        landmark_density=0.5,
-        visibility_radius=42.0,
-        noise=0.04,
-        yaw_jitter=0.12,
-        height_scale=0.9,
-        sensor_yaw=-2.2,
-        sensor_tilt=-0.25,
-        sensor_z=0.5,
-        axis_scale=(0.7, 1.3, 0.85),
-    ),
-    "arcade": StyleParams(
-        plane_weight=0.35,
-        box_weight=0.55,
-        clutter_weight=0.1,
-        landmark_density=0.5,
-        visibility_radius=38.0,
-        noise=0.01,
-        yaw_jitter=0.08,
-        height_scale=1.6,
-        sensor_yaw=2.8,
-        sensor_tilt=0.4,
-        sensor_z=1.5,
-        axis_scale=(1.25, 1.2, 0.65),
-    ),
-}
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """Everything needed to rebuild one domain deterministically.
-
-    ``session`` selects a traversal of the same world: session 0 poses sit on
-    the trajectory anchors, later sessions revisit them with small pose
-    offsets, fresh per-scan yaw, and fresh jitter (database vs. query dates).
-    """
-
-    seed: int = rule(kind="seed")
-    n_places: int = rule(min=2)
-    trajectory_length: float = rule(1000.0, finite=True, gt=0)
-    style: StyleParams = field(default_factory=StyleParams)
-    session: int = rule(0, min=0)
-
-    def __post_init__(self):
-        check(self, "DomainSpec")
 
 
 @dataclass(frozen=True)
@@ -357,8 +224,6 @@ def generate_domain(
     in per-scan order, then one transform of the picked points. Every kept
     point gets the operations of a scan-by-scan build, so the bytes are equal.
     """
-    from .config import EncoderConfig  # config imports this module
-
     check(EncoderConfig, "encoder", {"points_per_scan": points_per_scan}, relations=False)
 
     world = _build_world(spec.seed, spec.trajectory_length, spec.style)

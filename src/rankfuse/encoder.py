@@ -52,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TrainingError, UsageError, check, write_atomic
+from .errors import TrainingError, UsageError, write_atomic
 
 _SNAP_MAGIC = b"RFSN"
 _SNAP_VERSION = 1
@@ -107,7 +107,7 @@ class ModelSnapshot:
 
 def init_params(seed: int, hidden: int, dim: int) -> EncoderParams:
     """Variance-scaled uniform weights (Glorot), zero biases; pure in seed."""
-    from .config import EncoderConfig  # config imports the generator; eval must not
+    from .config import EncoderConfig, check  # here: eval without --config loads no config
 
     check(EncoderConfig, "encoder", {"hidden": hidden, "dim": dim}, relations=False)
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import encode
-from .errors import UsageError, check, write_atomic
+from .errors import UsageError, write_atomic
 
 RESULTS_FILE = "results.json"
 RECALL_CSV = "recall_matrix.csv"
@@ -184,7 +184,7 @@ def forgetting_score(recall_matrix: np.ndarray, mode: str = "printed") -> Forget
     t_total = r.shape[0]
     if t_total < 2:
         raise UsageError("forgetting needs at least 2 tasks")
-    from .config import ExperimentConfig  # config imports the generator; eval must not
+    from .config import ExperimentConfig, check  # here: eval without --config loads no config
 
     check(ExperimentConfig, "", {"forgetting_max": mode}, relations=False)
     drops = []

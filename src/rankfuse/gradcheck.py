@@ -16,9 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DIVERGENCES, LossConfig
+from .config import DIVERGENCES, LossConfig, PairPolicy
 from .continual import batch_relation
-from .data import PairPolicy
 from .encoder import (backward, encode, encode_with_cache, flatten_params, init_params,
                       unflatten_params)
 from .errors import UsageError

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import LossConfig, PlanConfig
-from .errors import UsageError, check
+from .config import LossConfig, PlanConfig, check
+from .errors import UsageError
 
 _PROB_FLOOR = 1e-12
 _DIST_FLOOR = 1e-12

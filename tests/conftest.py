@@ -5,8 +5,9 @@ import threading
 import numpy as np
 import pytest
 
-from rankfuse.config import EncoderConfig, ExperimentConfig, LossConfig, PlanConfig
-from rankfuse.data import DomainSpec, PairPolicy, StyleParams, generate_domain
+from rankfuse.config import (DomainSpec, EncoderConfig, ExperimentConfig, LossConfig, PairPolicy,
+                             PlanConfig, StyleParams)
+from rankfuse.data import generate_domain
 
 TINY_STYLE = StyleParams(
     plane_weight=0.5,

@@ -615,6 +615,30 @@ def test_duplicate_config_seed_exits_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "gen-data"])
+def test_no_domain_exits_2_before_any_output(tmp_path, verb):
+    raw = yaml.safe_load(SMOKE.read_text())
+    raw["domains"] = []
+    config = tmp_path / "edited.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    proc = cli(verb, "--config", config, "--out", tmp_path / "out")
+    assert proc.returncode == 2
+    assert "config error: domains: protocol needs at least one domain" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_domain_name_that_is_not_one_directory_exits_2(tmp_path):
+    # '..' would write its splits into the output root, beside corpora/.
+    config = tmp_path / "edited.yaml"
+    config.write_text(SMOKE.read_text().replace("name: depot", "name: '..'", 1))
+    proc = cli("gen-data", "--config", config, "--out", tmp_path / "out")
+    assert proc.returncode == 2
+    assert "config error: domains[1].name: must be a directory name" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("verb", ["run", "gen-data", "eval"])
 def test_out_naming_a_file_exits_2(smoke_out, tmp_path, verb):
     taken = tmp_path / "taken"
@@ -895,7 +919,8 @@ assert "scipy" not in sys.modules, "gradcheck"
 def test_eval_never_imports_the_generator(smoke_out, corpora, tmp_path):
     # eval reads corpora through rankfuse.corpus: single, fused and with --out
     # it loads neither the generator, training nor (without --config) the
-    # config. With --config it loads the config but neither losses nor training.
+    # config. With --config it loads the config but neither the generator,
+    # losses nor training.
     out, _ = smoke_out
     snaps = [str(out / "seed_0" / f"step_{i}.snap") for i in (0, 1)]
     plains = corpora[0] / "plains"
@@ -910,7 +935,7 @@ for extra in (["--snapshot", {snaps[1]!r}],
     assert main(["eval"] + extra + where) == 0
     assert not unused & set(sys.modules), (extra, sorted(unused & set(sys.modules)))
 assert main(["eval", "--snapshot", {snaps[1]!r}, "--config", {str(SMOKE)!r}] + where) == 0
-unused = {{"rankfuse.losses", "rankfuse.continual"}}
+unused = {{"rankfuse.data", "rankfuse.losses", "rankfuse.continual"}}
 assert not unused & set(sys.modules), sorted(unused & set(sys.modules))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

@@ -1,9 +1,12 @@
 """Config parsing, validation paths, digests, and command-line overrides."""
 
+import ast
 import copy
 import dataclasses
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,14 +15,19 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rankfuse.config
 from rankfuse.config import (
     SCHEMA_ID,
+    STYLE_PRESETS,
     BufferConfig,
     DomainConfig,
+    DomainSpec,
     EncoderConfig,
     ExperimentConfig,
     LossConfig,
+    PairPolicy,
     PlanConfig,
+    StyleParams,
     apply_overrides,
     config_digest,
     from_dict,
@@ -27,7 +35,7 @@ from rankfuse.config import (
     parse_toggle_args,
 )
 from rankfuse.continual import update_buffer
-from rankfuse.data import STYLE_PRESETS, DomainSpec, PairPolicy, StyleParams, generate_domain
+from rankfuse.data import generate_domain
 from rankfuse.encoder import init_params
 from rankfuse.errors import ConfigurationError
 from rankfuse.evaluation import forgetting_score
@@ -252,8 +260,16 @@ def test_a_domain_without_a_string_name_is_named_by_its_index():
         with pytest.raises(ConfigurationError, match="^domains\\[1\\].style.noise: must be >= 0"):
             from_dict(_minimal(domains=[{"name": "a", "seed": 1},
                                         {**name, "seed": 2, "style": {"noise": -1.0}}]))
-    with pytest.raises(ConfigurationError, match="^domains\\[0\\].seed: must be a non-negative"):
+    # A name that is not one directory name is refused, by the domain's index,
+    # before the domain's other fields.
+    with pytest.raises(ConfigurationError, match="^domains\\[0\\].name: must be a directory name"):
         from_dict(_minimal(domains=[{"name": 7, "seed": -1}]))
+    for name in (5, None, "", ".", "..", "a/b", "/", "a\0b"):
+        with pytest.raises(ConfigurationError,
+                           match=f"^domains\\[1\\].name: must be a directory name: .*, "
+                                 f"got {re.escape(repr(name))}$"):
+            from_dict(_minimal(domains=[{"name": "a", "seed": 1}, {"name": name, "seed": 2}]))
+    assert from_dict(_minimal(domains=[{"name": "a.b c", "seed": 1}])).domains[0].name == "a.b c"
 
 
 def test_unknown_style_preset_rejected():
@@ -356,6 +372,23 @@ def test_config_digests_are_pinned():
         assert config_digest(load_config(root / name)) == digest, name
 
 
+def test_imports_run_one_way_from_the_config():
+    # The config is the schema: it loads no other rankfuse module but errors.
+    proc = subprocess.run([sys.executable, "-c", "import sys, rankfuse.config; print(sorted("
+                           "m for m in sys.modules if m.startswith('rankfuse')))"],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "['rankfuse', 'rankfuse.config', 'rankfuse.errors']\n"
+    # A module imports the config inside a function only to keep it off
+    # eval's path, which without --config runs cli, encoder and evaluation.
+    src = Path(rankfuse.config.__file__).parent
+    late = {path.name for path in src.glob("*.py")
+            for fn in ast.walk(ast.parse(path.read_text()))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "config"}
+    assert late <= {"cli.py", "encoder.py", "evaluation.py"}, late
+
+
 # ---------------------------------------------------------------------------
 # Declared rules
 
@@ -368,13 +401,16 @@ _PLACES = [(ExperimentConfig, (), ""), (EncoderConfig, ("encoder",), "encoder.")
            (DomainConfig, ("domains", 0), "domains[plains]."),
            (StyleParams, ("domains", 0, "style"), "domains[plains].style.")]
 _NOT_OF_KIND = {"int": ["8", 2.5, [1]], "seed": ["8", 2.5, -1], "float": ["0.5", [0.5], None],
-                "bool": ["yes", 1, None], "tuple": ["abc", [1.0, "2", 1.0], 1.0]}
+                "bool": ["yes", 1, None], "tuple": ["abc", [1.0, "2", 1.0], 1.0],
+                "dirname": ["", ".", "..", "a/b", "/", "a\0b", 5, None]}
+# A bad name cannot name its domain, so its message names the list index.
+_BY_INDEX = {"domains[plains].name": "domains[0].name"}
 
 
 def _declared():
     """(place, path, kind, rule) for each field that declares a rule."""
-    return [(where + (f.name,), prefix + f.name, f.metadata["rule"].get("kind", f.type),
-             f.metadata["rule"])
+    return [(where + (f.name,), _BY_INDEX.get(prefix + f.name, prefix + f.name),
+             f.metadata["rule"].get("kind", f.type), f.metadata["rule"])
             for cls, where, prefix in _PLACES for f in dataclasses.fields(cls)
             if "rule" in f.metadata]
 
@@ -396,6 +432,7 @@ def test_declared_rules_cover_the_bounded_fields():
     }
     kinds = {path: kind for _, path, kind, _ in _declared()}
     assert kinds["domains[plains].seed"] == "seed" and kinds["loss.pr"] == "bool"
+    assert kinds["domains[0].name"] == "dirname"
     assert {path for _, path, _, rule in _declared() if "choices" in rule} == {
         "forgetting_max", "loss.divergence", "loss.rkd_norm", "loss.lambda_variant"}
 
@@ -410,11 +447,14 @@ def _past(rule, kind):
 
 def _bad_values(kind, rule):
     """A strategy of values the rule must refuse: wrong types, bools for
-    numbers, YAML 1.1 exponent strings, NaN and infinities, and values past
-    each declared bound (the nearest ones among them)."""
+    numbers, YAML 1.1 exponent strings, NaN and infinities, values past
+    each declared bound (the nearest ones among them), and names that are
+    not one directory."""
     fixed = ["1e9", math.nan, math.inf, -math.inf, *_past(rule, kind), *_NOT_OF_KIND.get(kind, [])]
     if kind in ("int", "seed", "float"):
         fixed.append(True)
+    if kind == "dirname":  # "1e9" is a good name; any text with a '/' is not
+        fixed.remove("1e9")
     beyond = {"int": {"min": lambda b: st.integers(max_value=b - 1),
                       "max": lambda b: st.integers(min_value=b + 1)},
               "float": {"min": lambda b: st.floats(max_value=b, exclude_max=True),
@@ -426,6 +466,8 @@ def _bad_values(kind, rule):
     if "choices" in rule:
         strategies += [st.sampled_from([3, True, None]),
                        st.text().filter(lambda t: t not in rule["choices"])]
+    if kind == "dirname":
+        strategies.append(st.tuples(st.text(), st.text()).map("/".join))
     return st.one_of(strategies)
 
 

@@ -10,18 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from rankfuse.config import STYLE_PRESETS, DomainSpec, PairPolicy, StyleParams
 from rankfuse.continual import batch_relation
 from rankfuse.corpus import load_corpus, save_corpus
 from rankfuse.data import (
     FRAME_XY,
     FRAME_Z,
-    STYLE_PRESETS,
     _SESSION_TAG,
-    DomainSpec,
-    PairPolicy,
     PlaceSample,
     PointScan,
-    StyleParams,
     _anchor_poses,
     _build_world,
     generate_domain,
