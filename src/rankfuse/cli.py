@@ -97,7 +97,7 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="output directory override")
     run.add_argument(
         "--toggle",
-        action="append",
+        action="extend",
         nargs="+",
         metavar="NAME=on|off",
         help="flip terms: pr, rkd, dkd, buffer, fusion (repeatable, space-separable)",
@@ -197,6 +197,8 @@ def _numpy_simd() -> dict:
 
 
 def cmd_run(args) -> int:
+    import hashlib  # here, so that eval (which computes no digest) never maps OpenSSL
+
     from .config import config_digest
     from .continual import RUN_LOG_NAME, build_protocol_data, run_protocol
 
@@ -205,13 +207,14 @@ def cmd_run(args) -> int:
     out_root = _out_dir(cfg.out_dir)
     seed_dirs = {seed: _out_dir(out_root / f"seed_{seed}") for seed in cfg.seeds}
     # Results are written only once every seed has trained, so each output
-    # file's path is checked before any of that work.
+    # file's path is checked before any of that work. The manifest lists
+    # the sha256 of each of them but itself.
     names = [RESULTS_FILE, RECALL_CSV, RUN_LOG_NAME]
     names += [f"step_{t}.snap" for t in range(len(cfg.domains))]
-    _out_files([d / name for d in seed_dirs.values() for name in names]
-               + [out_root / "aggregate.json", out_root / "manifest.json"])
+    artifacts = [d / name for d in seed_dirs.values() for name in names]
+    artifacts.append(out_root / "aggregate.json")
+    _out_files(artifacts + [out_root / "manifest.json"])
 
-    digests = {}  # each artifact's path, to the sha256 of the bytes written
     manifest = {
         "tool_version": __version__,
         "config_digest": digest,
@@ -233,8 +236,7 @@ def cmd_run(args) -> int:
     trained = {}
     for seed in cfg.seeds:
         t0 = time.perf_counter()
-        snapshots, step_seconds = run_protocol(cfg, seed, train, seed_dirs[seed], digest,
-                                               digests)
+        snapshots, step_seconds = run_protocol(cfg, seed, train, seed_dirs[seed], digest)
         trained[seed] = snapshots, step_seconds, time.perf_counter() - t0
     del train
     t_data = time.perf_counter()
@@ -250,8 +252,8 @@ def cmd_run(args) -> int:
         t2 = time.perf_counter()
         headline = fused if fused is not None else single
         results = results_dict(single, fused, seed, digest)
-        write_atomic(seed_dir / RESULTS_FILE, dump_results(results), digests)
-        write_recall_csv(headline.recall_matrix, task_names, seed_dir / RECALL_CSV, digests)
+        write_atomic(seed_dir / RESULTS_FILE, dump_results(results))
+        write_recall_csv(headline.recall_matrix, task_names, seed_dir / RECALL_CSV)
         manifest["results"][str(seed)] = f"seed_{seed}/{RESULTS_FILE}"  # as artifacts keys it
         manifest["wall_clock"][str(seed)] = {
             "data_seconds": data_seconds,
@@ -278,9 +280,9 @@ def cmd_run(args) -> int:
             if vals:
                 aggregate[f"{mode}_{key}_mean"] = float(np.mean(vals))
                 aggregate[f"{mode}_{key}_std"] = float(np.std(vals))
-    write_atomic(out_root / "aggregate.json", dump_results(aggregate), digests)
-    manifest["artifacts"] = {path.relative_to(out_root).as_posix(): sha
-                             for path, sha in digests.items()}
+    write_atomic(out_root / "aggregate.json", dump_results(aggregate))
+    manifest["artifacts"] = {path.relative_to(out_root).as_posix():
+                             hashlib.sha256(path.read_bytes()).hexdigest() for path in artifacts}
     write_atomic(out_root / "manifest.json", dump_results(manifest))
     return EXIT_OK
 

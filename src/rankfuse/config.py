@@ -39,7 +39,7 @@ def _is_dirname(v) -> bool:
 
 # YAML 1.1 reads 1e9 as a string; bool is an int subclass, but `true` is not a
 # count; numpy's generators refuse negative seeds; a domain's name is one
-# directory under gen-data's corpora/.
+# directory under gen-data's corpora/; an output path is text, not null.
 KINDS = {
     "int": ("an integer", _is_int),
     "seed": ("a non-negative integer", lambda v: _is_int(v) and v >= 0),
@@ -47,6 +47,8 @@ KINDS = {
     "bool": ("a boolean", lambda v: isinstance(v, bool)),
     "dirname": ("a directory name: a non-empty string, not '.' or '..', with no '/' or NUL",
                 _is_dirname),
+    "path": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    "style": ("a preset name or a style table", lambda v: isinstance(v, (str, StyleParams))),
     "tuple": ("a list of numbers",
               lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v))),
 }
@@ -59,8 +61,11 @@ def rule(default=MISSING, **rule):
 
     ``rule`` may name a ``kind`` of ``KINDS`` (by default the annotation's),
     ``finite=True``, the bounds ``min``, ``gt``, ``max`` and ``lt``, and
-    ``choices``, all kept under the field's ``metadata["rule"]``. A field
-    without a rule is not checked.
+    ``choices``, all kept under the field's ``metadata["rule"]``. ``each``
+    names what each item of a list is: a kind (a non-empty list of distinct
+    values, each named ``<field>[<index>]``) or a config class (a list of
+    sections with distinct names). ``section`` names the config class that a
+    mapping in the field is built as. A field without a rule is not checked.
     """
     return field(default=default, metadata={"rule": rule})
 
@@ -73,13 +78,14 @@ def require_kind(value, kind: str, path: str):
 def check(obj, path: str, values=None, relations: bool = True):
     """Check a dataclass's ``values`` (by default the instance's own): refuse
     a name that is not a field, then check each field's rule, in field order:
-    kind, then finiteness, then bounds and choices. Then, unless
-    ``relations`` is false, check the class's cross-field ``_relations``,
-    each a (field or None, test of the values, message formatted with the
-    values). Messages read ``<path>.<field>: must be ...``; an empty path is
-    the root. A public function checks an argument that a config field also
-    holds as ``check(Section, "section", {"field": value}, relations=False)``,
-    so that it refuses what the config refuses, with the config's message.
+    kind, then finiteness, then bounds and choices, then a list's items.
+    Then, unless ``relations`` is false, check the class's cross-field
+    ``_relations``, each a (field or None, test of the values, message
+    formatted with the values). Messages read ``<path>.<field>: must be
+    ...``; an empty path is the root. A public function checks an argument
+    that a config field also holds as ``check(Section, "section", {"field":
+    value}, relations=False)``, so that it refuses what the config refuses,
+    with the config's message.
     """
     values = vars(obj) if values is None else values
     known = {f.name for f in fields(obj)}
@@ -100,6 +106,19 @@ def check(obj, path: str, values=None, relations: bool = True):
                 require(holds(value, r[key]), where, f"must be {sign} {r[key]}, got {value!r}")
         if "choices" in r:
             require(value in r["choices"], where, f"must be one of {r['choices']}, got {value!r}")
+        each = r.get("each")
+        if isinstance(each, str):
+            require(isinstance(value, (list, tuple)) and len(value) > 0, where,
+                    f"must be a non-empty list, got {value!r}")
+            for i, item in enumerate(value):
+                require_kind(item, each, f"{where}[{i}]")
+                require(item not in value[:i], f"{where}[{i}]", f"duplicate {each} {item!r}")
+        elif each is not None:
+            require(isinstance(value, (list, tuple)) and all(isinstance(v, each) for v in value),
+                    where, f"must be a list of {each.__name__}, got {value!r}")
+            for i, item in enumerate(value):
+                require(item.name not in [v.name for v in value[:i]], f"{where}[{item.name}].name",
+                        f"duplicate name {item.name!r}")
     for name, holds, msg in getattr(obj, "_relations", ()) if relations else ():
         require(holds(values), ".".join(filter(None, (path, name))), msg.format_map(values))
 
@@ -322,7 +341,7 @@ class DomainConfig:
     train_places: int = rule(400, min=2)
     test_places: int = rule(200, min=2)
     trajectory_length: float = rule(900.0, finite=True, gt=0)
-    style: str | StyleParams = "plains"
+    style: str | StyleParams = rule("plains", kind="style", section=StyleParams)
 
     def __post_init__(self):
         check(self, f"domains[{self.name}]")
@@ -341,8 +360,8 @@ class DomainConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     schema: str = SCHEMA_ID
-    seeds: tuple = (0,)
-    out_dir: str = "runs/out"
+    seeds: tuple[int, ...] = rule((0,), each="seed")
+    out_dir: str = rule("runs/out", kind="path")
     fusion: bool = rule(True)
     forgetting_max: str = rule("printed", choices=FORGETTING_MODES)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
@@ -350,19 +369,38 @@ class ExperimentConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     plan: PlanConfig = field(default_factory=PlanConfig)
     buffer: BufferConfig = field(default_factory=BufferConfig)
-    domains: tuple = ()
+    domains: tuple[DomainConfig, ...] = rule((), each=DomainConfig)
 
     def __post_init__(self):
         check(self, "")
 
 
 def _build(cls, raw: dict, path: str):
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{path}: expected a mapping, got {type(raw).__name__}")
+    """Build ``cls`` from the mapping ``raw`` at config path ``path``: first
+    the sections among its fields (a field whose default is a config class,
+    a mapping under a rule's ``section``, and each item of a list of
+    sections, named by its name or else its index), then check the class's
+    own values under ``path``, then construct it with its lists as tuples.
+    """
+    require(isinstance(raw, dict), path, f"expected a mapping, got {type(raw).__name__}")
+    values = dict(raw)
+    for f in fields(cls):
+        r, value = f.metadata.get("rule", {}), values.get(f.name)
+        where = ".".join(filter(None, (path, f.name)))
+        if isinstance(r.get("each"), type) and isinstance(value, list):
+            items = []
+            for i, item in enumerate(value):
+                name = item.get("name") if isinstance(item, dict) else None
+                items.append(_build(r["each"], item, f"{where}[{name if _is_dirname(name) else i}]"))
+            values[f.name] = items
+        elif f.name in values and (f.default_factory is not MISSING
+                                   or ("section" in r and isinstance(value, dict))):
+            values[f.name] = _build(r.get("section", f.default_factory), value, where)
     # Checked under the config path: a data class built directly names itself.
-    check(cls, path, {**{f.name: f.default for f in fields(cls) if f.default is not MISSING}, **raw})
+    check(cls, path, {**{f.name: f.default for f in fields(cls) if f.default is not MISSING},
+                      **values})
     try:
-        return cls(**raw)
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
     except TypeError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
@@ -370,62 +408,16 @@ def _build(cls, raw: dict, path: str):
 def from_dict(raw: dict) -> ExperimentConfig:
     """Validate a parsed mapping into an ExperimentConfig.
 
-    Raises ConfigurationError naming the offending field path.
+    Raises ConfigurationError naming the offending field path. Construction
+    checks every field; a file must also carry the schema marker and name at
+    least one domain.
     """
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"config root: expected a mapping, got {type(raw).__name__}")
-    raw = dict(raw)
-    schema = raw.pop("schema", None)
+    require(isinstance(raw, dict), "config root", f"expected a mapping, got {type(raw).__name__}")
+    schema = raw.get("schema")
     require(schema == SCHEMA_ID, "schema", f"expected {SCHEMA_ID!r}, got {schema!r}")
-    check(ExperimentConfig, "", raw)
-
-    enc = _build(EncoderConfig, raw.get("encoder", {}), "encoder")
-    pairs = _build(PairPolicy, raw.get("pairs", {}), "pairs")
-    loss = _build(LossConfig, raw.get("loss", {}), "loss")
-    plan = _build(PlanConfig, raw.get("plan", {}), "plan")
-    buf = _build(BufferConfig, raw.get("buffer", {}), "buffer")
-
-    seeds = raw.get("seeds", ExperimentConfig.seeds)
-    require(
-        isinstance(seeds, (list, tuple)) and len(seeds) > 0,
-        "seeds",
-        "must be a non-empty list of integers",
-    )
-    for i, s in enumerate(seeds):
-        require_kind(s, "seed", f"seeds[{i}]")
-        require(s not in seeds[:i], f"seeds[{i}]", f"duplicate seed {s}")
-
-    domains_raw = raw.get("domains", [])
-    require(isinstance(domains_raw, list), "domains", "must be a list")
-    require(len(domains_raw) > 0, "domains", "protocol needs at least one domain")
-    domains = []
-    names = set()
-    for i, d in enumerate(domains_raw):
-        # A domain is named by its name, as DomainConfig names it, or else
-        # (a bad name too) by its index.
-        name = d.get("name") if isinstance(d, dict) else None
-        where = f"domains[{name if _is_dirname(name) else i}]"
-        if isinstance(d, dict) and isinstance(d.get("style"), dict):
-            d = dict(d)
-            d["style"] = _build(StyleParams, d["style"], f"{where}.style")
-        dom = _build(DomainConfig, d, where)
-        require(dom.name not in names, f"{where}.name", f"duplicate name {dom.name!r}")
-        names.add(dom.name)
-        domains.append(dom)
-
-    return ExperimentConfig(
-        schema=SCHEMA_ID,
-        seeds=tuple(seeds),
-        out_dir=str(raw.get("out_dir", ExperimentConfig.out_dir)),
-        fusion=raw.get("fusion", ExperimentConfig.fusion),
-        forgetting_max=raw.get("forgetting_max", ExperimentConfig.forgetting_max),
-        encoder=enc,
-        pairs=pairs,
-        loss=loss,
-        plan=plan,
-        buffer=buf,
-        domains=tuple(domains),
-    )
+    cfg = _build(ExperimentConfig, raw, "")
+    require(len(cfg.domains) > 0, "domains", "protocol needs at least one domain")
+    return cfg
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -489,12 +481,9 @@ def config_digest(cfg: ExperimentConfig) -> str:
 
 
 def parse_toggle_args(items) -> dict:
-    """Parse `name=on|off` strings (flat or nested lists) into {name: bool}."""
-    flat = []
-    for item in items or ():
-        flat.extend(item) if isinstance(item, (list, tuple)) else flat.append(item)
+    """Parse `name=on|off` strings into {name: bool}."""
     out = {}
-    for item in flat:
+    for item in items or ():
         if "=" not in item:
             raise ConfigurationError(f"--toggle: expected name=on|off, got {item!r}")
         name, _, value = item.partition("=")

@@ -295,10 +295,9 @@ def update_buffer(
     return kept
 
 
-def write_run_log(records: list, path, digests: dict | None = None) -> None:
-    """Write ``records`` whole as ``path``, one JSON line each; ``digests``
-    as in ``write_atomic``."""
-    write_atomic(path, "".join(rec.as_json() + "\n" for rec in records), digests)
+def write_run_log(records: list, path) -> None:
+    """Write ``records`` whole as ``path``, one JSON line each."""
+    write_atomic(path, "".join(rec.as_json() + "\n" for rec in records))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +330,7 @@ def build_protocol_data(cfg: ExperimentConfig, sessions=(0, 1, 2)) -> list:
 
 
 def run_protocol(
-    cfg: ExperimentConfig, seed: int, train: list, out_dir=None, digest: str = "",
-    digests: dict | None = None,
+    cfg: ExperimentConfig, seed: int, train: list, out_dir=None, digest: str = ""
 ) -> tuple[list, list]:
     """Train sequentially over the configured domains and save artifacts.
 
@@ -340,8 +338,7 @@ def run_protocol(
     (0,))[0]``. It does not depend on the seed, so callers build it once per
     config. Returns the snapshot of each step and the seconds each step took.
     The run log is rewritten whole after each step, so a killed run leaves the
-    steps done so far, never a cut line. Given ``digests``, each snapshot's
-    and the run log's path map to the sha256 of their bytes.
+    steps done so far, never a cut line.
     """
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -364,7 +361,7 @@ def run_protocol(
         if cfg.buffer.enabled:
             buffer = update_buffer(buffer, samples, cfg.buffer.capacity, seed, step_index=t)
         if out is not None:
-            save_snapshot(result.snapshot, out / f"step_{t}.snap", digests)
+            save_snapshot(result.snapshot, out / f"step_{t}.snap")
             records += result.records
-            write_run_log(records, out / RUN_LOG_NAME, digests)
+            write_run_log(records, out / RUN_LOG_NAME)
     return snapshots, step_seconds

@@ -401,9 +401,9 @@ def make_snapshot(params: EncoderParams, step_index: int, config_digest: str,
     )
 
 
-def save_snapshot(snapshot: ModelSnapshot, path: str | Path, digests=None) -> Path:
+def save_snapshot(snapshot: ModelSnapshot, path: str | Path) -> Path:
     """Versioned binary: magic, config digest, dims, then f32 tensors in
-    order, written whole by ``write_atomic`` (``digests`` as there)."""
+    order, written whole by ``write_atomic``."""
     p = snapshot.params.astype("<f4")
     digest = snapshot.config_digest.encode("utf-8")
     flag = 1 if snapshot.normalize else 0
@@ -411,7 +411,7 @@ def save_snapshot(snapshot: ModelSnapshot, path: str | Path, digests=None) -> Pa
              struct.pack("<IIIB", snapshot.step_index, p.hidden, p.out_dim, flag)]
     parts += [np.ascontiguousarray(t, dtype="<f4").tobytes() for t in p.tensors()]
     out = Path(path)
-    write_atomic(out, b"".join(parts), digests)
+    write_atomic(out, b"".join(parts))
     return out
 
 

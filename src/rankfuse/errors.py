@@ -24,21 +24,16 @@ class TrainingError(RankfuseError):
     """Training step aborted (non-finite loss or gradient)."""
 
 
-def write_atomic(path, data, digests: dict | None = None) -> None:
+def write_atomic(path, data) -> None:
     """Write ``data`` (bytes, or text as UTF-8) whole to ``path``.
 
     The bytes go to a temporary file in the same directory, which then
     ``os.replace``s ``path``, so a reader sees the old file or the whole new
     one, never a part. A failed write or replace leaves the old file as it
     was, removes the temporary one and is a usage error naming ``path``.
-    Given ``digests``, it also maps ``path`` to the sha256 of the bytes.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
-    if digests is not None:
-        import hashlib  # here, so that eval (which records no digest) never maps OpenSSL
-
-        digests[path] = hashlib.sha256(data).hexdigest()
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:

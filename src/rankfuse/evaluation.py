@@ -306,12 +306,12 @@ def dump_results(d: dict) -> str:
     return json.dumps(d, sort_keys=True, indent=2) + "\n"
 
 
-def write_recall_csv(recall_matrix: np.ndarray, task_names, path, digests=None) -> None:
-    """Rows = training steps, columns = tasks; ``digests`` as in ``write_atomic``."""
+def write_recall_csv(recall_matrix: np.ndarray, task_names, path) -> None:
+    """Rows = training steps, columns = tasks."""
     r = np.asarray(recall_matrix)
     text = io.StringIO(newline="")
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(["step"] + list(task_names))
     for l in range(r.shape[0]):
         writer.writerow([l] + [repr(float(v)) for v in r[l]])
-    write_atomic(path, text.getvalue(), digests)
+    write_atomic(path, text.getvalue())

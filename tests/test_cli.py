@@ -617,15 +617,32 @@ def test_duplicate_config_seed_exits_2(tmp_path):
 
 @pytest.mark.parametrize("verb", ["run", "gen-data"])
 def test_no_domain_exits_2_before_any_output(tmp_path, verb):
-    raw = yaml.safe_load(SMOKE.read_text())
-    raw["domains"] = []
+    for edit in ({"domains": []}, {}):  # an empty list, and no domains key at all
+        raw = {k: v for k, v in yaml.safe_load(SMOKE.read_text()).items() if k != "domains"}
+        raw.update(edit)
+        config = tmp_path / "edited.yaml"
+        config.write_text(yaml.safe_dump(raw))
+        proc = cli(verb, "--config", config, "--out", tmp_path / "out")
+        assert proc.returncode == 2
+        assert "config error: domains: protocol needs at least one domain" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "gen-data"])
+def test_out_dir_that_is_not_a_non_empty_string_exits_2(monkeypatch, capsys, tmp_path, verb):
+    # None and [x] used to become the directories 'None' and "['x']" under
+    # the working directory, which must stay as it was.
+    monkeypatch.chdir(tmp_path)
     config = tmp_path / "edited.yaml"
-    config.write_text(yaml.safe_dump(raw))
-    proc = cli(verb, "--config", config, "--out", tmp_path / "out")
-    assert proc.returncode == 2
-    assert "config error: domains: protocol needs at least one domain" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert not (tmp_path / "out").exists()
+    for value, shown in [("null", "None"), ("[x]", "['x']"), ("''", "''")]:
+        config.write_text(SMOKE.read_text().replace("out_dir: runs/smoke", f"out_dir: {value}", 1))
+        assert main([verb, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: out_dir: must be a non-empty string, got {shown}\n" == err
+    assert main([verb, "--config", str(SMOKE), "--out", ""]) == 2
+    assert capsys.readouterr().err == "config error: out_dir: must be a non-empty string, got ''\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["edited.yaml"]
 
 
 def test_domain_name_that_is_not_one_directory_exits_2(tmp_path):

@@ -34,6 +34,7 @@ from rankfuse.config import (
     load_config,
     parse_toggle_args,
 )
+from rankfuse.cli import _parser
 from rankfuse.continual import update_buffer
 from rankfuse.data import generate_domain
 from rankfuse.encoder import init_params
@@ -106,6 +107,13 @@ def test_field_validation_messages():
         from_dict(_minimal(seeds=[True]))
     with pytest.raises(ConfigurationError, match="seeds\\[1\\]: must be a non-negative integer"):
         from_dict(_minimal(seeds=[0, -2]))
+    with pytest.raises(ConfigurationError, match="^seeds\\[0\\]: must be a non-negative integer"):
+        dataclasses.replace(from_dict(_minimal()), seeds=(-1,))
+    # A file names at least one domain, in a list.
+    for raw, message in [({"schema": SCHEMA_ID}, "protocol needs at least one domain"),
+                         (_minimal(domains=5), "must be a list of DomainConfig, got 5")]:
+        with pytest.raises(ConfigurationError, match=f"^domains: {message}$"):
+            from_dict(raw)
     for seed in (-1, True):
         with pytest.raises(ConfigurationError, match="domains\\[a\\].seed: must be a non-negative"):
             from_dict(_minimal(domains=[{"name": "a", "seed": seed, "style": "plains"}]))
@@ -244,6 +252,9 @@ def test_duplicate_domain_names_rejected():
     ]
     with pytest.raises(ConfigurationError, match="^domains\\[a\\].name: duplicate name 'a'$"):
         from_dict(raw)
+    cfg = from_dict(_minimal())
+    with pytest.raises(ConfigurationError, match="^domains\\[a\\].name: duplicate name 'a'$"):
+        dataclasses.replace(cfg, domains=2 * cfg.domains)
 
 
 def test_duplicate_seeds_rejected():
@@ -251,6 +262,9 @@ def test_duplicate_seeds_rejected():
     # twice in the aggregate.
     with pytest.raises(ConfigurationError, match="^seeds\\[2\\]: duplicate seed 0$"):
         from_dict(_minimal(seeds=[0, 1, 0]))
+    # Built by replace, as an override builds it, alike.
+    with pytest.raises(ConfigurationError, match="^seeds\\[1\\]: duplicate seed 0$"):
+        dataclasses.replace(from_dict(_minimal()), seeds=(0, 0))
     assert from_dict(_minimal(seeds=[0, 1, 2])).seeds == (0, 1, 2)
 
 
@@ -287,6 +301,12 @@ def test_domain_config_checks_its_own_fields():
         DomainConfig(name="a", seed=1, test_places=1)
     with pytest.raises(ConfigurationError, match="domains\\[a\\].style: unknown preset"):
         DomainConfig(name="a", seed=1, style="metropolis")
+    # A list is neither a preset name nor a style table, from a file or built directly.
+    match = "^domains\\[a\\].style: must be a preset name or a style table, got \\['x'\\]$"
+    with pytest.raises(ConfigurationError, match=match):
+        DomainConfig(name="a", seed=1, style=["x"])
+    with pytest.raises(ConfigurationError, match=match):
+        from_dict(_minimal(domains=[{"name": "a", "seed": 1, "style": ["x"]}]))
     for length, message in [(-5.0, "> 0, got -5.0"), (0.0, "> 0, got 0.0"),
                             (float("nan"), "finite, got nan"), (float("inf"), "finite, got inf"),
                             (True, "a number, got True"), ("900", "a number, got '900'")]:
@@ -402,7 +422,7 @@ _PLACES = [(ExperimentConfig, (), ""), (EncoderConfig, ("encoder",), "encoder.")
            (StyleParams, ("domains", 0, "style"), "domains[plains].style.")]
 _NOT_OF_KIND = {"int": ["8", 2.5, [1]], "seed": ["8", 2.5, -1], "float": ["0.5", [0.5], None],
                 "bool": ["yes", 1, None], "tuple": ["abc", [1.0, "2", 1.0], 1.0],
-                "dirname": ["", ".", "..", "a/b", "/", "a\0b", 5, None]}
+                "dirname": ["", ".", "..", "a/b", "/", "a\0b", 5, None], "path": ["", None, ["x"], 5]}
 # A bad name cannot name its domain, so its message names the list index.
 _BY_INDEX = {"domains[plains].name": "domains[0].name"}
 
@@ -433,6 +453,9 @@ def test_declared_rules_cover_the_bounded_fields():
     kinds = {path: kind for _, path, kind, _ in _declared()}
     assert kinds["domains[plains].seed"] == "seed" and kinds["loss.pr"] == "bool"
     assert kinds["domains[0].name"] == "dirname"
+    assert (kinds["out_dir"], kinds["domains[plains].style"]) == ("path", "style")
+    assert {path: rule["each"] for _, path, _, rule in _declared() if "each" in rule} == {
+        "seeds": "seed", "domains": DomainConfig}
     assert {path for _, path, _, rule in _declared() if "choices" in rule} == {
         "forgetting_max", "loss.divergence", "loss.rkd_norm", "loss.lambda_variant"}
 
@@ -453,7 +476,7 @@ def _bad_values(kind, rule):
     fixed = ["1e9", math.nan, math.inf, -math.inf, *_past(rule, kind), *_NOT_OF_KIND.get(kind, [])]
     if kind in ("int", "seed", "float"):
         fixed.append(True)
-    if kind == "dirname":  # "1e9" is a good name; any text with a '/' is not
+    if kind in ("dirname", "path"):  # "1e9" is a good name and path; text with a '/' is no name
         fixed.remove("1e9")
     beyond = {"int": {"min": lambda b: st.integers(max_value=b - 1),
                       "max": lambda b: st.integers(min_value=b + 1)},
@@ -477,7 +500,7 @@ _SMOKE_RAW = yaml.safe_load(SMOKE.read_text())
 def _case_id(where, path):
     """A case's ID: its message path, except that an inline style's fields
     are named by the index of the YAML list entry that the case edits."""
-    return f"domains[0].style.{where[-1]}" if "style" in where else path
+    return f"domains[0].style.{where[-1]}" if "style" in where[:-1] else path
 
 
 @pytest.mark.parametrize("where, path, kind, rule",
@@ -487,7 +510,7 @@ def _case_id(where, path):
 def test_each_declared_rule_rejects_a_bad_value_by_its_path(where, path, kind, rule, data):
     value = data.draw(_bad_values(kind, rule))
     raw = copy.deepcopy(_SMOKE_RAW)
-    if "style" in where:
+    if "style" in where[:-1]:
         raw["domains"][0]["style"] = {}  # an inline style table
     table = raw
     for key in where[:-1]:
@@ -503,12 +526,12 @@ def test_each_declared_rule_rejects_a_bad_value_by_its_path(where, path, kind, r
 
 
 def test_parse_toggle_args_flat_and_nested():
+    # Repeated --toggle flags, each with its own group of terms, arrive as one flat list.
+    args = _parser().parse_args(["run", "--config", "c.yaml", "--toggle", "rkd=off", "dkd=off",
+                                 "--toggle", "buffer=on"])
+    assert args.toggle == ["rkd=off", "dkd=off", "buffer=on"]
+    assert parse_toggle_args(args.toggle) == {"rkd": False, "dkd": False, "buffer": True}
     assert parse_toggle_args(["rkd=off", "pr=on"]) == {"rkd": False, "pr": True}
-    assert parse_toggle_args([["rkd=off", "dkd=off"], ["buffer=on"]]) == {
-        "rkd": False,
-        "dkd": False,
-        "buffer": True,
-    }
     assert parse_toggle_args(None) == {}
     with pytest.raises(ConfigurationError):
         parse_toggle_args(["rkd"])
@@ -553,3 +576,12 @@ def test_apply_overrides_out_dir():
     cfg = load_config(SMOKE)
     out = apply_overrides(cfg, out="/tmp/elsewhere")
     assert out.out_dir == "/tmp/elsewhere"
+    # None and ['x'] used to become the directories 'None' and "['x']".
+    for value in (None, ["x"], ""):
+        match = f"^out_dir: must be a non-empty string, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigurationError, match=match):
+            from_dict(_minimal(out_dir=value))
+        with pytest.raises(ConfigurationError, match=match):
+            dataclasses.replace(cfg, out_dir=value)
+    with pytest.raises(ConfigurationError, match="^out_dir: must be a non-empty string, got ''$"):
+        apply_overrides(cfg, out="")
