@@ -6,6 +6,13 @@ Verbs:
   gradcheck  finite-difference verification of every analytic gradient
   gen-data   write synthetic corpora in the on-disk format
 
+gen-data writes its domains in min(domains, usable CPUs) lanes: the calling
+process is one, and the others are forked, so they import nothing again (a
+spawned lane would), and generation's only BLAS calls are 2x2 rotations, which
+the inherited BLAS pool serves alike. A domain's corpora depend only on its
+config, so the files and stdout (domains in config order) do not depend on
+the lane count.
+
 Exit codes: 0 success; 2 invalid config, usage or corpus input, an output
 directory that cannot be made or an output file path that is not a regular
 file; 3 training abort; 4 snapshot/config digest mismatch; 5 gradient check
@@ -364,6 +371,50 @@ def cmd_gradcheck(args) -> int:
 # gen-data
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _in_lanes(n: int, work) -> None:
+    """``work(i)`` for each ``i < n`` in ``min(n, usable CPUs)`` lanes, lane
+    ``k`` taking ``i = k, k + lanes, ...``. This process is lane 0; each other
+    lane is forked and sends back ``None`` or its exception, raised here."""
+    import multiprocessing
+
+    def lane(k, conn):
+        try:
+            for i in range(k, n, lanes):
+                work(i)
+            conn.send(None)
+        except Exception as exc:
+            conn.send(exc)
+
+    lanes = min(n, _usable_cpus())
+    fork = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for k in range(1, lanes):
+            recv, send = fork.Pipe(duplex=False)
+            proc = fork.Process(target=lane, args=(k, send))
+            proc.start()
+            send.close()  # so that a lane that dies is an EOF here
+            workers.append((proc, recv))
+        for i in range(0, n, lanes):
+            work(i)
+        for proc, recv in workers:
+            try:
+                exc = recv.recv()
+            except EOFError:
+                proc.join()
+                exc = RuntimeError(f"a gen-data lane died with exit code {proc.exitcode}")
+            if exc is not None:
+                raise exc
+    finally:  # no lane outlives the call; one still running after an error is stopped
+        for proc, _ in workers:
+            proc.terminate()
+            proc.join()
+
+
 def cmd_gen_data(args) -> int:
     from .continual import domain_split
 
@@ -375,9 +426,13 @@ def cmd_gen_data(args) -> int:
         places = (dom.train_places, dom.test_places, dom.test_places)
         dirs.append([_corpus_dir(out_root / dom.name / name, n)
                      for name, n in zip(("train", "db", "query"), places)])
-    for i, dom in enumerate(cfg.domains):
-        for session, out in enumerate(dirs[i]):  # each saved as it is made
+
+    def write(i):  # each split saved as it is made
+        for session, out in enumerate(dirs[i]):
             save_corpus(domain_split(cfg, i, session), out)
+
+    _in_lanes(len(cfg.domains), write)
+    for dom in cfg.domains:
         print(f"domain {dom.name}: wrote train/db/query under {out_root / dom.name}")
     return EXIT_OK
 

@@ -7,6 +7,7 @@ import hashlib
 import json
 import logging
 import math
+import multiprocessing
 import os
 import shutil
 import struct
@@ -28,6 +29,7 @@ from rankfuse.config import config_digest, load_config
 from rankfuse.corpus import ScanReader, load_corpus, save_corpus, scan_file
 from rankfuse.data import PlaceSample, PointScan
 from rankfuse.encoder import init_params, load_snapshot, make_snapshot, save_snapshot
+from rankfuse.errors import UsageError
 from rankfuse.evaluation import embed
 
 from conftest import tiny_domain
@@ -815,14 +817,104 @@ def test_gen_data_writes_loadable_corpora(corpora):
         assert corpus.scans[:1].shape == (1, 48, 3)
 
 
-def test_gen_data_smoke_corpus_digest(corpora):
-    # Generation drift fails here, without running the benchmark.
-    root, _ = corpora
+def _tree_digest(root):
     h = hashlib.sha256()
     for f in sorted(p for p in root.rglob("*") if p.is_file()):
         h.update(f.relative_to(root).as_posix().encode() + b"\0")
         h.update(f.read_bytes())
-    assert h.hexdigest() == SMOKE_CORPUS_SHA256
+    return h.hexdigest()
+
+
+def test_gen_data_smoke_corpus_digest(corpora):
+    # Generation drift fails here, without running the benchmark.
+    root, _ = corpora
+    assert _tree_digest(root) == SMOKE_CORPUS_SHA256
+
+
+def _lanes(monkeypatch, lanes):
+    """Give gen-data ``lanes`` usable CPUs, and record each lane process it starts."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def record(proc):
+        started.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(rankfuse.cli, "_usable_cpus", lambda: lanes)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", record)
+    return started
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_gen_data_bytes_and_stdout_do_not_depend_on_the_lane_count(monkeypatch, capsys, tmp_path,
+                                                                   lanes):
+    started = _lanes(monkeypatch, lanes)
+    assert main(["gen-data", "--config", str(SMOKE), "--out", str(tmp_path)]) == 0
+    assert len(started) == lanes - 1  # the calling process is lane 0
+    assert _tree_digest(tmp_path / "corpora") == SMOKE_CORPUS_SHA256
+    root = tmp_path / "corpora"
+    assert capsys.readouterr().out == "".join(
+        f"domain {name}: wrote train/db/query under {root / name}\n" for name in ("plains", "depot"))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("blas_threads", ["1", None])
+def test_gen_data_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, blas_threads):
+    # Generation's 2x2 rotations are BLAS products, made in forked lanes.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = cli("gen-data", "--config", SMOKE, "--out", tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert _tree_digest(tmp_path / "corpora") == SMOKE_CORPUS_SHA256
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_gen_data_error_in_a_lane_exits_2_and_leaves_no_process(monkeypatch, capsys, tmp_path,
+                                                                lanes):
+    generate = rankfuse.continual.generate_domain
+
+    def second_domain_fails(spec, points, domain_id):
+        if domain_id == 1:
+            raise UsageError("domain 1 cannot be generated")
+        return generate(spec, points, domain_id=domain_id)
+
+    _lanes(monkeypatch, lanes)
+    monkeypatch.setattr(rankfuse.continual, "generate_domain", second_domain_fails)
+    assert main(["gen-data", "--config", str(SMOKE), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "usage error: domain 1 cannot be generated\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_gen_data_lane_that_dies_without_a_word_is_an_error(monkeypatch, tmp_path):
+    generate = rankfuse.continual.generate_domain
+
+    def second_domain_dies(spec, points, domain_id):
+        if domain_id == 1:
+            os._exit(7)
+        return generate(spec, points, domain_id=domain_id)
+
+    _lanes(monkeypatch, 2)
+    monkeypatch.setattr(rankfuse.continual, "generate_domain", second_domain_dies)
+    with pytest.raises(RuntimeError, match="a gen-data lane died with exit code 7"):
+        main(["gen-data", "--config", str(SMOKE), "--out", str(tmp_path)])
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("domains, cpus", [(1, 2), (2, 1)])
+def test_gen_data_in_one_lane_starts_no_process(monkeypatch, capsys, tmp_path, domains, cpus):
+    raw = yaml.safe_load(SMOKE.read_text())
+    raw["domains"] = raw["domains"][:domains]
+    config = tmp_path / "edited.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    monkeypatch.setattr(rankfuse.cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _never)
+    assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    names = [d["name"] for d in raw["domains"]]
+    assert sorted(p.name for p in (tmp_path / "out" / "corpora").iterdir()) == sorted(names)
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == \
+        [f"domain {name}" for name in names]
 
 
 def test_eval_single_snapshot(smoke_out, corpora, tmp_path):
