@@ -6,12 +6,11 @@ Verbs:
   gradcheck  finite-difference verification of every analytic gradient
   gen-data   write synthetic corpora in the on-disk format
 
-gen-data writes its domains in min(domains, usable CPUs) lanes: the calling
-process is one, and the others are forked, so they import nothing again (a
-spawned lane would), and generation's only BLAS calls are 2x2 rotations, which
-the inherited BLAS pool serves alike. A domain's corpora depend only on its
-config, so the files and stdout (domains in config order) do not depend on
-the lane count.
+gen-data writes its domains in min(domains, usable CPUs) lanes, the calling
+process among them; run makes its later splits in one lane while it trains.
+Other lanes are forked, so they import nothing again, and generation's only
+BLAS calls are 2x2 rotations, which an inherited BLAS pool serves alike. A
+split depends only on its config, so no output depends on the lane count.
 
 Exit codes: 0 success; 2 invalid config, usage or corpus input, an output
 directory that cannot be made or an output file path that is not a regular
@@ -22,11 +21,15 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import logging
 import math
 import os
+import pickle
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +131,6 @@ def _parser() -> argparse.ArgumentParser:
     gc.add_argument("--batch", type=int, default=5)
     gc.add_argument("--dim", type=int, default=8)
     gc.add_argument("--points", type=_positive_int, default=32)
-    gc.add_argument("--corrupt", type=float, default=0.0, help=argparse.SUPPRESS)
 
     gd = sub.add_parser("gen-data", help="write synthetic corpora to disk")
     gd.add_argument("--config", required=True, help="experiment config (YAML)")
@@ -163,6 +165,58 @@ def _corpus_dir(path, n: int) -> Path:
         bad = sorted(e.name for e in entries if e.name in names and not e.is_file())
     _out_files(out / name for name in bad)
     return out
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _forked(calls):
+    """Yield an iterator over the results of the zero-argument ``calls``, run
+    in order in one forked child, which pickles each result down a pipe as it
+    is made, or the exception a call raised, which is raised here. A child
+    that dies without a word is an error naming its exit code. Leaving the
+    block stops and reaps the child. With one usable CPU the calls run here
+    as their results are asked for, and no process starts."""
+    calls = list(calls)
+    if _usable_cpus() < 2:
+        yield (call() for call in calls)
+        return
+    import signal  # here, so that eval never loads it
+
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # leaves by os._exit: never unwinds or flushes this process's stdout
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                try:
+                    for call in calls:
+                        pipe.write(pickle.dumps(call(), pickle.HIGHEST_PROTOCOL))
+                except Exception as exc:
+                    pipe.write(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write)  # so that a child that dies is an EOF here
+
+    def receive():
+        try:
+            result = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            code = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT).si_status  # reaped below
+            raise RuntimeError(f"a forked lane died with exit code {code}") from None
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    with open(read, "rb") as pipe:
+        try:
+            yield (receive() for _ in calls)
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +257,17 @@ def _numpy_simd() -> dict:
         return {}
 
 
+def _timed(fn, *args):
+    """``fn(*args)`` and the seconds it took."""
+    t0 = time.perf_counter()
+    return fn(*args), time.perf_counter() - t0
+
+
 def cmd_run(args) -> int:
     import hashlib  # here, so that eval (which computes no digest) never maps OpenSSL
 
     from .config import config_digest
-    from .continual import RUN_LOG_NAME, build_protocol_data, run_protocol
+    from .continual import RUN_LOG_NAME, LazySplits, build_protocol_data, domain_split, run_protocol
 
     cfg = _effective_config(args)
     digest = config_digest(cfg)
@@ -235,20 +295,33 @@ def cmd_run(args) -> int:
     }
     agg = {"single": {"mean_recall_at_1": [], "forgetting": []},
            "fused": {"mean_recall_at_1": [], "forgetting": []}}
-    # The splits depend only on the config, so each is built once. Training
-    # holds only the train splits; they go before the eval splits are made.
-    t_data = time.perf_counter()
-    (train,) = build_protocol_data(cfg, (0,))
-    data_seconds = time.perf_counter() - t_data
-    trained = {}
-    for seed in cfg.seeds:
-        t0 = time.perf_counter()
-        snapshots, step_seconds = run_protocol(cfg, seed, train, seed_dirs[seed], digest)
-        trained[seed] = snapshots, step_seconds, time.perf_counter() - t0
-    del train
-    t_data = time.perf_counter()
-    db, query = build_protocol_data(cfg, (1, 2))
-    data_seconds += time.perf_counter() - t_data  # the first seed pays for both phases
+    # The splits depend only on the config, so each is built once. This
+    # process makes domain 0's train split, then forks a lane that makes domain
+    # t's for t >= 1, then every eval split, sent together: sent one by one,
+    # they fill the pipe and stall the lane until training ends. Domain t's
+    # split is read when step t starts, the eval splits once all seeds trained.
+    n = len(cfg.domains)
+    data_seconds = lane_seconds = 0.0  # this process's generation and waits; the lane's generation
+
+    def receive(lane):
+        nonlocal data_seconds, lane_seconds
+        (split, seconds), waited = _timed(next, lane)
+        data_seconds, lane_seconds = data_seconds + waited, lane_seconds + seconds
+        return split
+
+    calls = [partial(_timed, domain_split, cfg, t, 0) for t in range(1, n)]
+    first, data_seconds = _timed(domain_split, cfg, 0, 0)  # so the lane inherits its world
+    with _forked(calls + [partial(_timed, build_protocol_data, cfg, (1, 2))]) as lane:
+        train = LazySplits(itertools.chain([first], (receive(lane) for _ in range(1, n))))
+        del first
+        trained = {}
+        for seed in cfg.seeds:
+            waited = data_seconds  # waits for train splits are data seconds, not train seconds
+            (snapshots, step_seconds), seconds = _timed(
+                run_protocol, cfg, seed, train, seed_dirs[seed], digest)
+            trained[seed] = snapshots, step_seconds, seconds - (data_seconds - waited)
+        del train
+        db, query = receive(lane)  # the first seed pays for both phases
     task_names = [d.name for d in cfg.domains]
     for seed, (snapshots, step_seconds, train_seconds) in trained.items():
         seed_dir = seed_dirs[seed]
@@ -264,11 +337,13 @@ def cmd_run(args) -> int:
         manifest["results"][str(seed)] = f"seed_{seed}/{RESULTS_FILE}"  # as artifacts keys it
         manifest["wall_clock"][str(seed)] = {
             "data_seconds": data_seconds,
+            "data_lanes": min(2, _usable_cpus()),
+            "lane_data_seconds": lane_seconds,
             "train_seconds": train_seconds,
             "eval_seconds": t2 - t1,
             "per_step_seconds": step_seconds,
         }
-        data_seconds = 0.0
+        data_seconds = lane_seconds = 0.0
         agg["single"]["mean_recall_at_1"].append(single.mean_recall_at_1)
         if single.forgetting:
             agg["single"]["forgetting"].append(single.forgetting.score)
@@ -357,7 +432,7 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .gradcheck import gradcheck_suite
 
-    reports = gradcheck_suite(args.seed, args.batch, args.dim, args.points, corrupt=args.corrupt)
+    reports = gradcheck_suite(args.seed, args.batch, args.dim, args.points)
     for report in reports:
         print(report.line())
     offenders = [r.name for r in reports if not r.passed]
@@ -369,50 +444,6 @@ def cmd_gradcheck(args) -> int:
 
 # ---------------------------------------------------------------------------
 # gen-data
-
-
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _in_lanes(n: int, work) -> None:
-    """``work(i)`` for each ``i < n`` in ``min(n, usable CPUs)`` lanes, lane
-    ``k`` taking ``i = k, k + lanes, ...``. This process is lane 0; each other
-    lane is forked and sends back ``None`` or its exception, raised here."""
-    import multiprocessing
-
-    def lane(k, conn):
-        try:
-            for i in range(k, n, lanes):
-                work(i)
-            conn.send(None)
-        except Exception as exc:
-            conn.send(exc)
-
-    lanes = min(n, _usable_cpus())
-    fork = multiprocessing.get_context("fork")
-    workers = []
-    try:
-        for k in range(1, lanes):
-            recv, send = fork.Pipe(duplex=False)
-            proc = fork.Process(target=lane, args=(k, send))
-            proc.start()
-            send.close()  # so that a lane that dies is an EOF here
-            workers.append((proc, recv))
-        for i in range(0, n, lanes):
-            work(i)
-        for proc, recv in workers:
-            try:
-                exc = recv.recv()
-            except EOFError:
-                proc.join()
-                exc = RuntimeError(f"a gen-data lane died with exit code {proc.exitcode}")
-            if exc is not None:
-                raise exc
-    finally:  # no lane outlives the call; one still running after an error is stopped
-        for proc, _ in workers:
-            proc.terminate()
-            proc.join()
 
 
 def cmd_gen_data(args) -> int:
@@ -431,7 +462,13 @@ def cmd_gen_data(args) -> int:
         for session, out in enumerate(dirs[i]):
             save_corpus(domain_split(cfg, i, session), out)
 
-    _in_lanes(len(cfg.domains), write)
+    n = len(cfg.domains)
+    lanes = min(n, _usable_cpus())
+    with contextlib.ExitStack() as stack:  # lane 0 is this process, lane k > 0 is forked
+        forked = [stack.enter_context(_forked(partial(write, i) for i in range(k, n, lanes)))
+                  for k in range(1, lanes)]
+        for results in [map(write, range(0, n, lanes)), *forked]:
+            list(results)  # a lane's Nones, or its exception raised here
     for dom in cfg.domains:
         print(f"domain {dom.name}: wrote train/db/query under {out_root / dom.name}")
     return EXIT_OK

@@ -329,14 +329,29 @@ def build_protocol_data(cfg: ExperimentConfig, sessions=(0, 1, 2)) -> list:
     return [[domain_split(cfg, i, s) for i in range(len(cfg.domains))] for s in sessions]
 
 
+class LazySplits:
+    """Splits read from the iterator ``source`` when first asked for, then held
+    for the next iteration: the next seed's ``run_protocol``."""
+
+    def __init__(self, source):
+        self._source, self._held = source, []
+
+    def __iter__(self):
+        yield from self._held
+        for split in self._source:
+            self._held.append(split)
+            yield split
+
+
 def run_protocol(
-    cfg: ExperimentConfig, seed: int, train: list, out_dir=None, digest: str = ""
+    cfg: ExperimentConfig, seed: int, train, out_dir=None, digest: str = ""
 ) -> tuple[list, list]:
     """Train sequentially over the configured domains and save artifacts.
 
-    ``train`` holds each domain's train split, ``build_protocol_data(cfg,
-    (0,))[0]``. It does not depend on the seed, so callers build it once per
-    config. Returns the snapshot of each step and the seconds each step took.
+    ``train`` yields each domain's train split, step t reading split t when
+    it starts: a list, ``build_protocol_data(cfg, (0,))[0]``, or ``LazySplits``.
+    It does not depend on the seed, so callers build it once per config.
+    Returns the snapshot of each step and the seconds each step took.
     The run log is rewritten whole after each step, so a killed run leaves the
     steps done so far, never a cut line.
     """

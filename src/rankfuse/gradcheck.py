@@ -3,8 +3,7 @@
 Every analytic gradient in the package funnels through ``check_gradient``:
 central differences at eps = 1e-4, relative error below 1e-4 on float64
 inputs, with a guard that skips coordinates sitting on hinge/abs kinks
-(where the two one-sided slopes disagree). A deliberate corruption hook
-exists so the harness itself can be shown to catch wrong gradients.
+(where the two one-sided slopes disagree).
 ``gradcheck_suite`` runs it on the encoder and on every loss term the method
 trains with; ``rankfuse gradcheck`` and acceptance criterion 1 call it.
 """
@@ -51,16 +50,13 @@ def check_gradient(
     name: str = "fn",
     eps: float = DEFAULT_EPS,
     tol: float = DEFAULT_TOL,
-    corrupt: float = 0.0,
 ) -> GradCheckReport:
     """Compare an analytic gradient against central differences.
 
     ``fn`` maps a float64 array with the shape of ``x`` to a scalar.
-    ``corrupt`` adds a constant to the analytic gradient first (negative
-    control; any nonzero value must make the check fail on generic data).
     """
     x = np.asarray(x, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64) + corrupt
+    grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != x.shape:
         raise UsageError(f"gradient shape {grad.shape} does not match input {x.shape}")
     if eps <= 0 or tol <= 0:
@@ -156,10 +152,9 @@ def _cases(seed: int, batch: int, dim: int, points: int) -> list:
     return cases + [(name, lambda v, f=f: f(v).value, f(x).grad_new, x) for name, f, x in losses]
 
 
-def gradcheck_suite(seed: int, batch: int, dim: int, points: int, corrupt: float = 0.0) -> list:
-    """FD-verify the encoder and every loss, one ``GradCheckReport`` each;
-    ``corrupt`` is a negative control."""
+def gradcheck_suite(seed: int, batch: int, dim: int, points: int) -> list:
+    """FD-verify the encoder and every loss, one ``GradCheckReport`` each."""
     return [
-        check_gradient(fn, grad, x, name=name, corrupt=corrupt)
+        check_gradient(fn, grad, x, name=name)
         for name, fn, grad, x in _cases(seed, batch, dim, points)
     ]

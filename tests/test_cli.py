@@ -7,7 +7,6 @@ import hashlib
 import json
 import logging
 import math
-import multiprocessing
 import os
 import shutil
 import struct
@@ -24,12 +23,13 @@ import yaml
 import rankfuse.cli
 import rankfuse.continual
 import rankfuse.evaluation
+import rankfuse.gradcheck
 from rankfuse.cli import _openblas_core, main
 from rankfuse.config import config_digest, load_config
 from rankfuse.corpus import ScanReader, load_corpus, save_corpus, scan_file
 from rankfuse.data import PlaceSample, PointScan
 from rankfuse.encoder import init_params, load_snapshot, make_snapshot, save_snapshot
-from rankfuse.errors import UsageError
+from rankfuse.errors import TrainingError, UsageError
 from rankfuse.evaluation import embed
 
 from conftest import tiny_domain
@@ -138,9 +138,14 @@ def test_manifest_and_aggregate(smoke_out):
     assert manifest["seeds"] == [0]
     assert isinstance(manifest["numpy_simd"], dict)
     clock = manifest["wall_clock"]["0"]
-    assert set(clock) == {"data_seconds", "train_seconds", "eval_seconds", "per_step_seconds"}
+    assert set(clock) == {"data_seconds", "data_lanes", "lane_data_seconds", "train_seconds",
+                          "eval_seconds", "per_step_seconds"}
     assert len(clock["per_step_seconds"]) == 2
     assert clock["data_seconds"] > 0
+    # The lane makes domain 1's train split and every eval split, in this
+    # process when it has one usable CPU.
+    assert clock["data_lanes"] == min(2, rankfuse.cli._usable_cpus())
+    assert clock["lane_data_seconds"] > 0
     assert clock["train_seconds"] > 0
 
     aggregate = json.loads((out / "aggregate.json").read_text())
@@ -328,71 +333,207 @@ def _two_seeds(tmp_path):
     return config
 
 
+def _record(log, line):
+    """Append ``line`` to ``log``: from this process, or from the lane, whose
+    lines land in order with this process's."""
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+
+
 def test_run_builds_corpora_once_for_all_seeds(monkeypatch, tmp_path):
     # The splits depend only on the config: two seeds, one build of each
-    # (domain, session) split. Every train split comes before the first
-    # training step, every eval split after the last seed's last step, and
-    # the seed that paid for them records the time of both phases.
-    events, generating = [], []
+    # (domain, session) split, in this process or in the lane. Train split t
+    # is made before step t, and the seed that paid for the splits records
+    # the generation time of both phases, this process's and the lane's.
+    log = tmp_path / "events.log"
     real = rankfuse.continual.generate_domain
 
     def generate(spec, points_per_scan, domain_id):
         t0 = time.perf_counter()
-        events.append((domain_id, spec.session))
         time.sleep(0.02)
         samples = real(spec, points_per_scan, domain_id)
-        generating.append(time.perf_counter() - t0)
+        _record(log, f"{domain_id} {spec.session} {time.perf_counter() - t0!r}")
         return samples
 
     def logged(step):
         def run(*args, **kwargs):
-            events.append("step")
+            _record(log, "step")
             return step(*args, **kwargs)
         return run
 
+    started = _lanes(monkeypatch, 2)
     monkeypatch.setattr(rankfuse.continual, "generate_domain", generate)
     for name in ("train_first_step", "train_continual_step"):
         monkeypatch.setattr(rankfuse.continual, name, logged(getattr(rankfuse.continual, name)))
     assert main(["run", "--config", str(_two_seeds(tmp_path)), "--out", str(tmp_path / "out")]) == 0
-    splits = [(d, s) for d in (0, 1) for s in (0, 1, 2)]
-    assert sorted(e for e in events if e != "step") == splits
-    steps = [i for i, e in enumerate(events) if e == "step"]
+    assert len(started) == 1 and _reaped(started)
+    events = [line.split() for line in log.read_text().splitlines()]
+    built = [((int(e[0]), int(e[1])), i) for i, e in enumerate(events) if e != ["step"]]
+    assert sorted(split for split, _ in built) == [(d, s) for d in (0, 1) for s in (0, 1, 2)]
+    steps = [i for i, e in enumerate(events) if e == ["step"]]
     assert len(steps) == 4  # 2 seeds x 2 domains
-    assert all(events.index((d, 0)) < steps[0] for d in (0, 1))
-    assert all(events.index((d, s)) > steps[-1] for d in (0, 1) for s in (1, 2))
+    assert all(i < steps[d] for (d, session), i in built if session == 0)
+    generating = sum(float(e[2]) for e in events if e != ["step"])
     clock = json.loads((tmp_path / "out" / "manifest.json").read_text())["wall_clock"]
     assert set(clock) == {"0", "1"}
     assert set(clock["0"]) == set(clock["1"])
-    assert clock["0"]["data_seconds"] >= sum(generating) and clock["1"]["data_seconds"] == 0.0
+    assert clock["0"]["data_seconds"] + clock["0"]["lane_data_seconds"] >= generating
+    assert clock["1"]["data_seconds"] == clock["1"]["lane_data_seconds"] == 0.0
+    assert clock["0"]["data_lanes"] == clock["1"]["data_lanes"] == 2
+
+
+class SessionSplit(list):
+    """A generated split that knows its session, also once pickled to this
+    process from the lane."""
+
+    session = None
 
 
 def test_run_holds_one_phase_of_splits_at_a_time(monkeypatch, tmp_path):
-    # While a training step runs, only train splits (session 0) are alive: no
-    # database or query split is made yet. While evaluation encodes, the
-    # train splits are garbage.
-    splits, seen = [], []
+    # This process receives no database or query split before the last
+    # seed's last step is done: while any step runs, only train splits
+    # (session 0) are alive here. While evaluation encodes, no train split is.
     real = rankfuse.continual.generate_domain
+    seen = []
 
     def generate(spec, points_per_scan, domain_id):
-        samples = real(spec, points_per_scan, domain_id)
-        splits.append((spec.session, weakref.ref(samples[0].scan.points.base)))
-        return samples
+        split = SessionSplit(real(spec, points_per_scan, domain_id))
+        split.session = spec.session
+        return split
 
     def watched(phase, call):
         def run(*args, **kwargs):
             gc.collect()
-            seen.append((phase, {session for session, ref in splits if ref() is not None}))
+            seen.append((phase, {o.session for o in gc.get_objects() if isinstance(o, SessionSplit)}))
             return call(*args, **kwargs)
         return run
 
+    started = _lanes(monkeypatch, 2)
     monkeypatch.setattr(rankfuse.continual, "generate_domain", generate)
-    for name in ("train_first_step", "train_continual_step"):
+    # Each step starts in train_*_step and ends with write_run_log.
+    for name in ("train_first_step", "train_continual_step", "write_run_log"):
         monkeypatch.setattr(rankfuse.continual, name,
                             watched("train", getattr(rankfuse.continual, name)))
     monkeypatch.setattr(rankfuse.evaluation, "encode", watched("eval", rankfuse.evaluation.encode))
     assert main(["run", "--config", str(_two_seeds(tmp_path)), "--out", str(tmp_path / "out")]) == 0
-    assert [phase for phase, _ in seen] == ["train"] * 4 + ["eval"] * 16
+    assert len(started) == 1 and _reaped(started)
+    assert [phase for phase, _ in seen] == ["train"] * 8 + ["eval"] * 16
     assert all(alive == ({0} if phase == "train" else {1, 2}) for phase, alive in seen)
+
+
+@pytest.fixture(scope="module")
+def two_seeds_config(tmp_path_factory):
+    return _two_seeds(tmp_path_factory.mktemp("two_seeds"))
+
+
+def _artifacts(out):
+    """The sha256 of every file the run wrote, as its manifest lists them."""
+    return json.loads((out / "manifest.json").read_text())["artifacts"]
+
+
+def test_run_bytes_and_stdout_do_not_depend_on_the_lane_count(monkeypatch, capsys, tmp_path,
+                                                              two_seeds_config):
+    # One usable CPU makes every split in this process and starts no process;
+    # two make the later splits in one forked lane.
+    started, outputs = _lanes(monkeypatch, 1), []
+    for lanes in (1, 2):
+        monkeypatch.setattr(rankfuse.cli, "_usable_cpus", lambda: lanes)
+        out = tmp_path / f"lanes_{lanes}"
+        assert main(["run", "--config", str(two_seeds_config), "--out", str(out)]) == 0
+        assert len(started) == lanes - 1 and _reaped(started)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {clock["data_lanes"] for clock in manifest["wall_clock"].values()} == {lanes}
+        outputs.append((_artifacts(out), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert [line.split(":")[0] for line in outputs[0][1].splitlines()] == ["seed 0", "seed 1"]
+
+
+def test_run_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, two_seeds_config):
+    # The lane is forked, so it inherits this process's BLAS pool.
+    outputs = []
+    for blas_threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        out = tmp_path / f"blas_{blas_threads}"
+        proc = cli("run", "--config", two_seeds_config, "--out", out, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((_artifacts(out), proc.stdout))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_run_error_in_the_lane_exits_2_and_leaves_no_process(monkeypatch, capsys, tmp_path, lanes):
+    generate = rankfuse.continual.generate_domain
+
+    def queries_fail(spec, points, domain_id):
+        if spec.session == 2:
+            raise UsageError("queries cannot be generated")
+        return generate(spec, points, domain_id=domain_id)
+
+    started = _lanes(monkeypatch, lanes)
+    monkeypatch.setattr(rankfuse.continual, "generate_domain", queries_fail)
+    argv = ["run", "--config", str(SMOKE), "--toggle", "buffer=off", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "usage error: queries cannot be generated\n"
+    assert len(started) == lanes - 1 and _reaped(started)
+
+
+def test_run_training_abort_stops_the_lane(monkeypatch, capsys, tmp_path):
+    generate = rankfuse.continual.generate_domain
+
+    def slow_eval_splits(spec, points, domain_id):
+        if spec.session > 0:
+            time.sleep(60)  # the lane is still at work when training aborts
+        return generate(spec, points, domain_id=domain_id)
+
+    def abort(*args, **kwargs):
+        raise TrainingError("non-finite loss at step 1 epoch 0 batch 0")
+
+    started = _lanes(monkeypatch, 2)
+    monkeypatch.setattr(rankfuse.continual, "generate_domain", slow_eval_splits)
+    monkeypatch.setattr(rankfuse.continual, "train_continual_step", abort)
+    argv = ["run", "--config", str(SMOKE), "--toggle", "buffer=off", "--out", str(tmp_path)]
+    t0 = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - t0 < 30  # the lane was stopped, not waited for
+    assert capsys.readouterr().err == "training aborted: non-finite loss at step 1 epoch 0 batch 0\n"
+    assert len(started) == 1 and _reaped(started)
+
+
+def test_run_lane_that_dies_without_a_word_is_an_error(monkeypatch, capsys, tmp_path):
+    generate = rankfuse.continual.generate_domain
+
+    def second_domain_dies(spec, points, domain_id):
+        if domain_id == 1:
+            os._exit(7)
+        return generate(spec, points, domain_id=domain_id)
+
+    started = _lanes(monkeypatch, 2)
+    monkeypatch.setattr(rankfuse.continual, "generate_domain", second_domain_dies)
+    argv = ["run", "--config", str(SMOKE), "--toggle", "buffer=off", "--out", str(tmp_path)]
+    with pytest.raises(RuntimeError, match="^a forked lane died with exit code 7$") as caught:
+        main(argv)
+    assert caught.value.__suppress_context__  # no pickle or EOF traceback chained to it
+    assert capsys.readouterr().err == ""
+    assert len(started) == 1 and _reaped(started)
+
+
+def test_run_lane_never_flushes_this_process_stdout(tmp_path, two_seeds_config):
+    # Two runs in one process whose stdout is a buffered pipe: the first
+    # run's seed lines still sit in stdout's buffer when the second run
+    # forks its lane.
+    runs = [str(tmp_path / "first"), str(tmp_path / "second")]
+    script = (
+        "import rankfuse.cli\n"
+        "rankfuse.cli._usable_cpus = lambda: 2\n"
+        f"for out in {runs!r}:\n"
+        f"    assert rankfuse.cli.main(['run', '--config', {str(two_seeds_config)!r}, '--out', out]) == 0\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split(":")[0] for line in proc.stdout.splitlines()] == ["seed 0", "seed 1"] * 2
 
 
 def test_two_seed_run_writes_the_bytes_of_two_one_seed_runs(tmp_path):
@@ -796,12 +937,20 @@ def test_gradcheck_points_below_one_exits_2(value):
     assert "Traceback" not in proc.stderr
 
 
-def test_gradcheck_corrupt_control_exits_5():
-    proc = cli("gradcheck", "--batch", 4, "--dim", 6, "--points", 16,
-               "--corrupt", "0.05")
-    assert proc.returncode == 5
-    assert "FAIL" in proc.stdout
-    assert "gradient check failed" in proc.stderr
+def test_gradcheck_corrupt_control_exits_5(monkeypatch, capsys):
+    # A negative control: one case's analytic gradient off by 0.05 fails the
+    # suite, and the failure names that case.
+    cases = rankfuse.gradcheck._cases
+
+    def corrupted(*args):
+        (name, fn, grad, x), *rest = cases(*args)
+        return [(name, fn, grad + 0.05, x), *rest]
+
+    monkeypatch.setattr(rankfuse.gradcheck, "_cases", corrupted)
+    assert main(["gradcheck", "--batch", "4", "--dim", "6", "--points", "16"]) == 5
+    out, err = capsys.readouterr()
+    assert "FAIL" in out
+    assert err == "gradient check failed: encoder[normalize=False]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -832,17 +981,30 @@ def test_gen_data_smoke_corpus_digest(corpora):
 
 
 def _lanes(monkeypatch, lanes):
-    """Give gen-data ``lanes`` usable CPUs, and record each lane process it starts."""
+    """Give the verbs ``lanes`` usable CPUs, and record the pid of each child they fork."""
     started = []
-    start = multiprocessing.process.BaseProcess.start
+    fork = os.fork
 
-    def record(proc):
-        started.append(proc)
-        start(proc)
+    def record():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
 
     monkeypatch.setattr(rankfuse.cli, "_usable_cpus", lambda: lanes)
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", record)
+    monkeypatch.setattr(os, "fork", record)
     return started
+
+
+def _reaped(pids) -> bool:
+    """Whether every one of ``pids`` has exited and been reaped: none outlives the verb."""
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        return False
+    return True
 
 
 @pytest.mark.parametrize("lanes", [1, 2])
@@ -855,7 +1017,7 @@ def test_gen_data_bytes_and_stdout_do_not_depend_on_the_lane_count(monkeypatch, 
     root = tmp_path / "corpora"
     assert capsys.readouterr().out == "".join(
         f"domain {name}: wrote train/db/query under {root / name}\n" for name in ("plains", "depot"))
-    assert multiprocessing.active_children() == []
+    assert _reaped(started)
 
 
 @pytest.mark.parametrize("blas_threads", ["1", None])
@@ -879,12 +1041,12 @@ def test_gen_data_error_in_a_lane_exits_2_and_leaves_no_process(monkeypatch, cap
             raise UsageError("domain 1 cannot be generated")
         return generate(spec, points, domain_id=domain_id)
 
-    _lanes(monkeypatch, lanes)
+    started = _lanes(monkeypatch, lanes)
     monkeypatch.setattr(rankfuse.continual, "generate_domain", second_domain_fails)
     assert main(["gen-data", "--config", str(SMOKE), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == "usage error: domain 1 cannot be generated\n"
-    assert multiprocessing.active_children() == []
+    assert len(started) == lanes - 1 and _reaped(started)
 
 
 def test_gen_data_lane_that_dies_without_a_word_is_an_error(monkeypatch, tmp_path):
@@ -895,11 +1057,11 @@ def test_gen_data_lane_that_dies_without_a_word_is_an_error(monkeypatch, tmp_pat
             os._exit(7)
         return generate(spec, points, domain_id=domain_id)
 
-    _lanes(monkeypatch, 2)
+    started = _lanes(monkeypatch, 2)
     monkeypatch.setattr(rankfuse.continual, "generate_domain", second_domain_dies)
-    with pytest.raises(RuntimeError, match="a gen-data lane died with exit code 7"):
+    with pytest.raises(RuntimeError, match="^a forked lane died with exit code 7$"):
         main(["gen-data", "--config", str(SMOKE), "--out", str(tmp_path)])
-    assert multiprocessing.active_children() == []
+    assert len(started) == 1 and _reaped(started)
 
 
 @pytest.mark.parametrize("domains, cpus", [(1, 2), (2, 1)])
@@ -909,7 +1071,7 @@ def test_gen_data_in_one_lane_starts_no_process(monkeypatch, capsys, tmp_path, d
     config = tmp_path / "edited.yaml"
     config.write_text(yaml.safe_dump(raw))
     monkeypatch.setattr(rankfuse.cli, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _never)
+    monkeypatch.setattr(os, "fork", _never)
     assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     names = [d["name"] for d in raw["domains"]]
     assert sorted(p.name for p in (tmp_path / "out" / "corpora").iterdir()) == sorted(names)

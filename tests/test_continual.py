@@ -1,5 +1,6 @@
 """Replay buffer, plan schedules, freeze guarantees, and the training protocol."""
 
+import functools
 import json
 import logging
 from collections import Counter
@@ -324,14 +325,26 @@ def test_build_protocol_data_sessions_are_disjoint():
     assert all(s.domain_id == 1 for s in train[1])
 
 
-def test_build_protocol_data_builds_each_world_once(tmp_path):
+def test_build_protocol_data_builds_each_world_once(monkeypatch, tmp_path):
     # The three sessions of a domain share its world; it is built once, also
-    # by a run, which makes every train split, trains, then every eval split.
-    from rankfuse.cli import main
+    # by a run. A run makes domain 0's train split, then forks the lane that
+    # makes the other splits and inherits domain 0's world. Each build is
+    # logged to a file, so the lane's builds count too.
+    import rankfuse.cli
+    import rankfuse.data
 
+    log = tmp_path / "worlds.log"
+
+    def logged(seed, *args):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{seed}\n")
+        return _build_world.__wrapped__(seed, *args)
+
+    monkeypatch.setattr(rankfuse.cli, "_usable_cpus", lambda: 2)
     for build in (lambda: build_protocol_data(load_config(SMOKE)),
-                  lambda: main(["run", "--config", str(SMOKE), "--out", str(tmp_path)])):
-        _build_world.cache_clear()
+                  lambda: rankfuse.cli.main(["run", "--config", str(SMOKE), "--out", str(tmp_path)])):
+        log.write_text("")
+        monkeypatch.setattr(rankfuse.data, "_build_world", functools.lru_cache(maxsize=16)(logged))
         build()
-        info = _build_world.cache_info()
-        assert (info.misses, info.hits) == (2, 4)
+        # Each smoke domain's world, once: its other two sessions read the cache.
+        assert sorted(log.read_text().split()) == ["101", "202"]

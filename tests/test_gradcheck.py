@@ -18,8 +18,9 @@ def test_quadratic_gradient_passes():
 
 
 def test_corrupted_gradient_fails():
+    # A negative control: the analytic gradient off by 0.05 must fail.
     x = np.array([1.0, -2.0, 0.5])
-    report = check_gradient(lambda v: float(v @ v), 2.0 * x, x, name="quad", corrupt=0.05)
+    report = check_gradient(lambda v: float(v @ v), 2.0 * x + 0.05, x, name="quad")
     assert not report.passed
     assert "FAIL" in report.line()
 
